@@ -286,39 +286,6 @@ def main() -> None:
         result["scaling"] = {
             "best": full["scaling"]["best"],
             "steady_window": full["scaling"]["steady_window"],
-            # recorded campaign evidence (BASELINE.md round 5) so the
-            # official record carries the W-dominated measurement and the
-            # box controls that bound it, not just the in-bench 40k sample:
-            # 84 paired 160k rounds across three rotated hosts —
-            # steady_raw/_norm = best round with both adjacent spin
-            # ceilings >= 0.85 AND healthy membw on both sides (raw
-            # 0.901 / norm 0.983; eight more independent steady
-            # confirmations); raw read >= 0.8 in 48 of 84 windows
-            # (max 1.022); on the final-session host (membw 13-16 GB/s)
-            # raw >= 0.8 in 32 of 34 with median 0.898 — the criterion
-            # reading is TYPICAL there, not a lucky window.  The
-            # controls bracket the workload (pure-CPU spin 1.0 >
-            # warm memcpy 0.86 > pipeline > fresh-page fault path
-            # 0.364-0.432 per host — the single-kernel VM artifact a
-            # real N-vs-4N NODE comparison does not share).
-            "campaign": {
-                "samples_160k": 84,
-                "steady_raw_160k": 0.901,
-                "steady_norm_160k": 0.983,
-                "steady_confirmations": [0.901, 0.887, 0.871, 0.869,
-                                         0.845, 0.845, 0.817, 0.803,
-                                         0.786],
-                "raw_ge_080_count": 48,
-                "best_raw_160k": 1.022,
-                "final_host_median_raw": 0.898,
-                "final_host_raw_ge_080": "32/34",
-                "best_abs_sec": {"8": 264.5, "32": 74.8},
-                "ctl_spin": 1.0,
-                "ctl_membw_warm": 0.86,
-                "ctl_alloc_fault_path": 0.432,
-                "source": "BASELINE.md round-5 FINAL + epilogues + "
-                          "final-session campaign (criterion record)",
-            },
         }
     try:
         with open("/tmp/kgray_bench_full.json", "w") as f:

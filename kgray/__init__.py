@@ -23,31 +23,6 @@ No module-global state; all shared state rides in actor constructors or
 # oversubscribing Ray workers lives in stages/shuffle.py (setdefault
 # immediately before ITS OWN polars import — the consumer that needs it)
 # and in the process-owning entrypoints (__ray_entry__.py, bench.py,
-# tests/conftest.py).  A host application that imports kgray keeps its own
-# polars threading.
-#
-# The ONE exception is explicitly opt-in: KGRAY_JEMALLOC_DECAY_MS (unset by
-# default).  The round-5 scaling campaign localized the width-resistant
-# cost to the VM's anonymous-page-fault path (fresh-page allocation scales
-# 0.364-0.432 from 8->32 workers while warm-memory streaming scales 0.86 —
-# BASELINE.md "page-fault-path ceiling").  Arrow's jemalloc pool returns
-# dirty pages to the OS after its decay window, so every map_batches batch
-# build re-faults its buffers; raising the decay keeps pages warm inside
-# each Ray worker.  Gated behind an env var because retained arenas
-# inflate worker RSS against the object store (the same trade that made
-# glibc MALLOC_TRIM_THRESHOLD_ LOSE — see BASELINE.md "Rejected lever").
-# kgray is imported by every Ray worker that unpickles a stage fn, so
-# setting the variable before ray.init() configures the whole pool.
-import os as _os
-
-_decay = _os.environ.get("KGRAY_JEMALLOC_DECAY_MS")
-if _decay:
-    try:
-        import pyarrow as _pa
-
-        _pa.jemalloc_set_decay_ms(int(_decay))
-    except (ImportError, ValueError, NotImplementedError):  # non-jemalloc builds
-        pass
-del _os
+# scripts/ray_job.py, tests/conftest.py).
 
 __version__ = "0.1.0"

@@ -389,16 +389,13 @@ def _params_fingerprint() -> str:
     from .pipelines import simsearch as ss
     from .pipelines import textproc as tp
 
-    # Sentinel value of the shared token hash: captures the hash
-    # IMPLEMENTATION (polars hash_rows vs numpy fallback, and any polars
-    # hash-algorithm change across versions) in the cache key, so an
-    # implementation swap rotates the /tmp cache instead of surfacing as a
+    # Sentinel value of the shared token hash plus the polars version:
+    # captures any polars hash-algorithm change in the cache key, so a
+    # version bump rotates the /tmp cache instead of surfacing as a
     # spurious oracle mismatch (ADVICE r4 #2).
-    try:
-        import polars as _pl
-        _plv = _pl.__version__
-    except ImportError:  # pragma: no cover - polars ships in this env
-        _plv = "none"
+    import polars as _pl
+
+    _plv = _pl.__version__
     hash_sentinel = int(tp._token_hashes(["kgray-hash-sentinel"])[0])
 
     parts = (

@@ -16,9 +16,9 @@ Physical design notes (each alternative was measured and rejected):
   * ``map_groups(first)`` — one interpreter call per unique triple;
   * Arrow ``group_by`` over the 7 raw key columns — multi-column string
     hashing per bucket cost ~197 s remote at 160k pages.
-  The shipped shape concatenates the key ONCE into a single binary column,
-  then per bucket does sort(key, lineage) + boundary-mask filter — all
-  Arrow/numpy kernels, ~tens of ms per bucket.
+  The shipped shape hashes the 7 key columns ONCE in the combiner, ships
+  the 8-byte hash through the exchange, and per bucket groups by it with
+  an exact collision guard — all Arrow/numpy kernels.
 
 The dedup identity is the full canonical triple ``(op, subj, pred, obj,
 lang, datatype, obj_type)``; ``src_url``/``warc_ts`` are lineage, not
@@ -177,46 +177,7 @@ def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
     of pipeline compute at 160k pages).  Shipping the full key column was
     already rejected in round 2 (it dominated shuffle bytes: ~60% of
     pipeline compute on the 40k x 26KB corpus)."""
-    import os
-
-    from .shuffle import (
-        BUCKET_COL, _hash_key, dict_decode_columns, dict_encode_columns,
-        exchange_map,
-    )
-
-    # Dictionary-encoding the repeated string columns through the exchange
-    # (the VERDICT r4 #2 candidate) was MEASURED AND REJECTED: Ray's
-    # shuffle map tasks slice each block into num_partitions partition
-    # slices, and an Arrow take/slice on a dictionary array carries the
-    # FULL per-block dictionary into every slice — the dictionaries ship
-    # num_partitions times over, so "compression" multiplies exchange
-    # bytes instead of cutting them (measured: 40k-page t32 hash exchange
-    # 64.7 s with raw strings vs >600 s dictionary-encoded;
-    # tests/test_shuffle_exchange.py pins that the encoding is CORRECT in
-    # both modes — it is only pathological, not wrong).
-    # KGRAY_EXCHANGE_DICT=1 re-enables it for A/B campaigns; resolved
-    # HERE, at pipeline-construction time on the driver, because worker
-    # processes don't inherit driver env mutations.
-    use_dict = os.environ.get("KGRAY_EXCHANGE_DICT", "0") == "1"
-    # KGRAY_DEDUP=string restores the injective key-string grouping for
-    # A/B campaigns (default: hash grouping with the exact collision guard)
-    use_string = os.environ.get("KGRAY_DEDUP", "hash") == "string"
-    if use_string:
-        def combine_s(batch: pa.Table) -> pa.Table:
-            from .shuffle import add_bucket
-
-            batch = _first_per_key(_with_key(batch))
-            batch = add_bucket(batch, [_KEY], num_buckets)
-            return batch.drop_columns([_KEY])
-
-        def per_bucket_s(group: pa.Table) -> pa.Table:
-            group = group.drop_columns([BUCKET_COL])
-            return _first_per_key(_with_key(group)).drop_columns([_KEY])
-
-        pre = ops.map_batches(combine_s, batch_format="pyarrow",
-                              batch_size=batch_size)
-        return exchange_map(pre, per_bucket_s,
-                            size_hint_bytes=size_hint_bytes)
+    from .shuffle import BUCKET_COL, _hash_key, exchange_map
 
     def combine(batch: pa.Table) -> pa.Table:
         """Combiner: ONE vectorized multi-column hash of the 7 raw key
@@ -232,25 +193,18 @@ def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
         batch = _first_per_key_hashed(batch)
         kh2 = batch[_KEY_HASH].combine_chunks().to_numpy(
             zero_copy_only=False)
-        batch = batch.append_column(
+        return batch.append_column(
             BUCKET_COL,
             pa.array((kh2 % np.uint64(num_buckets)).astype(np.int32)))
-        if use_dict:
-            batch = dict_encode_columns(
-                batch, ["op", "subj", "pred", "lang", "datatype",
-                        "obj_type", "src_url"])
-        return batch
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        group = dict_decode_columns(group.drop_columns([BUCKET_COL]))
-        return _first_per_key_hashed(group).drop_columns([_KEY_HASH])
+        return _first_per_key_hashed(
+            group.drop_columns([BUCKET_COL])).drop_columns([_KEY_HASH])
 
-    # Physical plan: hash exchange by default (see shuffle.exchange_map) —
-    # round 3 localized the width-dependent scaling residual in the SORT
-    # exchange's reduce fan-in (range-boundary sampling + chunked-string
-    # concat behind a barrier); hash routing streams the fan-in instead.
-    # Whole-partition map, not groupby().map_groups: _first_per_key groups
-    # by the full key itself, so one call per partition suffices (see
+    # Physical plan: shuffle.exchange_map picks the hash or sort exchange
+    # from size_hint_bytes.  Whole-partition map, not
+    # groupby().map_groups: _first_per_key_hashed groups by the shipped key
+    # hash itself, so one call per partition suffices (see
     # stages/shuffle.bucket_groupby for the per-group-overhead math).
     pre = ops.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
     return exchange_map(pre, per_bucket, size_hint_bytes=size_hint_bytes)

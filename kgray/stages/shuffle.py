@@ -44,27 +44,35 @@ from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+
+# polars must run single-threaded here: its default rayon pool is one
+# thread per core PER PROCESS, and hash_rows inside 32 concurrent Ray map
+# tasks then runs ~cores^2 runnable threads — measured t32 SLOWER than t8
+# on the scaling corpus.  The env var only binds before the first polars
+# import in each process, so it is set immediately before this one; the
+# process-owning entrypoints (__ray_entry__.py, bench.py, scripts/ray_job.py,
+# tests/conftest.py) set it too.  If some other library still imports
+# polars first with a wide pool we accept it: hash VALUES are
+# pool-size-independent.
+os.environ.setdefault("POLARS_MAX_THREADS", "1")
+import polars as _pl  # noqa: E402
 
 BUCKET_COL = "__bucket"
-_SEP = "\x1f"
 
 # Exchange physical strategy.  "hash" routes the co-location through Ray's
 # HASH_SHUFFLE repartition-by-key (map tasks partition by hash(bucket) and
 # push to aggregator actors that concat each partition — no sort barrier,
-# no range-boundary sampling, streaming fan-in); "sort" is the legacy
-# sort(__bucket) exchange.  Default is SIZE-ADAPTIVE ("auto"): hash above
+# no range-boundary sampling, streaming fan-in); "sort" is the
+# sort(__bucket) exchange.  Selection is SIZE-ADAPTIVE: hash above
 # _HASH_MIN_BYTES of estimated input, sort below — measured on the 40k-page
 # scaling corpus the hash exchange is 20-25% faster at 32 cpus (it removes
 # the width-dependent sort-reduce fan-in, VERDICT r3 #1) but pays a fixed
 # ~3-5 s aggregator-pool spawn per exchange that dominates small queries
 # (interleaved A/B: t32 62.7/94.6 s hash vs 83.5/119.1 s sort; sf0.1
-# headline total 77.7 s hash vs 55.0 s sort).  KGRAY_EXCHANGE=hash|sort
-# overrides for A/B campaigns.
-_EXCHANGE_ENV = "KGRAY_EXCHANGE"
-# auto mode: estimated in-memory input bytes above which an exchange takes
-# the hash path (the fixed aggregator spawn amortizes; the sort fan-in it
-# replaces grows with input while the spawn cost does not)
+# headline total 77.7 s hash vs 55.0 s sort).
+# Estimated in-memory input bytes above which an exchange takes the hash
+# path (the fixed aggregator spawn amortizes; the sort fan-in it replaces
+# grows with input while the spawn cost does not).
 _HASH_MIN_BYTES = 512 * 1024 * 1024
 # Scheduler CPU reservation budget for ONE exchange's aggregator-actor
 # pool as a fraction of cluster CPUs.  Round-3's HASH_SHUFFLE probe stalled
@@ -73,114 +81,17 @@ _HASH_MIN_BYTES = 512 * 1024 * 1024
 # actor pool; see _tune_hash_shuffle for the deadlock arithmetic.
 _AGG_CPU_FRACTION = 16
 
-try:  # Rust-vectorized row hash; seeded => deterministic across the
-    # processes of one session (all an exchange needs).  polars must run
-    # single-threaded here: its default rayon pool is one thread per core
-    # PER PROCESS, and hash_rows inside 32 concurrent Ray map tasks then
-    # runs ~cores^2 runnable threads — measured t32 SLOWER than t8 on the
-    # scaling corpus.  The env var only binds before the first polars
-    # import in each process; kgray/__init__ sets it too, so in practice
-    # every Ray worker caps the pool (the kgray UDF import precedes any
-    # other polars use in our pipelines).  If some other library still
-    # imports polars first with a wide pool we ACCEPT it anyway: hash
-    # VALUES are pool-size-independent, and the hash choice must be
-    # uniform across every worker of an exchange — a polars/fallback mix
-    # would put the same key in different buckets.
-    import os as _os
-
-    _os.environ.setdefault("POLARS_MAX_THREADS", "1")
-    import polars as _pl
-except ImportError:  # pragma: no cover - polars ships in this env
-    _pl = None
-
-# polynomial segment hash over the Arrow string buffers, mod 2^64
-_HB = np.uint64(1099511628211)  # FNV-1a prime
-_MIX1 = np.uint64(0x9E3779B97F4A7C15)
-_MIX2 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX3 = np.uint64(0x94D049BB133111EB)
-# rows longer than this take a per-row hashlib path (rare: a triple key is
-# tens of bytes; only pathological literal payloads exceed it), bounding
-# the (maxlen x rows) scratch matrix of the vectorized path
-_LONG_ROW = 1024
-
 
 def _hash_key(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
-    """Deterministic vectorized 64-bit hash of the key-column tuple.
-
-    Primary path: polars ``hash_rows`` straight off the Arrow buffers —
-    Rust-vectorized (measured ~10x the numpy fallback AND the old pandas
-    detour), and with a fixed seed the value is identical across the worker
-    processes of a session, which is the only determinism a bucket exchange
-    needs (nothing persisted depends on bucket assignment).
-
-    Fallback (no polars): the joined key column's (offsets, data) buffers
-    feed a Horner polynomial evaluated positionally — rows sorted by length
-    descending so pass ``p`` updates only the contiguous prefix of rows
-    still inside their segment (``h = h*B + byte``, exactly ``len`` steps
-    per row, so the value is batch-independent) — then a splitmix64 mix of
-    (hash, length).  O(total_bytes) work in ~maxlen vectorized passes; no
-    pandas/object-dtype detour in the hottest exchange path (VERDICT r2
-    "what's wrong" #5), and no per-byte O(L) power tables (numpy's uint64
-    ``multiply.accumulate`` has no fast inner loop)."""
-    if _pl is not None:
-        return _pl.from_arrow(batch.select(list(key_cols))).hash_rows(
-            seed=0).to_numpy()
-    key = pc.binary_join_element_wise(
-        *[pc.cast(batch[c], pa.string()) for c in key_cols], _SEP,
-        null_handling="replace", null_replacement="\x00<null>",
-    )
-    if isinstance(key, pa.ChunkedArray):
-        key = key.combine_chunks()
-    n = len(key)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    bufs = key.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=np.int32)[
-        key.offset: key.offset + n + 1].astype(np.int64)
-    data = (
-        np.frombuffer(bufs[2], dtype=np.uint8)[offsets[0]: offsets[-1]]
-        if bufs[2] is not None else np.empty(0, np.uint8)
-    )
-    starts = offsets[:-1] - offsets[0]
-    lengths = offsets[1:] - offsets[0] - starts
-    h = np.zeros(n, np.uint64)
-    long_rows = np.flatnonzero(lengths > _LONG_ROW)
-    if len(long_rows):
-        import hashlib
-
-        for i in long_rows:
-            seg = data[starts[i]: starts[i] + lengths[i]].tobytes()
-            h[i] = int.from_bytes(
-                hashlib.blake2b(seg, digest_size=8).digest(), "big")
-    norm = (np.flatnonzero(lengths <= _LONG_ROW)
-            if len(long_rows) else np.arange(n))
-    if len(norm):
-        # length-descending order: at pass p only rows with len > p are
-        # live, and they form the prefix [:k] — contiguous slice updates
-        order = norm[np.argsort(-lengths[norm], kind="stable")]
-        sl = lengths[order]
-        maxlen = int(sl[0]) if len(sl) else 0
-        # transposed scratch (pass p reads a contiguous row)
-        mat = np.zeros((maxlen, len(order)), np.uint8)
-        rowpos = np.arange(int(sl.sum()), dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(sl[:-1]))), sl)
-        mat[rowpos, np.repeat(np.arange(len(order)), sl)] = data[
-            np.repeat(starts[order], sl) + rowpos]
-        asc = np.sort(sl)
-        hh = np.zeros(len(order), np.uint64)
-        for p in range(maxlen):
-            k = len(order) - np.searchsorted(asc, p, side="right")
-            hh[:k] *= _HB
-            hh[:k] += mat[p, :k]
-        h[order] = hh
-    # splitmix64 finalizer so low bits (the % num_buckets) avalanche
-    h = h ^ (lengths.astype(np.uint64) * _MIX1)
-    h ^= h >> np.uint64(30)
-    h *= _MIX2
-    h ^= h >> np.uint64(27)
-    h *= _MIX3
-    h ^= h >> np.uint64(31)
-    return h
+    """Deterministic vectorized 64-bit hash of the key-column tuple:
+    polars ``hash_rows`` straight off the Arrow buffers (Rust-vectorized).
+    With a fixed seed the value is identical across the worker processes
+    of a session, which is all a bucket exchange needs; the token-hash
+    users in pipelines/textproc.py additionally rely on the values staying
+    fixed for the pinned polars version (the expected-table cache key
+    carries that version)."""
+    return _pl.from_arrow(batch.select(list(key_cols))).hash_rows(
+        seed=0).to_numpy()
 
 
 def add_bucket(batch: pa.Table, key_cols: Sequence[str], num_buckets: int) -> pa.Table:
@@ -202,26 +113,20 @@ def _cluster_cpus() -> int:
 def default_exchange_partitions(cpus: int | None = None) -> int:
     """Reduce width of an exchange: ~2 partitions per cluster core, floored
     at 64 (enough waves to absorb per-partition variance) and capped at 1024
-    (keeps O(maps x partitions) shuffle-object metadata bounded).
-    ``KGRAY_EXCHANGE_PARTS`` overrides for A/B campaigns."""
-    env = os.environ.get("KGRAY_EXCHANGE_PARTS")
-    if env:
-        return int(env)
+    (keeps O(maps x partitions) shuffle-object metadata bounded)."""
     if cpus is None:
         cpus = _cluster_cpus()
     return min(1024, max(64, 2 * cpus))
 
 
 def exchange_mode(size_hint_bytes: int | None = None) -> str:
-    """Physical exchange selection: env override, else size-adaptive.
+    """Physical exchange selection from the input-size estimate: "hash" at
+    or above ``_HASH_MIN_BYTES``, "sort" below or when there is no estimate.
 
     ``size_hint_bytes`` is the caller's estimate of the exchange input
     (``Dataset.size_bytes()`` on the SOURCE read — free parquet-metadata
     arithmetic there; on a mapped dataset it would execute the pipeline,
     so callers hint from the read, not from the tagged stream)."""
-    mode = os.environ.get(_EXCHANGE_ENV, "auto")
-    if mode != "auto":
-        return mode
     if size_hint_bytes is not None and size_hint_bytes >= _HASH_MIN_BYTES:
         return "hash"
     return "sort"
@@ -233,7 +138,7 @@ def source_size_hint(ds) -> int | None:
     Only answers when the estimate is FREE: a bare read (parquet metadata
     arithmetic) or an already-materialized dataset.  On a lazy transformed
     dataset ``size_bytes()`` would execute the pipeline, so this returns
-    None there (auto mode then picks the sort exchange — the conservative
+    None there (exchange_mode then picks the sort exchange — the conservative
     small-input default)."""
     try:
         from ray.data._internal.logical.operators.read_operator import Read
@@ -285,7 +190,7 @@ def exchange_map(
     once over each co-located partition (a union of whole buckets, Arrow
     table, ``__bucket`` still attached).
 
-    hash mode (default): ``repartition(num_partitions, keys=[__bucket])``
+    hash mode (large inputs): ``repartition(num_partitions, keys=[__bucket])``
     under Ray's HASH_SHUFFLE — map tasks hash-route rows to aggregator
     actors, each finalized partition is emitted as ONE block, and
     ``map_batches(batch_size=None)`` therefore calls ``per_partition`` once
@@ -296,9 +201,9 @@ def exchange_map(
     range-boundary sampling to collapse partitions and no sort barrier —
     fan-in streams as map tasks finish.
 
-    sort mode (``KGRAY_EXCHANGE=sort``): the legacy ``sort(__bucket)``
-    exchange.  Ray's sort places every bucket value wholly inside one merged
-    reduce block (rows equal to a boundary fall on one consistent side;
+    sort mode (small or unestimated inputs): ``sort(__bucket)``.  Ray's
+    sort places every bucket value wholly inside one merged reduce block
+    (rows equal to a boundary fall on one consistent side;
     merge_sorted_blocks returns a single block in the pinned ray 2.49.2),
     pinned by the same regression test."""
     if num_partitions is None:
@@ -327,8 +232,8 @@ def bucket_groupby(
     each bucket (all rows of a bucket in one Arrow table, ``__bucket``
     already dropped).
 
-    Physical plan: see ``exchange_map`` — hash repartition-by-bucket by
-    default, legacy sort exchange via ``KGRAY_EXCHANGE=sort``.  Either way
+    Physical plan: see ``exchange_map`` — hash repartition-by-bucket or
+    sort exchange, chosen by ``exchange_mode(size_hint_bytes)``.  Either way
     every ``fn`` here does its own per-key grouping internally (a hash
     bucket always contained many keys), so ``fn`` runs ONCE per partition
     over a union of whole buckets; ``groupby().map_groups`` would provide
@@ -359,33 +264,6 @@ def bucket_groupby(
         tagged = tagged.repartition(spread_blocks)
     return exchange_map(tagged, per_partition, num_partitions=spread_blocks,
                         size_hint_bytes=size_hint_bytes)
-
-
-def dict_encode_columns(batch: pa.Table, cols: Sequence[str]) -> pa.Table:
-    """Dictionary-encode ``cols`` so repeated string values ship through an
-    exchange as int32 indices + one small dictionary per block, not one copy
-    of the string per row (VERDICT r4 #2: exchange fan-in VOLUME was the
-    width-resistant scaling residual; low-cardinality columns like ``pred``
-    / ``lang`` / ``op`` compress 10-50x).  Arrow IPC — the object-store
-    block format — serializes dictionary arrays natively, so the saving is
-    real shuffle bytes, not just heap."""
-    for c in cols:
-        col = batch[c]
-        if not pa.types.is_dictionary(col.type):
-            i = batch.schema.get_field_index(c)
-            batch = batch.set_column(i, c, pc.dictionary_encode(col))
-    return batch
-
-
-def dict_decode_columns(batch: pa.Table) -> pa.Table:
-    """Decode every dictionary column back to its value type (the inverse
-    of dict_encode_columns, applied on the receive side of an exchange so
-    per-bucket kernels and downstream consumers see plain columns)."""
-    for i, f in enumerate(batch.schema):
-        if pa.types.is_dictionary(f.type):
-            batch = batch.set_column(
-                i, f.name, pc.cast(batch[f.name], f.type.value_type))
-    return batch
 
 
 def arrow_min_dedup(

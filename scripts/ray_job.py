@@ -23,9 +23,12 @@ retry story for a multi-day 10^12-document run is therefore "just submit
 it again".
 
 The one JSON line on stdout is the job's machine-readable result:
-partition count, resumed count, triple rows, distinct docs, aggregate
-docs/sec and triples/doc, and the mention-link block — the per-run
-rollup of the per-partition manifest metrics the north rule asks for.
+partition count, resumed count, triple rows, docs (summed per-partition
+distinct counts; ``docs_exact`` is false when that sum is only an upper
+bound), docs/sec over the partitions recomputed by this submit (None when
+every partition resumed), triples/doc, and the mention-link block — the
+per-run rollup of the per-partition manifest metrics the north rule asks
+for.
 """
 
 from __future__ import annotations
@@ -52,22 +55,32 @@ def run_job(paths: list[str], out_root: str, shards_per_partition: int) -> dict:
     manifests = run_kg_pipeline_partitioned(
         paths, out_root, shards_per_partition=shards_per_partition)
 
-    rows = sum(m.get("rows", 0) for m in manifests.values())
-    docs = sum((m.get("metrics") or {}).get("docs") or 0
-               for m in manifests.values())
-    wall = sum(m.get("write_sec") or 0.0
-               for m in manifests.values() if not m.get("resumed"))
+    parts = list(manifests.values())
+    # resumed partitions add docs but no wall time: the rate counts only
+    # the partitions this submit recomputed
+    fresh = [m for m in parts if not m.get("resumed")]
+
+    def docs_of(ms: list[dict]) -> int:
+        return sum((m.get("metrics") or {}).get("docs") or 0 for m in ms)
+
+    rows = sum(m.get("rows", 0) for m in parts)
+    docs = docs_of(parts)
+    wall = sum(m.get("write_sec") or 0.0 for m in fresh)
     blocks = sum(((m.get("metrics") or {}).get("link") or {})
-                 .get("mention_blocks") or 0 for m in manifests.values())
+                 .get("mention_blocks") or 0 for m in parts)
     linked = sum(((m.get("metrics") or {}).get("link") or {})
-                 .get("mentions_linked") or 0 for m in manifests.values())
+                 .get("mentions_linked") or 0 for m in parts)
     return {
         "out_root": out_root,
-        "partitions": len(manifests),
-        "resumed": sum(1 for m in manifests.values() if m.get("resumed")),
+        "partitions": len(parts),
+        "resumed": len(parts) - len(fresh),
         "rows": rows,
         "docs": docs,
-        "docs_per_sec": round(docs / wall, 2) if wall > 0 else None,
+        # dedup is exact only within a partition, so a doc spanning two
+        # partitions counts twice: the sum is an upper bound
+        "docs_exact": len(parts) <= 1 and all(
+            (m.get("metrics") or {}).get("docs_exact", True) for m in parts),
+        "docs_per_sec": round(docs_of(fresh) / wall, 2) if wall > 0 else None,
         "triples_per_doc": round(rows / docs, 2) if docs else None,
         "link": {"mention_blocks": blocks, "mentions_linked": linked,
                  "mentions_per_block": round(linked / blocks, 4) if blocks else None},

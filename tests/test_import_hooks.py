@@ -1,43 +1,19 @@
-"""The library import contract: no process-global mutation by default,
-and the one documented opt-in (KGRAY_JEMALLOC_DECAY_MS) applies cleanly.
-
-BASELINE.md "Rejected lever: jemalloc dirty-page decay" records the lever
-as performance-neutral on this box; the hook stays because it is the
-documented negative result and a real knob on other allocator behaviors.
-These tests pin that importing kgray stays a no-op without the env var
-and does not crash with it (fresh interpreter each time, since kgray is
-already imported in the test process).
+"""The library import contract: importing kgray mutates no process-global
+state and succeeds in a fresh interpreter (kgray is already imported in
+the test process, so the check spawns a new one).
 """
 
+import os
 import subprocess
 import sys
 
 
-def _fresh_import(env_extra: dict) -> subprocess.CompletedProcess:
-    import os
-
-    env = dict(os.environ)
-    env.update(env_extra)
-    return subprocess.run(
+def test_import_without_env_is_noop():
+    out = subprocess.run(
         [sys.executable, "-c",
          "import kgray; import pyarrow; print('ok', kgray.__version__)"],
-        capture_output=True, text=True, env=env, cwd="/root/repo",
+        capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
-
-
-def test_import_without_env_is_noop():
-    out = _fresh_import({})
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("ok ")
-
-
-def test_import_with_decay_env_applies():
-    out = _fresh_import({"KGRAY_JEMALLOC_DECAY_MS": "10000"})
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("ok ")
-
-
-def test_import_with_garbage_decay_env_does_not_crash():
-    out = _fresh_import({"KGRAY_JEMALLOC_DECAY_MS": "not-an-int"})
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("ok ")

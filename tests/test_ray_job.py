@@ -5,6 +5,7 @@ main() under the shared session (main() never re-inits a live session)."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 
@@ -32,6 +33,8 @@ def test_ray_job_entrypoint_runs_and_resumes(ray_session, small_corpus,
     s1 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert s1["partitions"] == 2 and s1["resumed"] == 0
     assert s1["rows"] > 0 and s1["docs"] == 120
+    # two partitions: the summed per-partition distinct count is a bound
+    assert s1["docs_exact"] is False
     assert s1["triples_per_doc"] > 0
     assert s1["link"]["mention_blocks"] > 0
 
@@ -42,6 +45,20 @@ def test_ray_job_entrypoint_runs_and_resumes(ray_session, small_corpus,
     s2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert s2["resumed"] == s2["partitions"] == 2
     assert s2["rows"] == s1["rows"]
+    assert s2["docs_per_sec"] is None  # nothing recomputed, no rate
+
+    # drop one partition's manifest: only that partition recomputes, and
+    # the rate covers its docs and wall time alone
+    os.remove(os.path.join(out, "part-0001", "_manifest.json"))
+    rc = mod.main(["--input", glob_pat, "--out", out,
+                   "--shards-per-partition", "2"])
+    assert rc == 0
+    s3 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert s3["resumed"] == 1 and s3["rows"] == s1["rows"]
+    with open(os.path.join(out, "part-0001", "_manifest.json")) as f:
+        m = json.load(f)
+    assert s3["docs_per_sec"] == round(
+        m["metrics"]["docs"] / m["write_sec"], 2)
 
 
 def test_ray_job_bad_glob_exits_nonzero(ray_session, tmp_path, capsys):

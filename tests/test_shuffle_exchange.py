@@ -2,14 +2,16 @@
 value must reach the per-partition fn EXACTLY ONCE, even when a single
 bucket's rows are far larger than ``target_max_block_size``.
 
-Both physical modes are pinned:
+Both physical modes are pinned, each selected through ``exchange_mode``
+by the size hint the pipelines pass:
 
-* hash (default): repartition-by-key finalization must emit one block per
-  partition — if a future Ray splits finalized partitions to honor the
-  block-size target, a bucket would straddle two fn calls and canonicalize
-  dedup would silently emit duplicate triples.
-* sort (fallback): relies on merge_sorted_blocks returning a single merged
-  block per reduce partition in the pinned ray 2.49.2.
+* hash (size hint >= ``_HASH_MIN_BYTES``): repartition-by-key
+  finalization must emit one block per partition — if a future Ray splits
+  finalized partitions to honor the block-size target, a bucket would
+  straddle two fn calls and canonicalize dedup would silently emit
+  duplicate triples.
+* sort (smaller or no size hint): relies on merge_sorted_blocks returning
+  a single merged block per reduce partition in the pinned ray 2.49.2.
 
 The test forces a pathological ``target_max_block_size`` (64 KiB) with
 8 buckets of ~1.5 MiB each, so any partition-splitting behavior change in
@@ -25,10 +27,24 @@ import pyarrow as pa
 import pytest
 
 
-def _run_exchange(ray, mode: str, monkeypatch) -> list[dict]:
+def _size_hint(mode: str) -> int | None:
+    """The size hint that makes ``exchange_mode`` select ``mode``."""
+    from kgray.stages.shuffle import _HASH_MIN_BYTES
+
+    return _HASH_MIN_BYTES if mode == "hash" else None
+
+
+def test_exchange_mode_selects_by_size_hint():
+    from kgray.stages.shuffle import _HASH_MIN_BYTES, exchange_mode
+
+    assert exchange_mode(None) == "sort"
+    assert exchange_mode(_HASH_MIN_BYTES - 1) == "sort"
+    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
+
+
+def _run_exchange(ray, mode: str) -> list[dict]:
     from kgray.stages.shuffle import BUCKET_COL, exchange_map
 
-    monkeypatch.setenv("KGRAY_EXCHANGE", mode)
     n, num_buckets = 40_000, 8
     rng = np.random.default_rng(7)
     t = pa.table(
@@ -55,13 +71,14 @@ def _run_exchange(ray, mode: str, monkeypatch) -> list[dict]:
     # per-dataset context copy: pathological block-size target, this test only
     ds.context.target_max_block_size = 64 * 1024
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    out = exchange_map(tagged, per_partition, num_partitions=16).take_all()
+    out = exchange_map(tagged, per_partition, num_partitions=16,
+                       size_hint_bytes=_size_hint(mode)).take_all()
     return out
 
 
 @pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_bucket_reaches_fn_exactly_once(ray_session, monkeypatch, mode):
-    out = _run_exchange(ray_session, mode, monkeypatch)
+def test_bucket_reaches_fn_exactly_once(ray_session, mode):
+    out = _run_exchange(ray_session, mode)
     seen: collections.Counter = collections.Counter()
     total_rows = 0
     for rec in out:
@@ -74,7 +91,7 @@ def test_bucket_reaches_fn_exactly_once(ray_session, monkeypatch, mode):
     assert not dups, f"buckets split across fn calls: {dups}"
 
 
-def test_bucket_groupby_results_mode_independent(ray_session, monkeypatch):
+def test_bucket_groupby_results_mode_independent(ray_session):
     """Same aggregate rows out of both physical exchanges."""
     from kgray.stages.shuffle import bucket_groupby
 
@@ -96,57 +113,9 @@ def test_bucket_groupby_results_mode_independent(ray_session, monkeypatch):
 
     results = {}
     for mode in ("hash", "sort"):
-        monkeypatch.setenv("KGRAY_EXCHANGE", mode)
         ds = ray_session.data.from_arrow(t)
-        rows = bucket_groupby(ds, ["key"], per_bucket).take_all()
+        rows = bucket_groupby(ds, ["key"], per_bucket,
+                              size_hint_bytes=_size_hint(mode)).take_all()
         results[mode] = sorted((r["key"], r["val_sum"]) for r in rows)
     assert results["hash"] == results["sort"]
     assert len(results["hash"]) == 500
-
-
-@pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_dictionary_columns_survive_exchange(ray_session, monkeypatch, mode):
-    """VERDICT r4 #2: exchanges ship low-cardinality string columns
-    dictionary-encoded.  Both physical modes must deliver blocks whose
-    dictionary columns decode to the original values — per-block
-    dictionaries differ across map tasks, so this pins Ray's concat /
-    merge handling of dictionary arrays in the pinned ray 2.49.2."""
-    import ray
-
-    from kgray.stages.shuffle import (
-        BUCKET_COL, dict_decode_columns, dict_encode_columns, exchange_map,
-    )
-
-    monkeypatch.setenv("KGRAY_EXCHANGE", mode)
-    n = 20_000
-    t = pa.table(
-        {
-            "k": pa.array([f"key{i % 211}" for i in range(n)]),
-            "pred": pa.array([f"P{i % 7}" for i in range(n)]),
-            "v": pa.array(np.arange(n, dtype=np.int64)),
-        }
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        from kgray.stages.shuffle import add_bucket
-
-        return dict_encode_columns(add_bucket(b, ["k"], 64), ["k", "pred"])
-
-    def per_partition(part: pa.Table) -> pa.Table:
-        part = dict_decode_columns(part.drop_columns([BUCKET_COL]))
-        assert not any(pa.types.is_dictionary(f.type) for f in part.schema)
-        return (
-            part.group_by("k", use_threads=False)
-            .aggregate([("v", "sum")])
-            .rename_columns(["k", "v_sum"])
-        )
-
-    ds = ray.data.from_arrow(t)
-    out = exchange_map(
-        ds.map_batches(tag, batch_format="pyarrow"), per_partition
-    ).take_all()
-    got = {r["k"]: r["v_sum"] for r in out}
-    want: dict[str, int] = {}
-    for i in range(n):
-        want[f"key{i % 211}"] = want.get(f"key{i % 211}", 0) + i
-    assert got == want
