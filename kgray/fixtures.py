@@ -454,13 +454,6 @@ def aliases_table() -> pa.Table:
     )
 
 
-def properties_table() -> pa.Table:
-    return pa.Table.from_pylist(
-        [dict(pid=p, label=l, datatype=d) for p, l, d in PROPERTIES],
-        schema=_schema.PROPERTIES,
-    )
-
-
 def write_pages_corpus(out_dir: str, n: int, seed: int = SEED, shard_rows: int = 5000,
                        parallel: bool | None = None, richness: int = 1) -> list[str]:
     """Write the corpus as sharded parquet (one file per row-range) so reads

@@ -124,7 +124,6 @@ _FAST_TAG_RE = re.compile(
 _FAST_ATTR_RE = re.compile(
     r"([a-zA-Z_:][\-a-zA-Z0-9_:.]*)(?:\s*=\s*\"([^\"]*)\")?"
 )
-_AMP_RE = re.compile(r"&")
 
 
 class _FastPathBail(Exception):
@@ -297,8 +296,8 @@ def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
 
     Returns ``{"entity", "lang", "claims": [raw-claim dicts], "mentions":
     [mention dicts], "body_text"}`` — the flat rows the extract stage emits
-    (schema.RAW_CLAIMS / schema.MENTIONS, minus url/warc_ts which the caller
-    supplies from the batch).  Pass ``root`` to reuse an existing DOM.
+    (schema.RAW_CLAIMS rows, minus url/warc_ts which the caller supplies
+    from the batch).  Pass ``root`` to reuse an existing DOM.
     """
     if root is None:
         root = parse_html(html)

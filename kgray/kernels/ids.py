@@ -38,8 +38,3 @@ def time_node_id(time_value: str, precision: int, timezone: int, calendar: str) 
 def reference_hash(entity: str, prop: str, ref_prop: str, ref_value: str) -> str:
     """40-hex ``ref:`` node id (reference consumer: get_updates.py:695-701)."""
     return _sha((entity, prop, ref_prop, ref_value))
-
-
-def content_hash(*parts: str) -> str:
-    """Generic deterministic hash for dedup keys / partition salts."""
-    return _sha(tuple(parts))

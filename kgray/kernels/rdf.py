@@ -53,8 +53,6 @@ PREFIXES: dict[str, str] = {
 # prefix -> namespace URI (for expansion / membership tests)
 PREFIX_TO_URI: dict[str, str] = {p: u for u, p in PREFIXES.items()}
 
-XSD_URI = "http://www.w3.org/2001/XMLSchema#"
-
 # SPARQL PREFIX header block (reference: get_updates.py:28-93 PREFIXES string)
 PREFIX_HEADER = "\n".join(
     f"PREFIX {p}: <{u}>" for u, p in sorted(PREFIXES.items(), key=lambda kv: kv[1])

@@ -111,7 +111,7 @@ def parse_ttl(text: str) -> list[tuple[str, str, str, str, str, str]]:
     """TTL text -> [(subj, pred, obj, obj_type, lang, datatype)].
 
     ``obj_type`` is 'iri' or 'literal'; lang/datatype are '' when absent
-    (the flat-columns convention of schema.TRIPLES).
+    (the flat-columns convention of schema.OPS).
     """
     if '"""' in text or "'''" in text:
         raise TTLParseError("triple-quoted (long) literals are unsupported")

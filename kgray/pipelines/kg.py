@@ -123,10 +123,18 @@ def run_kg_pipeline(paths, out_dir: str | None = None, *, alias_rows=None,
                      metrics_actor=metrics_actor)
     if out_dir is None:
         return ops
+    # which exchange canonicalize ran and why: the same hint and selector
+    # calls that kg_triples makes on the same read
+    from ..stages.shuffle import _cluster_cpus, exchange_mode, source_size_hint
+
+    size_hint = source_size_hint(pages)
+    exchange = {"mode": exchange_mode(size_hint), "size_hint_bytes": size_hint,
+                "cpus": _cluster_cpus()}
     return materialize_stage(
         ops,
         out_dir,
         sort_key=("pred", "subj", "obj"),
         inputs=[str(p) for p in (paths if isinstance(paths, (list, tuple)) else [paths])],
+        extra_metrics={"exchange": exchange},
         metrics_actor=metrics_actor,
     )

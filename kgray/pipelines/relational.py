@@ -533,10 +533,7 @@ def sessionize(sf_dir: str):
             }
         )
 
-    from ..stages.shuffle import source_size_hint
-
-    return bucket_groupby(ev, ["user_id"], per_bucket,
-                          size_hint_bytes=source_size_hint(ev))
+    return bucket_groupby(ev, ["user_id"], per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +612,8 @@ def asof_join_events(sf_dir: str):
             }
         )
 
-    from ..stages.shuffle import source_size_hint
-
     return bucket_groupby(ev.map_batches(tag, batch_format="pyarrow"),
-                          ["user_id"], per_bucket,
-                          size_hint_bytes=source_size_hint(ev))
+                          ["user_id"], per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +678,5 @@ def range_join_events(sf_dir: str):
             }
         )
 
-    from ..stages.shuffle import source_size_hint
-
     return bucket_groupby(ev.map_batches(tag, batch_format="pyarrow"),
-                          ["user_id"], per_bucket,
-                          size_hint_bytes=source_size_hint(ev))
+                          ["user_id"], per_bucket)

@@ -153,7 +153,7 @@ def _md5_col(values: list[str]) -> pa.Array:
 # first (the distributed "set semantics" of SURVEY.md §2.7 applied to docs)
 # ---------------------------------------------------------------------------
 
-def _dedup_by_hash(docs, hash_fn, size_hint_bytes=None):
+def _dedup_by_hash(docs, hash_fn):
     from ..stages.shuffle import bucket_groupby
 
     def local(b: pa.Table) -> pa.Table:
@@ -183,17 +183,14 @@ def _dedup_by_hash(docs, hash_fn, size_hint_bytes=None):
 
     return bucket_groupby(
         docs.map_batches(local, batch_format="pyarrow"),
-        ["text_hash"], reduce_bucket, size_hint_bytes=size_hint_bytes,
+        ["text_hash"], reduce_bucket,
     )
 
 
 def dedup_exact(sf_dir: str):
     """One surviving (min doc_id) row per distinct text, with dup count."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    from ..stages.shuffle import source_size_hint
-
-    return _dedup_by_hash(docs, lambda b: _md5_col(b["text"].to_pylist()),
-                          size_hint_bytes=source_size_hint(docs))
+    return _dedup_by_hash(docs, lambda b: _md5_col(b["text"].to_pylist()))
 
 
 def normalize_text_col(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -207,12 +204,8 @@ def normalize_text_col(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 def dedup_normalized(sf_dir: str):
     """Exact dedup over the canonicalized surface form (A4 analog)."""
     docs = _docs(sf_dir, ["doc_id", "text"])
-    from ..stages.shuffle import source_size_hint
-
     return _dedup_by_hash(
-        docs, lambda b: _md5_col(normalize_text_col(b["text"]).to_pylist()),
-        size_hint_bytes=source_size_hint(docs),
-    )
+        docs, lambda b: _md5_col(normalize_text_col(b["text"]).to_pylist()))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +472,7 @@ def ngram_jaccard_pairs(sf_dir: str):
     neardup_cosine block-pair shape, expressed through the exchange instead
     of spill files.  The shipped payload is the compact token-hash set, not
     text, so replication cost is bounded by blocks-per-row = O(group/8k)."""
-    from ..stages.shuffle import bucket_groupby, source_size_hint
+    from ..stages.shuffle import bucket_groupby
 
     docs = _docs(sf_dir, ["doc_id", "text", "source"])
     # Per-source group sizes for the skew-split plan.  The counts NEVER
@@ -573,7 +566,6 @@ def ngram_jaccard_pairs(sf_dir: str):
     return bucket_groupby(
         docs.map_batches(tag, batch_format="pyarrow"),
         ["source", "pi", "pj"], score, spread=True,
-        size_hint_bytes=source_size_hint(docs),
     )
 
 
@@ -583,13 +575,6 @@ def ngram_jaccard_pairs(sf_dir: str):
 # Probabilistic candidate generation — no SQL restatement; recall vs the
 # exhaustive Jaccard oracle is asserted in tests.
 # ---------------------------------------------------------------------------
-
-def _minhash_sig(tokens: set) -> np.ndarray:
-    """Scalar reference path (tests); the pipeline uses _minhash_sig_from."""
-    if not tokens:
-        return np.full(MINHASH_PERMS, _MERSENNE, dtype=np.int64)
-    return _minhash_sig_from(_token_hashes(tokens))
-
 
 def _minhash_sig_from(h_u64: np.ndarray) -> np.ndarray:
     """Signature from a doc's 64-bit token-hash array (vectorized)."""
@@ -805,12 +790,11 @@ def minhash_lsh_pairs(sf_dir: str):
             }
         )
 
-    from ..stages.shuffle import bucket_groupby, source_size_hint
+    from ..stages.shuffle import bucket_groupby
 
     return bucket_groupby(
         docs.map_batches(to_buckets, batch_format="pyarrow"),
         ["band", "bucket"], verify_buckets, spread=True,
-        size_hint_bytes=source_size_hint(docs),
     )
 
 
@@ -927,12 +911,11 @@ def simhash_pairs(sf_dir: str):
             }
         )
 
-    from ..stages.shuffle import bucket_groupby, source_size_hint
+    from ..stages.shuffle import bucket_groupby
 
     return bucket_groupby(
         docs.map_batches(to_buckets, batch_format="pyarrow"),
         ["bucket"], verify, spread=True,
-        size_hint_bytes=source_size_hint(docs),
     )
 
 

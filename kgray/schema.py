@@ -43,23 +43,10 @@ RAW_CLAIMS = pa.schema(
     ]
 )
 
-# Output of mention detection (extract stage) before linking.
-MENTIONS = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("entity", pa.string()),  # page subject QID
-        ("mention", pa.string()),  # surface form as found
-        ("span_start", pa.int32()),
-        ("span_end", pa.int32()),
-        ("context", pa.string()),  # window of surrounding text
-        ("qid_hint", pa.string()),  # exact QID when the mention was an href link
-    ]
-)
-
-# The core triples table (SURVEY.md §1.2): flat columns beat a struct for
-# shuffle keys.  obj_type: 'iri' | 'literal'.
-TRIPLES = pa.schema(
+# ops table (SURVEY.md §1.2): one triple per row plus its op ('INSERT' |
+# 'DELETE').  Flat columns beat a struct for shuffle keys.
+# obj_type: 'iri' | 'literal'.
+OPS = pa.schema(
     [
         ("subj", pa.string()),
         ("pred", pa.string()),
@@ -69,11 +56,9 @@ TRIPLES = pa.schema(
         ("datatype", pa.string()),
         ("src_url", pa.string()),
         ("warc_ts", pa.timestamp("us")),
+        ("op", pa.string()),
     ]
 )
-
-# ops table = triples + op column ('INSERT' | 'DELETE').
-OPS = pa.schema(list(TRIPLES) + [pa.field("op", pa.string())])
 
 # Broadcast side tables.
 ALIASES = pa.schema(
@@ -84,29 +69,3 @@ ALIASES = pa.schema(
         ("context_keywords", pa.string()),  # space-joined disambiguation vocab
     ]
 )
-
-PROPERTIES = pa.schema(
-    [
-        ("pid", pa.string()),
-        ("label", pa.string()),
-        ("datatype", pa.string()),
-    ]
-)
-
-# Snapshot table for the diff engine (ttl_compare semantics).
-SNAPSHOTS = pa.schema(
-    [
-        ("entity", pa.string()),
-        ("side", pa.string()),  # 'old' | 'new'
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("obj_type", pa.string()),
-        ("lang", pa.string()),
-        ("datatype", pa.string()),
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()

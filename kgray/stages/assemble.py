@@ -12,20 +12,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.assemble import raw_claim_to_triples
-
-OPS_SCHEMA = pa.schema(
-    [
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("obj_type", pa.string()),
-        ("lang", pa.string()),
-        ("datatype", pa.string()),
-        ("src_url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("op", pa.string()),
-    ]
-)
+from ..schema import OPS
 
 _ROW_FIELDS = ("entity", "kind", "prop", "vtype", "value", "lang", "rank",
                "parent_prop", "parent_value", "op")
@@ -49,7 +36,7 @@ def assemble_batch(batch: pa.Table) -> pa.Table:
         for t in raw_claim_to_triples(row):
             out.append((*t, url, ts))
     if not out:
-        return OPS_SCHEMA.empty_table()
+        return OPS.empty_table()
     s, p, o, ot, lg, dt, op_, url_, ts_ = zip(*out)
     return pa.Table.from_pydict(
         {
@@ -57,7 +44,7 @@ def assemble_batch(batch: pa.Table) -> pa.Table:
             "obj_type": list(ot), "lang": list(lg), "datatype": list(dt),
             "src_url": list(url_), "warc_ts": list(ts_), "op": list(op_),
         },
-        schema=OPS_SCHEMA,
+        schema=OPS,
     )
 
 

@@ -36,13 +36,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
+from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map
 
 KEY_COLS = ("op", "subj", "pred", "obj", "lang", "datatype", "obj_type")
 LINEAGE_COLS = ("warc_ts", "src_url")
 _KEY = "__triple_key"
 _KEY_HASH = "__key_hash"
 _SEP = "\x1f"
+# rows per combiner batch: the local pre-dedup window ahead of the exchange
+_COMBINE_BATCH = 65536
 
 
 def _with_key(batch: pa.Table) -> pa.Table:
@@ -165,8 +167,7 @@ def local_dedup(batch: pa.Table) -> pa.Table:
     return _first_per_key(_with_key(batch)).drop_columns([_KEY])
 
 
-def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
-                       size_hint_bytes: int | None = None):
+def canonicalize_stage(ops, *, size_hint_bytes: int | None = None):
     """ops Dataset -> deduped ops Dataset (set semantics over triples).
 
     The ~250-byte composite key is NEVER built on the hot path at all
@@ -176,14 +177,18 @@ def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
     pass groups ints instead of re-deriving long strings (previously 41%
     of pipeline compute at 160k pages).  Shipping the full key column was
     already rejected in round 2 (it dominated shuffle bytes: ~60% of
-    pipeline compute on the 40k x 26KB corpus)."""
-    from .shuffle import BUCKET_COL, _hash_key, exchange_map
+    pipeline compute on the 40k x 26KB corpus).
+
+    This is the engine's only exchange that chooses its plan:
+    ``size_hint_bytes`` (the source read's estimate) selects the hash
+    exchange at corpus scale and the sort exchange otherwise
+    (``shuffle.exchange_mode``)."""
 
     def combine(batch: pa.Table) -> pa.Table:
         """Combiner: ONE vectorized multi-column hash of the 7 raw key
         columns (no ~250-byte concatenated key is ever built), hash-group
         dedup with the exact collision guard, then bucket = hash mod
-        num_buckets.  The 8-byte hash SHIPS through the exchange as
+        NUM_BUCKETS.  The 8-byte hash SHIPS through the exchange as
         ``_KEY_HASH`` so the per-bucket pass groups ints instead of
         re-deriving and hash-grouping long strings — the round-5 stats
         probe measured that re-derivation at 41% of all pipeline compute
@@ -195,7 +200,7 @@ def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
             zero_copy_only=False)
         return batch.append_column(
             BUCKET_COL,
-            pa.array((kh2 % np.uint64(num_buckets)).astype(np.int32)))
+            pa.array((kh2 % np.uint64(NUM_BUCKETS)).astype(np.int32)))
 
     def per_bucket(group: pa.Table) -> pa.Table:
         return _first_per_key_hashed(
@@ -206,5 +211,6 @@ def canonicalize_stage(ops, *, batch_size: int = 65536, num_buckets: int = 4096,
     # groupby().map_groups: _first_per_key_hashed groups by the shipped key
     # hash itself, so one call per partition suffices (see
     # stages/shuffle.bucket_groupby for the per-group-overhead math).
-    pre = ops.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
+    pre = ops.map_batches(combine, batch_format="pyarrow",
+                          batch_size=_COMBINE_BATCH)
     return exchange_map(pre, per_bucket, size_hint_bytes=size_hint_bytes)

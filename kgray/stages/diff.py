@@ -63,7 +63,8 @@ def _tag_side(side: int):
 
 
 def diff_snapshots(old, new):
-    """old/new triple Datasets (SNAPSHOTS columns incl. ``entity``) ->
+    """old/new triple Datasets (``entity`` plus the triple columns; the
+    side tag is added here as int8) ->
     ops Dataset with columns (key cols..., op).
 
     ``old`` may be None (no prior snapshot -> pure INSERTs).

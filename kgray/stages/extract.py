@@ -3,7 +3,7 @@
 Stateless ``map_batches`` over zero-copy Arrow batches; per-row work is the
 pure ``kernels.htmltext`` parser (stdlib html.parser — the reference's
 BeautifulSoup walk at get_updates.py:191-358, restated).  Emits one combined
-row stream (schema.RAW_CLAIMS shape + url/warc_ts) containing:
+row stream (schema.RAW_CLAIMS) containing:
 
   * label/desc/alias/claim/qualifier/reference/diff rows,
   * ``mention`` rows for exact href mentions (QID already known),
@@ -24,27 +24,12 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page
-
-_OUT_FIELDS = [
-    ("url", pa.string()),
-    ("warc_ts", pa.timestamp("us")),
-    ("entity", pa.string()),
-    ("kind", pa.string()),
-    ("prop", pa.string()),
-    ("vtype", pa.string()),
-    ("value", pa.string()),
-    ("lang", pa.string()),
-    ("rank", pa.string()),
-    ("parent_prop", pa.string()),
-    ("parent_value", pa.string()),
-    ("op", pa.string()),
-]
-OUT_SCHEMA = pa.schema(_OUT_FIELDS)
+from ..schema import RAW_CLAIMS
 
 
 def make_extract_fn(verify_text: bool = True):
     def extract_batch(batch: pa.Table) -> pa.Table:
-        cols: dict[str, list] = {name: [] for name, _ in _OUT_FIELDS}
+        cols: dict[str, list] = {name: [] for name in RAW_CLAIMS.names}
         urls = batch["url"].to_pylist()
         tss = batch["warc_ts"].to_pylist()
         htmls = batch["html"].to_pylist()
@@ -76,7 +61,7 @@ def make_extract_fn(verify_text: bool = True):
                 emit(url, ts, dict(entity=ent, kind="mention_text",
                                    value=parsed["body_text"],
                                    parent_value=";".join(spans)))
-        return pa.Table.from_pydict(cols, schema=OUT_SCHEMA)
+        return pa.Table.from_pydict(cols, schema=RAW_CLAIMS)
 
     return extract_batch
 

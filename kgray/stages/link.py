@@ -12,7 +12,6 @@ every other row through untouched.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -22,7 +21,7 @@ from ..kernels.link import (
     compile_surface_pattern,
     detect_and_link,
 )
-from .extract import OUT_SCHEMA
+from ..schema import RAW_CLAIMS
 
 
 class LinkerActor:
@@ -66,14 +65,14 @@ class LinkerActor:
                 cols["value"].append(qid)
                 for f in ("prop", "vtype", "lang", "rank", "parent_prop", "parent_value", "op"):
                     cols[f].append("")
-        linked = pa.Table.from_pydict(cols, schema=OUT_SCHEMA)
+        linked = pa.Table.from_pydict(cols, schema=RAW_CLAIMS)
         if self.metrics is not None:
             # blocking flush: sub-ms actor RTT per batch, and snapshot()
             # after pipeline execution can never race a queued delta
             ray.get(self.metrics.add_many.remote(
                 {"mention_blocks": len(mentions),
                  "mentions_linked": len(linked)}))
-        return pa.concat_tables([passthrough.cast(OUT_SCHEMA), linked])
+        return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
 
 
 def link_stage(raw_claims, alias_rows: list[dict], *, concurrency=(1, 8),

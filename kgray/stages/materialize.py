@@ -15,12 +15,14 @@ import json
 import os
 import time
 
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 
-# above this many rows the exact distinct-doc set (which can approach the
-# row count) stays off the driver; per-file distinct counts are used instead
-_EXACT_DISTINCT_ROW_CAP = 5_000_000
+# sort direction and the writer's file-size floor of every materialized
+# partition
+_DESCENDING = False
+_MIN_ROWS_PER_FILE = 100_000
 
 
 def manifest_path(out_dir: str) -> str:
@@ -68,17 +70,17 @@ def materialize_stage(
     out_dir: str,
     *,
     sort_key=("pred", "subj", "obj"),
-    descending: bool = False,
     inputs: list[str] | None = None,
     extra_metrics: dict | None = None,
-    min_rows_per_file: int = 100_000,
-    doc_col: str | None = "src_url",
     metrics_actor=None,
 ):
     """Sort, write, manifest.  Returns the manifest dict.
 
     If the partition already has a valid manifest the write is skipped
-    entirely (checkpoint-resume).
+    entirely (checkpoint-resume).  ``docs`` is the row count of the
+    ``inputs`` parquet files, read from their footers: a partition is a
+    disjoint group of input shards, so per-partition counts are exact and
+    sum exactly across a job.
     """
     if is_complete(out_dir):
         with open(manifest_path(out_dir)) as f:
@@ -86,14 +88,14 @@ def materialize_stage(
 
     t0 = time.perf_counter()
     if sort_key:
-        ds = ds.sort(list(sort_key), descending=descending)
+        ds = ds.sort(list(sort_key), descending=_DESCENDING)
     os.makedirs(out_dir, exist_ok=True)
     # no valid manifest => any parquet here is debris from a crashed or
     # invalidated run; clear it so the rewrite can't double-count rows
     for stale in os.listdir(out_dir):
         if stale.endswith(".parquet"):
             os.remove(os.path.join(out_dir, stale))
-    ds.write_parquet(out_dir, min_rows_per_file=min_rows_per_file)
+    ds.write_parquet(out_dir, min_rows_per_file=_MIN_ROWS_PER_FILE)
     elapsed = time.perf_counter() - t0
     stage_metrics = _stage_summary(ds)
 
@@ -111,35 +113,12 @@ def materialize_stage(
 
         metrics["link"] = link_metrics(
             _ray.get(metrics_actor.snapshot.remote()))
-    if (
-        doc_col is not None
-        and files
-        and doc_col in pq.read_schema(os.path.join(out_dir, files[0])).names
-    ):
-        # per-partition lineage metrics (north rule): docs/sec, triples/doc.
-        # Reads ONLY the doc column of this partition's own files.  The
-        # exact cross-file distinct set is bounded: above the row cap the
-        # metric degrades to the sum of per-file distinct counts (an upper
-        # bound, flagged ``docs_exact: false``) so the driver-side set never
-        # grows with partition size.
-        exact = rows <= _EXACT_DISTINCT_ROW_CAP
-        if exact:
-            docs: set = set()
-            for p in files:
-                t = pq.read_table(os.path.join(out_dir, p), columns=[doc_col])
-                docs.update(t[doc_col].to_pylist())
-            n_docs = len(docs)
-        else:
-            import pyarrow.compute as _pc
-
-            n_docs = 0
-            for p in files:
-                t = pq.read_table(os.path.join(out_dir, p), columns=[doc_col])
-                n_docs += len(_pc.unique(t[doc_col]))
+    if inputs:
+        # per-partition lineage metrics (north rule): docs/sec, triples/doc
+        n_docs = pads.dataset(inputs, format="parquet").count_rows()
         metrics.update(
             {
                 "docs": n_docs,
-                "docs_exact": exact,
                 "docs_per_sec": round(n_docs / elapsed, 2) if elapsed > 0 else None,
                 "rows_per_sec": round(rows / elapsed, 2) if elapsed > 0 else None,
                 "rows_per_doc": round(rows / n_docs, 2) if n_docs else None,
@@ -150,7 +129,7 @@ def materialize_stage(
         "files": files,
         "rows": rows,
         "sort_key": list(sort_key) if sort_key else [],
-        "descending": descending,
+        "descending": _DESCENDING,
         "write_sec": round(elapsed, 3),
         "metrics": metrics,
         # per-stage wall/task breakdown (north rule: metrics logged for

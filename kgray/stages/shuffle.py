@@ -8,29 +8,39 @@ both pathological when the key cardinality approaches the row count
 
 ``bucket_groupby`` keeps the exchange but bounds the Python surface:
 
-    rows -> add __bucket = hash(key cols) % num_buckets        (vectorized)
-         -> groupby(__bucket)                                   (ONE shuffle)
-         -> map_groups(fn)  with  #buckets ≪ #keys              (few calls)
+    rows -> add __bucket = hash(key cols) % NUM_BUCKETS        (vectorized)
+         -> sort(__bucket)                                      (ONE shuffle)
+         -> map_batches(fn) once per key-complete partition     (few calls)
 
-``fn`` sees every row of a bucket as one Arrow table and does its grouped
-work with Arrow-native kernels (``Table.group_by``), so the per-key cost is
-C, not Python.  Same-key rows always share a bucket, so any per-key
-reduction computed inside ``fn`` is globally correct.
+``fn`` sees every row of a partition (a union of whole buckets) as one
+Arrow table and does its grouped work with Arrow-native kernels
+(``Table.group_by``), so the per-key cost is C, not Python.  Same-key rows
+always share a bucket, so any per-key reduction computed inside ``fn`` is
+globally correct.
 
-``num_buckets`` must stay WELL ABOVE both the core count and any plausible
+One plan, one exception.  Every exchange runs the sort plan except
+``canonicalize_stage``, the only caller that passes a size hint to
+``exchange_map``: it takes Ray's hash-shuffle plan at ``_HASH_MIN_BYTES``
+(512 MiB) or more of source input on a cluster of ``_HASH_MIN_CPUS`` (4) or
+more CPUs, and the sort plan otherwise.  Hash won only at corpus scale
+(160k pages, 32 CPUs: 382 s vs 528 s); at small inputs its aggregator-pool
+spawn loses (sf0.1 headline 77.7 s vs 55.0 s) and at 2 CPUs it hangs
+(BASELINE.md "Exchange selection").
+
+``NUM_BUCKETS`` must stay WELL ABOVE both the core count and any plausible
 sort-partition count:
 
 * buckets ≲ cores quantizes the per-bucket pass into few scheduling waves
   (64 uniform buckets on 32 cores = 2 waves; the ~24 s straggler tail only
   bites at full width);
-* buckets ≲ sort partitions is far worse: Ray's sort-based ``groupby``
-  samples range boundaries from the bucket column, and with fewer distinct
-  values than partitions the duplicate boundaries collapse entire
-  multi-bucket row ranges into a handful of reduce partitions (measured:
-  multi-GB, 15-minute reduce tasks at 58 M rows / 256 buckets / 384
-  partitions, while 14 M rows / 256 buckets / 122 partitions was fine).
+* buckets ≲ sort partitions is far worse: Ray's sort samples range
+  boundaries from the bucket column, and with fewer distinct values than
+  partitions the duplicate boundaries collapse entire multi-bucket row
+  ranges into a handful of reduce partitions (measured: multi-GB, 15-minute
+  reduce tasks at 58 M rows / 256 buckets / 384 partitions, while 14 M
+  rows / 256 buckets / 122 partitions was fine).
 
-The 4096 default clears both for any single-node width and for the
+4096 clears both for any single-node width and for the
 several-hundred-partition exchanges of cluster-scale runs; per-group fn
 call overhead is sub-ms, so over-bucketing is cheap.  The hash is uniform,
 so only aggregate-key skew (not row skew) matters — and key skew was
@@ -58,22 +68,22 @@ os.environ.setdefault("POLARS_MAX_THREADS", "1")
 import polars as _pl  # noqa: E402
 
 BUCKET_COL = "__bucket"
+# bucket count of every exchange (canonicalize and bucket_groupby alike);
+# see the module docstring for why it must dominate partition counts
+NUM_BUCKETS = 4096
 
-# Exchange physical strategy.  "hash" routes the co-location through Ray's
-# HASH_SHUFFLE repartition-by-key (map tasks partition by hash(bucket) and
-# push to aggregator actors that concat each partition — no sort barrier,
-# no range-boundary sampling, streaming fan-in); "sort" is the
-# sort(__bucket) exchange.  Selection is SIZE-ADAPTIVE: hash above
-# _HASH_MIN_BYTES of estimated input, sort below — measured on the 40k-page
-# scaling corpus the hash exchange is 20-25% faster at 32 cpus (it removes
-# the width-dependent sort-reduce fan-in, VERDICT r3 #1) but pays a fixed
-# ~3-5 s aggregator-pool spawn per exchange that dominates small queries
-# (interleaved A/B: t32 62.7/94.6 s hash vs 83.5/119.1 s sort; sf0.1
-# headline total 77.7 s hash vs 55.0 s sort).
-# Estimated in-memory input bytes above which an exchange takes the hash
-# path (the fixed aggregator spawn amortizes; the sort fan-in it replaces
-# grows with input while the spawn cost does not).
+# "hash" routes the co-location through Ray's HASH_SHUFFLE
+# repartition-by-key (map tasks partition by hash(bucket) and push to
+# aggregator actors that concat each partition — no sort barrier, no
+# range-boundary sampling, streaming fan-in); "sort" is the sort(__bucket)
+# exchange.  Hash removes the width-dependent sort-reduce fan-in (VERDICT
+# r3 #1) but pays a fixed ~3-5 s aggregator-pool spawn per exchange, so it
+# needs at least this much estimated input to amortize:
 _HASH_MIN_BYTES = 512 * 1024 * 1024
+# ... and at least this many cluster CPUs: at 2 CPUs the aggregator pool
+# and the pipeline's actor pools leave the shuffle's map tasks no slots
+# (the 120-page flagship with hash forced made no progress in 390 s).
+_HASH_MIN_CPUS = 4
 # Scheduler CPU reservation budget for ONE exchange's aggregator-actor
 # pool as a fraction of cluster CPUs.  Round-3's HASH_SHUFFLE probe stalled
 # because the default reservation — min(1, (CPU/2)/partitions) per
@@ -94,11 +104,6 @@ def _hash_key(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
         seed=0).to_numpy()
 
 
-def add_bucket(batch: pa.Table, key_cols: Sequence[str], num_buckets: int) -> pa.Table:
-    h = _hash_key(batch, key_cols) % np.uint64(num_buckets)
-    return batch.append_column(BUCKET_COL, pa.array(h.astype(np.int32)))
-
-
 def _cluster_cpus() -> int:
     try:
         import ray
@@ -110,24 +115,26 @@ def _cluster_cpus() -> int:
     return 32
 
 
-def default_exchange_partitions(cpus: int | None = None) -> int:
+def default_exchange_partitions() -> int:
     """Reduce width of an exchange: ~2 partitions per cluster core, floored
     at 64 (enough waves to absorb per-partition variance) and capped at 1024
     (keeps O(maps x partitions) shuffle-object metadata bounded)."""
-    if cpus is None:
-        cpus = _cluster_cpus()
-    return min(1024, max(64, 2 * cpus))
+    return min(1024, max(64, 2 * _cluster_cpus()))
 
 
 def exchange_mode(size_hint_bytes: int | None = None) -> str:
-    """Physical exchange selection from the input-size estimate: "hash" at
-    or above ``_HASH_MIN_BYTES``, "sort" below or when there is no estimate.
+    """Physical exchange selection: "hash" at or above ``_HASH_MIN_BYTES``
+    of estimated input on a cluster of at least ``_HASH_MIN_CPUS`` CPUs,
+    "sort" otherwise (including when there is no estimate).  The CPU count
+    is read only once the size test passes, so a missing or small hint
+    never touches Ray.
 
     ``size_hint_bytes`` is the caller's estimate of the exchange input
     (``Dataset.size_bytes()`` on the SOURCE read — free parquet-metadata
     arithmetic there; on a mapped dataset it would execute the pipeline,
     so callers hint from the read, not from the tagged stream)."""
-    if size_hint_bytes is not None and size_hint_bytes >= _HASH_MIN_BYTES:
+    if (size_hint_bytes is not None and size_hint_bytes >= _HASH_MIN_BYTES
+            and _cluster_cpus() >= _HASH_MIN_CPUS):
         return "hash"
     return "sort"
 
@@ -183,32 +190,33 @@ def exchange_map(
     tagged,
     per_partition: Callable[[pa.Table], pa.Table],
     *,
-    num_partitions: int | None = None,
     size_hint_bytes: int | None = None,
 ):
     """Co-locate equal ``__bucket`` values and run ``per_partition`` exactly
     once over each co-located partition (a union of whole buckets, Arrow
-    table, ``__bucket`` still attached).
+    table, ``__bucket`` still attached).  The plan is
+    ``exchange_mode(size_hint_bytes)``; only canonicalize passes a hint, so
+    every other exchange is the sort plan.
 
-    hash mode (large inputs): ``repartition(num_partitions, keys=[__bucket])``
-    under Ray's HASH_SHUFFLE — map tasks hash-route rows to aggregator
-    actors, each finalized partition is emitted as ONE block, and
-    ``map_batches(batch_size=None)`` therefore calls ``per_partition`` once
-    per partition.  Exactly-once-per-bucket holds by hash routing (same
-    bucket value -> same partition) and is pinned by a regression test that
+    sort (the default): ``sort(__bucket)``.  Ray's sort places every bucket
+    value wholly inside one merged reduce block (rows equal to a boundary
+    fall on one consistent side; merge_sorted_blocks returns a single block
+    in the pinned ray 2.49.2), so ``map_batches(batch_size=None)`` calls
+    ``per_partition`` once per reduce partition.
+
+    hash (>= 512 MiB hinted and >= 4 CPUs):
+    ``repartition(default_exchange_partitions(), keys=[__bucket])`` under
+    Ray's HASH_SHUFFLE — map tasks hash-route rows to aggregator actors and
+    each finalized partition is emitted as ONE block.  Exactly-once per
+    bucket holds by hash routing (same bucket value -> same partition).
+    There is no range-boundary sampling to collapse partitions and no sort
+    barrier — fan-in streams as map tasks finish.
+
+    Both plans' exactly-once property is pinned by a regression test that
     forces a tiny ``target_max_block_size`` with multi-block-sized buckets
-    (tests/test_shuffle_exchange.py).  Unlike the sort path there is no
-    range-boundary sampling to collapse partitions and no sort barrier —
-    fan-in streams as map tasks finish.
-
-    sort mode (small or unestimated inputs): ``sort(__bucket)``.  Ray's
-    sort places every bucket value wholly inside one merged reduce block
-    (rows equal to a boundary fall on one consistent side;
-    merge_sorted_blocks returns a single block in the pinned ray 2.49.2),
-    pinned by the same regression test."""
-    if num_partitions is None:
-        num_partitions = default_exchange_partitions()
+    (tests/test_shuffle_exchange.py)."""
     if exchange_mode(size_hint_bytes) == "hash":
+        num_partitions = default_exchange_partitions()
         _tune_hash_shuffle(tagged.context, num_partitions, _cluster_cpus())
         return tagged.repartition(
             num_partitions, keys=[BUCKET_COL]
@@ -223,60 +231,33 @@ def bucket_groupby(
     key_cols: Sequence[str],
     fn: Callable[[pa.Table], pa.Table],
     *,
-    num_buckets: int = 4096,
     spread: bool = False,
-    spread_blocks: int | None = None,
-    size_hint_bytes: int | None = None,
 ):
-    """Hash-partition ``ds`` by ``key_cols`` and apply vectorized ``fn`` to
-    each bucket (all rows of a bucket in one Arrow table, ``__bucket``
-    already dropped).
+    """Hash-partition ``ds`` by ``key_cols`` into ``NUM_BUCKETS`` buckets
+    and apply vectorized ``fn`` to each partition of whole buckets (Arrow
+    table, ``__bucket`` already dropped) through the sort exchange.
 
-    Physical plan: see ``exchange_map`` — hash repartition-by-bucket or
-    sort exchange, chosen by ``exchange_mode(size_hint_bytes)``.  Either way
-    every ``fn`` here does its own per-key grouping internally (a hash
-    bucket always contained many keys), so ``fn`` runs ONCE per partition
-    over a union of whole buckets; ``groupby().map_groups`` would provide
-    the same partitions but then pays a slice + batch-format conversion +
-    Python call + output block PER GROUP, which at 4096 buckets doubled the
-    small-corpus bench (minhash_lsh 13.4 s -> 26.5 s) for machinery no
-    consumer needed.
+    Every ``fn`` here does its own per-key grouping internally (a hash
+    bucket always contains many keys), so ``fn`` runs ONCE per partition;
+    ``groupby().map_groups`` would provide the same partitions but then
+    pays a slice + batch-format conversion + Python call + output block PER
+    GROUP, which at 4096 buckets doubled the small-corpus bench
+    (minhash_lsh 13.4 s -> 26.5 s) for machinery no consumer needed.
 
     ``spread=True`` asks for a wide reduce because ``fn`` is CPU-heavy per
-    bucket (pairwise verification).  In hash mode reduce width IS the
-    partition count, so this just sets it explicitly; in sort mode it
-    repartitions ahead of the sort (the sort's reduce width follows its
-    input block count).  ``spread_blocks`` is deliberately decoupled from
-    ``num_buckets`` (see module docstring: buckets must dominate partition
-    counts, while the useful reduce width is a few × cores)."""
+    bucket (pairwise verification): the tagged stream is repartitioned to
+    ``default_exchange_partitions()`` blocks ahead of the sort, whose reduce
+    width follows its input block count."""
     key_cols = list(key_cols)
 
     def tag(batch: pa.Table) -> pa.Table:
-        return add_bucket(batch, key_cols, num_buckets)
+        h = _hash_key(batch, key_cols) % np.uint64(NUM_BUCKETS)
+        return batch.append_column(BUCKET_COL, pa.array(h.astype(np.int32)))
 
     def per_partition(part: pa.Table) -> pa.Table:
         return fn(part.drop_columns([BUCKET_COL]))
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    if spread_blocks is None:
-        spread_blocks = default_exchange_partitions()
-    if spread and exchange_mode(size_hint_bytes) != "hash":
-        tagged = tagged.repartition(spread_blocks)
-    return exchange_map(tagged, per_partition, num_partitions=spread_blocks,
-                        size_hint_bytes=size_hint_bytes)
-
-
-def arrow_min_dedup(
-    key_cols: Sequence[str], lineage_cols: Sequence[str]
-) -> Callable[[pa.Table], pa.Table]:
-    """Bucket fn: one row per key, column-wise min over the other columns."""
-    key_cols, lineage_cols = list(key_cols), list(lineage_cols)
-
-    def fn(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by(key_cols, use_threads=False)
-            .aggregate([(c, "min") for c in lineage_cols])
-            .rename_columns(key_cols + lineage_cols)
-        )
-
-    return fn
+    if spread:
+        tagged = tagged.repartition(default_exchange_partitions())
+    return exchange_map(tagged, per_partition)

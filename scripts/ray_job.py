@@ -23,12 +23,12 @@ retry story for a multi-day 10^12-document run is therefore "just submit
 it again".
 
 The one JSON line on stdout is the job's machine-readable result:
-partition count, resumed count, triple rows, docs (summed per-partition
-distinct counts; ``docs_exact`` is false when that sum is only an upper
-bound), docs/sec over the partitions recomputed by this submit (None when
-every partition resumed), triples/doc, and the mention-link block — the
-per-run rollup of the per-partition manifest metrics the north rule asks
-for.
+partition count, resumed count, triple rows, docs (input page rows from
+the parquet footers, summed over partitions — exact, because partitions are
+disjoint groups of input shards), docs/sec over the partitions recomputed
+by this submit (None when every partition resumed), triples/doc, and the
+mention-link block — the per-run rollup of the per-partition manifest
+metrics the north rule asks for.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ def run_job(paths: list[str], out_root: str, shards_per_partition: int) -> dict:
         "resumed": len(parts) - len(fresh),
         "rows": rows,
         "docs": docs,
-        # dedup is exact only within a partition, so a doc spanning two
-        # partitions counts twice: the sum is an upper bound
-        "docs_exact": len(parts) <= 1 and all(
-            (m.get("metrics") or {}).get("docs_exact", True) for m in parts),
         "docs_per_sec": round(docs_of(fresh) / wall, 2) if wall > 0 else None,
         "triples_per_doc": round(rows / docs, 2) if docs else None,
         "link": {"mention_blocks": blocks, "mentions_linked": linked,

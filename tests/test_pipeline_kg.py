@@ -61,6 +61,10 @@ def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
     assert link["mention_blocks"] > 0 and link["mentions_linked"] > 0
     assert link["mentions_per_block"] == round(
         link["mentions_linked"] / link["mention_blocks"], 4)
+    # the exchange canonicalize ran, and the inputs of that choice
+    exchange = m1["metrics"]["exchange"]
+    assert exchange["mode"] == "sort"
+    assert exchange["size_hint_bytes"] > 0 and exchange["cpus"] > 0
     # resume: second run with an existing valid manifest skips the write
     m2 = run_kg_pipeline(small_corpus, str(out), link_concurrency=2)
     assert m2 == m1

@@ -3,9 +3,9 @@ value must reach the per-partition fn EXACTLY ONCE, even when a single
 bucket's rows are far larger than ``target_max_block_size``.
 
 Both physical modes are pinned, each selected through ``exchange_mode``
-by the size hint the pipelines pass:
+by the size hint canonicalize passes (the only exchange that chooses):
 
-* hash (size hint >= ``_HASH_MIN_BYTES``): repartition-by-key
+* hash (size hint >= ``_HASH_MIN_BYTES`` on >= 4 CPUs): repartition-by-key
   finalization must emit one block per partition — if a future Ray splits
   finalized partitions to honor the block-size target, a bucket would
   straddle two fn calls and canonicalize dedup would silently emit
@@ -34,11 +34,17 @@ def _size_hint(mode: str) -> int | None:
     return _HASH_MIN_BYTES if mode == "hash" else None
 
 
-def test_exchange_mode_selects_by_size_hint():
+def test_exchange_mode_selects_by_size_hint(monkeypatch):
+    from kgray.stages import shuffle
     from kgray.stages.shuffle import _HASH_MIN_BYTES, exchange_mode
 
     assert exchange_mode(None) == "sort"
     assert exchange_mode(_HASH_MIN_BYTES - 1) == "sort"
+    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
+    # the hash exchange hangs at 2 CPUs: width guard
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 2)
+    assert exchange_mode(_HASH_MIN_BYTES) == "sort"
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
     assert exchange_mode(_HASH_MIN_BYTES) == "hash"
 
 
@@ -71,7 +77,7 @@ def _run_exchange(ray, mode: str) -> list[dict]:
     # per-dataset context copy: pathological block-size target, this test only
     ds.context.target_max_block_size = 64 * 1024
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    out = exchange_map(tagged, per_partition, num_partitions=16,
+    out = exchange_map(tagged, per_partition,
                        size_hint_bytes=_size_hint(mode)).take_all()
     return out
 
@@ -91,31 +97,22 @@ def test_bucket_reaches_fn_exactly_once(ray_session, mode):
     assert not dups, f"buckets split across fn calls: {dups}"
 
 
-def test_bucket_groupby_results_mode_independent(ray_session):
-    """Same aggregate rows out of both physical exchanges."""
-    from kgray.stages.shuffle import bucket_groupby
+@pytest.mark.parametrize("mode", ["hash", "sort"])
+def test_canonicalize_rows_mode_independent(ray_session, mode):
+    """The one exchange that still chooses its plan: canonicalize yields
+    the same row set through either exchange, equal to the single-batch
+    dedup of the same table."""
+    from kgray.fixtures import gen_pages_table, raw_ops_table
+    from kgray.stages.canonicalize import canonicalize_stage, local_dedup
 
-    n = 20_000
-    rng = np.random.default_rng(3)
-    t = pa.table(
-        {
-            "key": pa.array([f"k{int(v)}" for v in rng.integers(0, 500, n)]),
-            "val": rng.integers(0, 10_000, n),
-        }
-    )
+    raw = raw_ops_table(gen_pages_table(60))
 
-    def per_bucket(part: pa.Table) -> pa.Table:
-        return (
-            part.group_by(["key"], use_threads=False)
-            .aggregate([("val", "sum")])
-            .rename_columns(["key", "val_sum"])
-        )
+    def rows(records: list[dict]) -> collections.Counter:
+        return collections.Counter(
+            tuple(r[c] for c in raw.column_names) for r in records)
 
-    results = {}
-    for mode in ("hash", "sort"):
-        ds = ray_session.data.from_arrow(t)
-        rows = bucket_groupby(ds, ["key"], per_bucket,
-                              size_hint_bytes=_size_hint(mode)).take_all()
-        results[mode] = sorted((r["key"], r["val_sum"]) for r in rows)
-    assert results["hash"] == results["sort"]
-    assert len(results["hash"]) == 500
+    expected = rows(local_dedup(raw).to_pylist())
+    assert sum(expected.values()) < len(raw)
+    out = canonicalize_stage(ray_session.data.from_arrow(raw),
+                             size_hint_bytes=_size_hint(mode))
+    assert rows(out.take_all()) == expected
