@@ -301,8 +301,8 @@ def raw_ops_table(pages: pa.Table, alias_rows: list[dict] | None = None) -> pa.T
     This is the kernel-produced ``raw_triples`` table the DuckDB oracles
     restate the relational tail over (dedup / serialization / diff): the
     Ray pipeline recomputes the same rows through the distributed DAG, the
-    SQL side reads this table — so the exchange plumbing (shuffles, actor
-    pool, canonicalize) is externally verified even though the extraction
+    SQL side reads this table — so the exchange plumbing (shuffles, fused
+    stages, canonicalize) is externally verified even though the extraction
     kernels are shared (VERDICT r1, "Next round" #1)."""
     from .stages.assemble import assemble_batch
     from .stages.extract import make_extract_fn

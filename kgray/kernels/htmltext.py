@@ -377,7 +377,7 @@ def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
                 emit("diff", current_pred, vtype, value, vlang, "normal", op=op)
 
     # free-text mentions (link mentions carry an exact qid hint; plain
-    # alias surfaces are resolved later by the linker actor)
+    # alias surfaces are resolved later by the link stage)
     for p in root.find_all("p", cls="body-text"):
         body_text = p.text()
         for a in p.find_all("a"):

@@ -7,8 +7,8 @@ locally: exact-match surface lookup + a context score for ambiguous
 surfaces (token overlap between the mention's context window and the
 candidate sense's keyword vocabulary), ties broken by prior then QID.
 
-Pure functions; the alias index is built once (driver or actor ``__init__``)
-and shipped via ``ray.put`` — the broadcast small-side join of SURVEY.md §2.4.
+Pure functions; the alias index is built once per worker process from a
+``ray.put`` broadcast — the broadcast small-side join of SURVEY.md §2.4.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def build_alias_index(
     """surface_form -> [(qid, prior, context_keyword_set)], prior-descending.
 
     ~10^7-row scale: this dict is built once on the driver and broadcast via
-    ``ray.put``; each linker actor gets it zero-copy-ish from the local
+    ``ray.put``; each worker process gets it zero-copy-ish from the local
     object store instead of re-shipping per batch.
     """
     index: dict[str, list[tuple[str, float, frozenset[str]]]] = {}
@@ -143,8 +143,8 @@ class SurfaceMatcher:
 
 
 def compile_surface_pattern(surfaces: list[str]) -> SurfaceMatcher:
-    """Build the per-actor surface matcher (name kept from the regex era;
-    ST1 state, built once per actor)."""
+    """Build the surface matcher (name kept from the regex era; ST1 state,
+    built once per worker process)."""
     return SurfaceMatcher(surfaces)
 
 

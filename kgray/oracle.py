@@ -5,8 +5,8 @@ linking → assembly → dedup flow, mirroring how the reference processes one
 change at a time in a loop (sparql_updates.py:441-457).  It calls the SAME
 kernel functions as the Ray pipeline UDFs, so it defines the expected output
 (the pipeline must reach P/R >= 0.95 against it; by construction it reaches
-1.0 unless the distributed plumbing — batching, shuffles, dedup, actor state
-— breaks something, which is exactly what the comparison is for).
+1.0 unless the distributed plumbing — batching, shuffles, dedup, per-worker
+state — breaks something, which is exactly what the comparison is for).
 """
 
 from __future__ import annotations

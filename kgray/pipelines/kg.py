@@ -2,8 +2,9 @@
 
     pages -> extract -> link -> assemble -> canonicalize -> [sort -> write]
 
-One streaming DAG: stateless Arrow ``map_batches`` for extract/assemble, an
-actor pool for linking, one dedup shuffle, one sort shuffle at materialize.
+One streaming DAG: extract, link, assemble and the dedup combiner are
+stateless Arrow ``map_batches`` that Ray fuses into one task operator; one
+dedup shuffle, one sort shuffle at materialize.
 No driver-side row loops; the driver only composes stages and reads small
 aggregates.
 """
@@ -25,47 +26,30 @@ def read_pages(paths, *, columns=("url", "warc_ts", "html", "text", "lang")):
     return rd.read_parquet(paths, columns=list(columns))
 
 
-def _auto_concurrency() -> tuple[int, int]:
-    """Size the linker pool to the cluster: eager floor of half the cores
-    (actor startup overlaps the read instead of lagging behind the queue),
-    ceiling of all cores.  Falls back to (1, 8) when Ray isn't up yet.
-
-    Do NOT floor at the full core count: the pool's CPU reservations then
-    starve the task-pool operators (read/assemble/sort) and the whole
-    pipeline crawls near-idle — measured as an 81%-idle stall at
-    num_cpus=8 when the floor equaled the core count."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return (max(1, cpus // 2), max(2, cpus))
+def _auto_concurrency() -> None:
+    """Stub whose only caller is ``perfbench/workloads.py staged()``."""
+    return None
 
 
 def kg_triples(pages, alias_rows=None, *, verify_text: bool = True,
-               link_concurrency=None, metrics_actor=None):
+               metrics_actor=None):
     """pages Dataset -> canonical deduped ops Dataset (lazy)."""
     from ..stages.shuffle import source_size_hint
 
     if alias_rows is None:
         alias_rows = aliases_table().to_pylist()
-    if link_concurrency is None:
-        link_concurrency = _auto_concurrency()
     # exchange-size hint from the SOURCE read (free parquet-metadata
     # estimate; selects the hash exchange for corpus-scale runs)
     size_hint = source_size_hint(pages)
     raw = extract_stage(pages, verify_text=verify_text)
-    linked = link_stage(raw, alias_rows, concurrency=link_concurrency,
-                        metrics_actor=metrics_actor)
+    linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
     return canonicalize_stage(ops, size_hint_bytes=size_hint)
 
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,
                                 shards_per_partition: int = 8,
-                                alias_rows=None, verify_text: bool = True,
-                                link_concurrency=None) -> dict:
+                                alias_rows=None, verify_text: bool = True) -> dict:
     """Partitioned flagship run: input shards are grouped into partitions,
     each written to ``out_root/part-NNNN`` with its own lineage manifest —
     so a failed 100 TB run resumes by skipping every partition whose
@@ -97,13 +81,12 @@ def run_kg_pipeline_partitioned(paths, out_root: str, *,
             manifests[out_dir] = m
             continue
         manifests[out_dir] = run_kg_pipeline(
-            part, out_dir, alias_rows=alias_rows, verify_text=verify_text,
-            link_concurrency=link_concurrency)
+            part, out_dir, alias_rows=alias_rows, verify_text=verify_text)
     return manifests
 
 
 def run_kg_pipeline(paths, out_dir: str | None = None, *, alias_rows=None,
-                    verify_text: bool = True, link_concurrency=None):
+                    verify_text: bool = True):
     """Full run: read -> ... -> canonicalize [-> sort+write+manifest].
 
     Returns the ops Dataset when ``out_dir`` is None (for tests / further
@@ -119,7 +102,6 @@ def run_kg_pipeline(paths, out_dir: str | None = None, *, alias_rows=None,
 
         metrics_actor = MetricsAccumulator.remote()
     ops = kg_triples(pages, alias_rows, verify_text=verify_text,
-                     link_concurrency=link_concurrency,
                      metrics_actor=metrics_actor)
     if out_dir is None:
         return ops

@@ -9,7 +9,7 @@ row stream (schema.RAW_CLAIMS) containing:
   * ``mention`` rows for exact href mentions (QID already known),
   * one ``mention_text`` row per page carrying the page's free text in
     ``value`` and already-linked spans in ``parent_value`` ("s:e;s:e") for
-    the downstream linker actor pool.
+    the downstream linker.
 
 A single linear stream (no branch/union) keeps the whole pipeline one
 back-pressured streaming DAG.  The byte-identity invariant ``text ==
@@ -72,11 +72,11 @@ def extract_stage(pages, *, verify_text: bool = True, batch_size: int = 128):
     ``batch_size`` is modest because each page row fans out ~15-40 claim
     rows and html payloads are KB-scale; at 100 TB the same setting bounds
     per-task heap no matter the corpus size.  It also sets the TASK
-    granularity of the fused extract+link actor stage: 128 pages/task keeps
-    the heaviest stage ~10 scheduling waves deep on a 32-wide pool (a
-    2-wave schedule quantizes the tail ~20% at full width while costing
-    nothing at low width — measured as a width-dependent efficiency loss
-    on the scaling corpus).
+    granularity (input bundles of >= 128 pages) of the fused extract->link->
+    assemble->combine operator, which keeps the heaviest stage ~10
+    scheduling waves deep on a 32-wide pool (a 2-wave schedule quantizes
+    the tail ~20% at full width while costing nothing at low width —
+    measured as a width-dependent efficiency loss on the scaling corpus).
     """
     return pages.map_batches(
         make_extract_fn(verify_text),

@@ -1,9 +1,9 @@
 """Linker stage: alias-table + context-score QID linking (SURVEY.md ST1, §2.4).
 
-An actor-pool ``map_batches`` stage: the alias index and the compiled
-surface-alternation regex are built ONCE per actor in ``__init__`` from a
-``ray.put`` broadcast (the broadcast small-side hash join of SURVEY.md §2.4 —
-the alias table is shipped to the object store once, never per batch).
+A stateless ``map_batches`` function, so Ray fuses it with extract,
+assemble and combine into one task operator.  The alias table is shipped
+once via ``ray.put`` (the broadcast small-side hash join of SURVEY.md §2.4);
+each worker process builds its linker from it once, on first use.
 
 Consumes the combined raw-claim stream from the extract stage: rewrites each
 ``mention_text`` row into zero-or-more resolved ``mention`` rows and passes
@@ -25,15 +25,15 @@ from ..schema import RAW_CLAIMS
 
 
 class LinkerActor:
-    """Stateful linker: per-actor state is the broadcast alias index + the
-    compiled automaton (the reference's per-run HTTP caches ST1 become real
-    local state)."""
+    """In-process linker over a row list or its ``ObjectRef``: alias index
+    + surface matcher (the reference's per-run HTTP caches ST1).  Not a Ray
+    actor; the name is kept for ``perfbench/workloads.py kernels()``."""
 
-    def __init__(self, alias_ref, metrics_actor=None):
-        alias_rows = ray.get(alias_ref) if not isinstance(alias_ref, list) else alias_ref
+    def __init__(self, alias_rows):
+        if isinstance(alias_rows, ray.ObjectRef):
+            alias_rows = ray.get(alias_rows)
         self.index = build_alias_index(alias_rows)
         self.pattern = compile_surface_pattern(list(self.index))
-        self.metrics = metrics_actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # vectorized dispatch mask (ADVICE/VERDICT r3 #7): pc kernels for
@@ -66,32 +66,43 @@ class LinkerActor:
                 for f in ("prop", "vtype", "lang", "rank", "parent_prop", "parent_value", "op"):
                     cols[f].append("")
         linked = pa.Table.from_pydict(cols, schema=RAW_CLAIMS)
-        if self.metrics is not None:
-            # blocking flush: sub-ms actor RTT per batch, and snapshot()
-            # after pipeline execution can never race a queued delta
-            ray.get(self.metrics.add_many.remote(
-                {"mention_blocks": len(mentions),
-                 "mentions_linked": len(linked)}))
         return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
 
 
-def link_stage(raw_claims, alias_rows: list[dict], *, concurrency=(1, 8),
-               batch_size: int = 128, num_cpus: float = 1,
-               metrics_actor=None):
+# This process's linker under the id (not the ref: nothing stays pinned) of
+# the broadcast it was built from; one entry, so a reused worker never links
+# with an earlier run's table and holds at most one alias index.
+_LINKER: dict[str, LinkerActor] = {}
+
+
+def _cached_linker(alias_ref) -> LinkerActor:
+    key = alias_ref.hex()
+    if key not in _LINKER:
+        _LINKER.clear()
+        _LINKER[key] = LinkerActor(alias_ref)
+    return _LINKER[key]
+
+
+def link_stage(raw_claims, alias_rows: list[dict], *, batch_size: int = 128,
+               metrics_actor=None, concurrency=None):
     """raw-claims Dataset -> raw-claims Dataset with mentions resolved.
 
-    ``alias_rows`` is broadcast once via ``ray.put``; actors fetch it in
-    ``__init__``.  ``concurrency`` bounds the pool so it shares the node with
-    the extract and assemble stages instead of starving them (SURVEY.md §4).
     ``metrics_actor`` (optional ``MetricsAccumulator`` handle) receives
     per-batch mention counters for the partition's lineage manifest.
-    """
+    ``concurrency`` is ignored; its only caller is ``perfbench/workloads.py
+    staged()``."""
     alias_ref = ray.put(alias_rows)
+
+    def link_batch(batch: pa.Table) -> pa.Table:
+        out = _cached_linker(alias_ref)(batch)
+        blocks = pc.sum(pc.equal(batch["kind"], "mention_text")).as_py()
+        if metrics_actor is not None and blocks:
+            # each block row became its resolved mentions; blocking, so a
+            # snapshot() after execution never races a queued delta
+            ray.get(metrics_actor.add_many.remote(
+                {"mention_blocks": blocks,
+                 "mentions_linked": len(out) - (len(batch) - blocks)}))
+        return out
+
     return raw_claims.map_batches(
-        LinkerActor,
-        fn_constructor_args=(alias_ref, metrics_actor),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+        link_batch, batch_format="pyarrow", batch_size=batch_size)

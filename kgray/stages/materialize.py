@@ -30,15 +30,17 @@ def manifest_path(out_dir: str) -> str:
 
 
 def is_complete(out_dir: str) -> bool:
-    """A partition is done iff its manifest exists and the files it lists do."""
-    mp = manifest_path(out_dir)
-    if not os.path.exists(mp):
-        return False
+    """A partition is done iff its manifest exists and every file it lists
+    has, in its parquet footer, the row count the manifest recorded — a
+    missing, truncated or rewritten file makes the partition recompute."""
     try:
-        with open(mp) as f:
-            m = json.load(f)
-        return all(os.path.exists(os.path.join(out_dir, p)) for p in m.get("files", []))
-    except (json.JSONDecodeError, OSError):
+        with open(manifest_path(out_dir)) as f:
+            file_rows = json.load(f)["file_rows"]
+        return all(
+            pq.read_metadata(os.path.join(out_dir, p)).num_rows == n
+            for p, n in file_rows.items())
+    except (OSError, ValueError, KeyError):
+        # missing file; torn manifest or unreadable footer; no file_rows
         return False
 
 
@@ -100,7 +102,9 @@ def materialize_stage(
     stage_metrics = _stage_summary(ds)
 
     files = sorted(p for p in os.listdir(out_dir) if p.endswith(".parquet"))
-    rows = sum(pq.read_metadata(os.path.join(out_dir, p)).num_rows for p in files)
+    file_rows = {p: pq.read_metadata(os.path.join(out_dir, p)).num_rows
+                 for p in files}
+    rows = sum(file_rows.values())
     metrics = dict(extra_metrics or {})
     if metrics_actor is not None:
         # stage-side accumulator counters (e.g. the linker's mention
@@ -127,6 +131,7 @@ def materialize_stage(
     manifest = {
         "inputs": inputs or [],
         "files": files,
+        "file_rows": file_rows,
         "rows": rows,
         "sort_key": list(sort_key) if sort_key else [],
         "descending": _DESCENDING,

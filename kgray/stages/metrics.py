@@ -3,12 +3,12 @@ per-stage counters logged into every partition's lineage manifest).
 
 Counters that are NOT derivable from the written output need a side
 channel: the linker drops unresolved ``mention_text`` rows, so the
-mentions-seen denominator of the link rate exists only inside the actor
-pool while the stream is live.  A single ``num_cpus=0`` accumulator actor
-per partition run collects those counts; stage actors flush per batch with
-a BLOCKING call (one sub-ms actor RTT per multi-hundred-row batch — noise
-next to the per-batch linking work) so a post-execution ``snapshot()``
-can never race a still-queued delta.
+mentions-seen denominator of the link rate exists only inside the link
+tasks while the stream is live.  A single ``num_cpus=0`` accumulator actor
+per partition run collects those counts; the link stage function flushes
+per batch with a BLOCKING call (one sub-ms actor RTT per multi-hundred-row
+batch — noise next to the per-batch linking work) so a post-execution
+``snapshot()`` can never race a still-queued delta.
 
 Semantics under failure: Ray re-executes failed tasks, and a re-executed
 batch re-flushes its delta, so counters are AT-LEAST-ONCE — exact on every
@@ -19,7 +19,7 @@ exactly-once via the manifest/resume protocol (materialize.py).
 This is the deliberate re-introduction of the reference's run accumulators
 (SURVEY.md ST4, ``sparql_updates.py``'s module-level counters) in the only
 shape that works on a cluster: reference counts lived in one process's
-globals; here every worker of the pool shares one named accumulator.
+globals; here every worker process shares one accumulator actor.
 """
 
 from __future__ import annotations

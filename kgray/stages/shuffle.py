@@ -81,7 +81,7 @@ NUM_BUCKETS = 4096
 # needs at least this much estimated input to amortize:
 _HASH_MIN_BYTES = 512 * 1024 * 1024
 # ... and at least this many cluster CPUs: at 2 CPUs the aggregator pool
-# and the pipeline's actor pools leave the shuffle's map tasks no slots
+# and the then linker actor pool left the shuffle's map tasks no slots
 # (the 120-page flagship with hash forced made no progress in 390 s).
 _HASH_MIN_CPUS = 4
 # Scheduler CPU reservation budget for ONE exchange's aggregator-actor
@@ -166,7 +166,7 @@ def _tune_hash_shuffle(ctx, num_partitions: int, cpus: int) -> None:
     The reservation must stay SMALL: aggregator actors only concat arriving
     partition blocks (bandwidth-bound, mostly idle), but their num_cpus is
     reserved for the life of the shuffle op.  A pipeline can hold TWO live
-    exchanges plus a linker actor pool; if actor reservations ever sum to
+    exchanges plus an actor-pool stage; if actor reservations ever sum to
     the node's CPUs, the shuffle's own map tasks (num_cpus=1 each) can
     never schedule and the pipeline deadlocks — measured at num_cpus=4
     with the previous max(1.0, cpus/8) budget (2 exchanges x 1.0 + 2 pool
