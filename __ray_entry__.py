@@ -154,6 +154,7 @@ def _kg_diff(sf_dir: str):
                 "subj": b["subj"],
                 "pred": b["pred"],
                 "obj": b["obj"],
+                "obj_type": b["obj_type"],
                 "lang": b["lang"],
                 "datatype": b["datatype"],
                 "rev_parity": pc.bit_wise_and(rev, 1),
@@ -730,14 +731,15 @@ def oracle_sql() -> dict[str, str]:
             SELECT warc_ts_us, entity, op, command FROM ({kg_cmdrows})
         """,
         # parity snapshot diff restated: entity/rev from src_url, M17
-        # filters, DISTINCT per side, EXCEPT both directions
+        # filters, DISTINCT per side, EXCEPT both directions; an IRI and a
+        # literal of the same spelling are different triples
         "kg_diff": rf"""
             WITH snap AS (
                 SELECT DISTINCT
                        regexp_extract(src_url, '/wiki/(Q\d+)[?]', 1) AS entity,
                        CAST(regexp_extract(src_url, 'rev=(\d+)$', 1) AS BIGINT) % 2
                            AS parity,
-                       subj, pred, obj, lang, datatype
+                       subj, pred, obj, lang, datatype, obj_type
                 FROM ({kg_canon})
             ),
             filt AS (
@@ -747,9 +749,9 @@ def oracle_sql() -> dict[str, str]:
                   AND subj NOT LIKE 'wd:P%'
                   AND NOT (subj LIKE 'wd:Q%' AND subj <> 'wd:' || entity)
             ),
-            oldx AS (SELECT entity, subj, pred, obj, lang, datatype
+            oldx AS (SELECT entity, subj, pred, obj, lang, datatype, obj_type
                      FROM filt WHERE parity = 0),
-            newx AS (SELECT entity, subj, pred, obj, lang, datatype
+            newx AS (SELECT entity, subj, pred, obj, lang, datatype, obj_type
                      FROM filt WHERE parity = 1)
             SELECT *, 'INSERT' AS op FROM (SELECT * FROM newx EXCEPT SELECT * FROM oldx)
             UNION ALL

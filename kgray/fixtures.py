@@ -305,12 +305,12 @@ def raw_ops_table(pages: pa.Table, alias_rows: list[dict] | None = None) -> pa.T
     stages, canonicalize) is externally verified even though the extraction
     kernels are shared (VERDICT r1, "Next round" #1)."""
     from .stages.assemble import assemble_batch
-    from .stages.extract import make_extract_fn
+    from .stages.extract import extract_batch
     from .stages.link import LinkerActor
 
     if alias_rows is None:
         alias_rows = aliases_table().to_pylist()
-    raw = make_extract_fn(verify_text=True)(pages)
+    raw = extract_batch(pages)
     linked = LinkerActor(alias_rows)(raw)
     return assemble_batch(linked)
 
@@ -401,12 +401,13 @@ def write_ttl_corpus(corpus_dir: str, n: int) -> tuple[str, str]:
     raw_files = sorted(glob.glob(os.path.join(corpus_dir, RAW_DIRNAME, "raw-*.parquet")))
     if not raw_files:
         raise FileNotFoundError(f"raw-ops corpus missing under {corpus_dir}")
-    cols = ["subj", "pred", "obj", "obj_type", "lang", "datatype", "src_url"]
+    # entity + the triple identity, in parse_ttl's tuple order
+    key_cols = _schema.SNAPSHOT.names
+    cols = key_cols[1:] + ["src_url"]
     raw = pa.concat_tables([pq.read_table(f, columns=cols) for f in raw_files])
     ent = pc.replace_substring_regex(
         raw["src_url"], pattern=r"^.*/wiki/(Q\d+)\?.*$", replacement=r"\1"
     )
-    key_cols = ["entity", "subj", "pred", "obj", "obj_type", "lang", "datatype"]
     distinct = (
         raw.drop_columns(["src_url"])
         .append_column("entity", ent)

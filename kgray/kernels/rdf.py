@@ -156,18 +156,3 @@ def triple_to_command(op: str, subj: str, pred: str, obj_formatted: str) -> str:
     s = compact_uri(subj) if subj.startswith("http") else subj
     return f"{op} DATA {{ {s} {format_predicate(pred)} {obj_formatted} . }};"
 
-
-def is_owl_triple(subj: str, pred: str, obj: str) -> bool:
-    """Filter: drop any triple containing '/owl#' (reference: ttl_compare.py:211-212)."""
-    return "/owl#" in subj or "/owl#" in pred or "/owl#" in obj
-
-
-def is_foreign_subject(subj: str, entity: str) -> bool:
-    """Filter: drop wd:Q* subjects of other entities and all wd:P* subjects
-    (reference: ttl_compare.py:225-228)."""
-    c = compact_uri(subj) if subj.startswith("http") else subj
-    if c.startswith("wd:P"):
-        return True
-    if c.startswith("wd:Q") and c != f"wd:{entity}":
-        return True
-    return False

@@ -21,9 +21,12 @@ from ..stages.link import link_stage
 from ..stages.materialize import materialize_stage
 
 
-def read_pages(paths, *, columns=("url", "warc_ts", "html", "text", "lang")):
-    """Prune at the read: only the columns the pipeline touches leave storage."""
-    return rd.read_parquet(paths, columns=list(columns))
+# Prune at the read: only the columns the pipeline touches leave storage.
+_PAGE_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+
+
+def read_pages(paths):
+    return rd.read_parquet(paths, columns=_PAGE_COLUMNS)
 
 
 def _auto_concurrency() -> None:
@@ -31,8 +34,7 @@ def _auto_concurrency() -> None:
     return None
 
 
-def kg_triples(pages, alias_rows=None, *, verify_text: bool = True,
-               metrics_actor=None):
+def kg_triples(pages, alias_rows=None, *, metrics_actor=None):
     """pages Dataset -> canonical deduped ops Dataset (lazy)."""
     from ..stages.shuffle import source_size_hint
 
@@ -41,7 +43,7 @@ def kg_triples(pages, alias_rows=None, *, verify_text: bool = True,
     # exchange-size hint from the SOURCE read (free parquet-metadata
     # estimate; selects the hash exchange for corpus-scale runs)
     size_hint = source_size_hint(pages)
-    raw = extract_stage(pages, verify_text=verify_text)
+    raw = extract_stage(pages)
     linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
     return canonicalize_stage(ops, size_hint_bytes=size_hint)
@@ -49,7 +51,7 @@ def kg_triples(pages, alias_rows=None, *, verify_text: bool = True,
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,
                                 shards_per_partition: int = 8,
-                                alias_rows=None, verify_text: bool = True) -> dict:
+                                alias_rows=None) -> dict:
     """Partitioned flagship run: input shards are grouped into partitions,
     each written to ``out_root/part-NNNN`` with its own lineage manifest —
     so a failed 100 TB run resumes by skipping every partition whose
@@ -80,31 +82,23 @@ def run_kg_pipeline_partitioned(paths, out_root: str, *,
             m["resumed"] = True
             manifests[out_dir] = m
             continue
-        manifests[out_dir] = run_kg_pipeline(
-            part, out_dir, alias_rows=alias_rows, verify_text=verify_text)
+        manifests[out_dir] = run_kg_pipeline(part, out_dir, alias_rows=alias_rows)
     return manifests
 
 
-def run_kg_pipeline(paths, out_dir: str | None = None, *, alias_rows=None,
-                    verify_text: bool = True):
-    """Full run: read -> ... -> canonicalize [-> sort+write+manifest].
-
-    Returns the ops Dataset when ``out_dir`` is None (for tests / further
-    composition), else the write manifest dict.
+def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
+    """Full run: read -> ... -> canonicalize -> sort+write+manifest; returns
+    the write manifest dict.  ``kg_triples(read_pages(paths))`` is the
+    same pipeline as a lazy Dataset, for further composition.
     """
-    pages = read_pages(paths)
-    metrics_actor = None
-    if out_dir is not None:
-        # partition-scoped accumulator for counters that are invisible in
-        # the OUTPUT (the linker drops unresolved free-text blocks): the
-        # manifest's link block (north rule: link metrics per partition)
-        from ..stages.metrics import MetricsAccumulator
+    from ..stages.metrics import MetricsAccumulator
 
-        metrics_actor = MetricsAccumulator.remote()
-    ops = kg_triples(pages, alias_rows, verify_text=verify_text,
-                     metrics_actor=metrics_actor)
-    if out_dir is None:
-        return ops
+    pages = read_pages(paths)
+    # partition-scoped accumulator for counters that are invisible in the
+    # OUTPUT (the linker drops unresolved free-text blocks): the manifest's
+    # link block (north rule: link metrics per partition)
+    metrics_actor = MetricsAccumulator.remote()
+    ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor)
     # which exchange canonicalize ran and why: the same hint and selector
     # calls that kg_triples makes on the same read
     from ..stages.shuffle import _cluster_cpus, exchange_mode, source_size_hint

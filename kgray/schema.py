@@ -43,6 +43,13 @@ RAW_CLAIMS = pa.schema(
     ]
 )
 
+# What makes two triples the same: canonicalize dedups on ``op`` plus these
+# columns and the snapshot diff on ``entity`` plus these.  ``obj_type`` is
+# part of it because an IRI never equals a literal of the same spelling
+# (rdflib term equality, ttl_compare.py:168-183).  The order fixes the
+# column order of the 64-bit key hash, and so the bucket of every triple.
+TRIPLE_KEY = ("subj", "pred", "obj", "lang", "datatype", "obj_type")
+
 # ops table (SURVEY.md §1.2): one triple per row plus its op ('INSERT' |
 # 'DELETE').  Flat columns beat a struct for shuffle keys.
 # obj_type: 'iri' | 'literal'.
@@ -58,6 +65,11 @@ OPS = pa.schema(
         ("warc_ts", pa.timestamp("us")),
         ("op", pa.string()),
     ]
+)
+
+# One entity's triple set (a parsed TTL revision): the diff's input.
+SNAPSHOT = pa.schema(
+    [pa.field("entity", pa.string())] + [f for f in OPS if f.name in TRIPLE_KEY]
 )
 
 # Broadcast side tables.

@@ -14,6 +14,8 @@ import pyarrow as pa
 from ..kernels.assemble import raw_claim_to_triples
 from ..schema import OPS
 
+# raw-claim rows per assemble call
+_BATCH_SIZE = 8192
 _ROW_FIELDS = ("entity", "kind", "prop", "vtype", "value", "lang", "rank",
                "parent_prop", "parent_value", "op")
 
@@ -48,7 +50,7 @@ def assemble_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def assemble_stage(raw_claims, *, batch_size: int = 8192):
+def assemble_stage(raw_claims):
     return raw_claims.map_batches(
-        assemble_batch, batch_format="pyarrow", batch_size=batch_size
+        assemble_batch, batch_format="pyarrow", batch_size=_BATCH_SIZE
     )

@@ -20,8 +20,8 @@ Physical design notes (each alternative was measured and rejected):
   the 8-byte hash through the exchange, and per bucket groups by it with
   an exact collision guard — all Arrow/numpy kernels.
 
-The dedup identity is the full canonical triple ``(op, subj, pred, obj,
-lang, datatype, obj_type)``; ``src_url``/``warc_ts`` are lineage, not
+The dedup identity is ``op`` plus the triple identity
+``schema.TRIPLE_KEY``; ``src_url``/``warc_ts`` are lineage, not
 identity, and the survivor is the lexicographically (warc_ts, src_url)-
 smallest ROW per key — deterministic across reruns and partitionings,
 which is what checkpoint-resume and the P/R comparison need.  Head-entity
@@ -36,9 +36,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..schema import TRIPLE_KEY
 from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map
 
-KEY_COLS = ("op", "subj", "pred", "obj", "lang", "datatype", "obj_type")
+KEY_COLS = ("op", *TRIPLE_KEY)
 LINEAGE_COLS = ("warc_ts", "src_url")
 _KEY = "__triple_key"
 _KEY_HASH = "__key_hash"

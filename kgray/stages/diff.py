@@ -27,7 +27,9 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-KEY_COLS = ("entity", "subj", "pred", "obj", "lang", "datatype")
+from ..schema import TRIPLE_KEY
+
+KEY_COLS = ("entity", *TRIPLE_KEY)
 
 
 def filter_triples(batch: pa.Table) -> pa.Table:
@@ -63,9 +65,9 @@ def _tag_side(side: int):
 
 
 def diff_snapshots(old, new):
-    """old/new triple Datasets (``entity`` plus the triple columns; the
-    side tag is added here as int8) ->
-    ops Dataset with columns (key cols..., op).
+    """old/new schema.SNAPSHOT Datasets (the side tag is added here as
+    int8) -> ops Dataset with columns (``KEY_COLS``..., op), which
+    ``serialize_stage`` renders as-is.
 
     ``old`` may be None (no prior snapshot -> pure INSERTs).
     """

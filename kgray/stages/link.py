@@ -69,6 +69,9 @@ class LinkerActor:
         return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
 
 
+# raw-claim rows per link call
+_BATCH_SIZE = 128
+
 # This process's linker under the id (not the ref: nothing stays pinned) of
 # the broadcast it was built from; one entry, so a reused worker never links
 # with an earlier run's table and holds at most one alias index.
@@ -83,8 +86,8 @@ def _cached_linker(alias_ref) -> LinkerActor:
     return _LINKER[key]
 
 
-def link_stage(raw_claims, alias_rows: list[dict], *, batch_size: int = 128,
-               metrics_actor=None, concurrency=None):
+def link_stage(raw_claims, alias_rows: list[dict], *, metrics_actor=None,
+               concurrency=None):
     """raw-claims Dataset -> raw-claims Dataset with mentions resolved.
 
     ``metrics_actor`` (optional ``MetricsAccumulator`` handle) receives
@@ -105,4 +108,4 @@ def link_stage(raw_claims, alias_rows: list[dict], *, batch_size: int = 128,
         return out
 
     return raw_claims.map_batches(
-        link_batch, batch_format="pyarrow", batch_size=batch_size)
+        link_batch, batch_format="pyarrow", batch_size=_BATCH_SIZE)

@@ -29,6 +29,8 @@ from ..kernels.rdf import (
     PREFIX_HEADER, PREFIX_TO_URI, PREFIXES, format_object, triple_to_command,
 )
 
+# ops rows per serialize call
+_BATCH_SIZE = 65536
 _RDF_TYPE_URI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 _TYPE_SET = pa.array(["rdf:type", "a", _RDF_TYPE_URI], pa.string())
 # anchored known-prefixed-name test (has_prefix restated as one regex)
@@ -116,9 +118,10 @@ def serialize_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_pydict({"command": pc.cast(cmd, pa.string())})
 
 
-def serialize_stage(ops, *, batch_size: int = 65536):
+def serialize_stage(ops):
     """ops Dataset -> one-column ``command`` Dataset."""
-    return ops.map_batches(serialize_batch, batch_format="pyarrow", batch_size=batch_size)
+    return ops.map_batches(serialize_batch, batch_format="pyarrow",
+                           batch_size=_BATCH_SIZE)
 
 
 def write_conformance_file(ops, path: str) -> int:
@@ -128,7 +131,8 @@ def write_conformance_file(ops, path: str) -> int:
     n = 0
     with open(path, "w") as f:
         f.write(PREFIX_HEADER + "\n\n")
-        for b in serialize_stage(ops).iter_batches(batch_size=65536, batch_format="pyarrow"):
+        for b in serialize_stage(ops).iter_batches(batch_size=_BATCH_SIZE,
+                                                   batch_format="pyarrow"):
             for cmd in b["command"].to_pylist():
                 f.write(cmd + "\n")
                 n += 1

@@ -13,26 +13,17 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.ttl import parse_ttl
+from ..schema import SNAPSHOT
 
-PARSED_SCHEMA = pa.schema(
-    [
-        ("entity", pa.string()),
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("obj_type", pa.string()),
-        ("lang", pa.string()),
-        ("datatype", pa.string()),
-    ]
-)
+# Small because one TTL document fans out into hundreds of rows and dump
+# snapshots run to MBs per entity.
+_BATCH_SIZE = 64
 
 
-def parse_ttl_batch(batch: pa.Table, *, text_col: str = "ttl",
-                    entity_col: str = "entity") -> pa.Table:
-    cols: dict[str, list] = {name: [] for name in PARSED_SCHEMA.names}
-    ents = batch[entity_col].to_pylist()
-    texts = batch[text_col].to_pylist()
-    for ent, text in zip(ents, texts):
+def parse_ttl_batch(batch: pa.Table) -> pa.Table:
+    """(entity, ttl) rows -> one schema.SNAPSHOT row per parsed triple."""
+    cols: dict[str, list] = {name: [] for name in SNAPSHOT.names}
+    for ent, text in zip(batch["entity"].to_pylist(), batch["ttl"].to_pylist()):
         for (s, p, o, ot, lg, dt) in parse_ttl(text or ""):
             cols["entity"].append(ent)
             cols["subj"].append(s)
@@ -41,18 +32,10 @@ def parse_ttl_batch(batch: pa.Table, *, text_col: str = "ttl",
             cols["obj_type"].append(ot)
             cols["lang"].append(lg)
             cols["datatype"].append(dt)
-    return pa.Table.from_pydict(cols, schema=PARSED_SCHEMA)
+    return pa.Table.from_pydict(cols, schema=SNAPSHOT)
 
 
-def parse_ttl_stage(snapshots, *, text_col: str = "ttl",
-                    entity_col: str = "entity", batch_size: int = 64):
-    """(entity, ttl) Dataset -> parsed triples Dataset.
-
-    ``batch_size`` is small because one TTL document fans out into hundreds
-    of rows and dump snapshots run to MBs per entity."""
-    import functools
-
-    fn = functools.partial(parse_ttl_batch, text_col=text_col,
-                           entity_col=entity_col)
-    return snapshots.map_batches(fn, batch_format="pyarrow",
-                                 batch_size=batch_size)
+def parse_ttl_stage(snapshots):
+    """(entity, ttl) Dataset -> schema.SNAPSHOT Dataset."""
+    return snapshots.map_batches(parse_ttl_batch, batch_format="pyarrow",
+                                 batch_size=_BATCH_SIZE)

@@ -91,18 +91,6 @@ class TestScalars:
         assert got == "DELETE DATA { wd:Q42 a schema:Thing . };"
 
 
-class TestFilters:
-    def test_owl(self):
-        assert rdf.is_owl_triple("http://www.w3.org/2002/07/owl#Thing", "p", "o")
-        assert not rdf.is_owl_triple("wd:Q42", "wdt:P31", "wd:Q5")
-
-    def test_foreign_subject(self):
-        assert rdf.is_foreign_subject("wd:Q99", "Q42")
-        assert rdf.is_foreign_subject("wd:P31", "Q42")
-        assert not rdf.is_foreign_subject("wd:Q42", "Q42")
-        assert not rdf.is_foreign_subject("s:Q42-abc", "Q42")
-
-
 class TestIds:
     def test_deterministic(self):
         a = statement_id("Q42", "P31", "Q5")

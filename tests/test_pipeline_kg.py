@@ -11,7 +11,7 @@ import pyarrow.parquet as pq
 
 from kgray.fixtures import aliases_table
 from kgray.oracle import oracle_triples, precision_recall
-from kgray.pipelines.kg import read_pages, run_kg_pipeline
+from kgray.pipelines.kg import kg_triples, read_pages, run_kg_pipeline
 
 
 def _pages_rows(paths):
@@ -28,8 +28,9 @@ def _triples(tbl) -> set:
 
 
 def test_pipeline_matches_oracle(ray_session, small_corpus):
-    ops = run_kg_pipeline(small_corpus)
-    got_tbl = ops.to_pandas()
+    # the extract stage raises on any page whose text != extract(html), so
+    # a clean run is also the positive byte-identity check per url
+    got_tbl = kg_triples(read_pages(small_corpus)).to_pandas()
     got = _triples(got_tbl)
     expected = oracle_triples(_pages_rows(small_corpus), aliases_table().to_pylist())
     p, r = precision_recall(got, expected)
@@ -38,13 +39,6 @@ def test_pipeline_matches_oracle(ray_session, small_corpus):
     assert p == 1.0 and r == 1.0
     # canonicalize produced a set: no duplicate triple identities
     assert len(got) == len(got_tbl)
-
-
-def test_byte_identity_enforced(ray_session, small_corpus):
-    # verify_text=True raises inside the extract stage on drift; a clean run
-    # over the corpus is the positive check that text == extract(html) per url
-    ops = run_kg_pipeline(small_corpus, verify_text=True)
-    assert ops.count() > 0
 
 
 def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
@@ -101,7 +95,6 @@ def test_truncated_output_recomputes(ray_session, small_corpus, tmp_path):
 
 def test_console_sink(ray_session, small_corpus, capsys):
     """S6: bounded debug preview — n command lines, golden shape."""
-    from kgray.pipelines.kg import read_pages, kg_triples
     from kgray.stages.serialize import console_sink
 
     n = console_sink(kg_triples(read_pages(small_corpus)), n=5)
@@ -157,7 +150,7 @@ def test_drift_raises(ray_session, tmp_path):
     p = tmp_path / "bad.parquet"
     _pq.write_table(t.cast(_schema.PAGES), str(p))
     with _pytest.raises(Exception, match="text extraction drift"):
-        run_kg_pipeline([str(p)]).materialize()
+        kg_triples(read_pages([str(p)])).materialize()
 
 
 def test_empty_input(ray_session, tmp_path):
@@ -168,7 +161,7 @@ def test_empty_input(ray_session, tmp_path):
 
     p = tmp_path / "empty.parquet"
     _pq.write_table(_schema.PAGES.empty_table(), str(p))
-    assert run_kg_pipeline([str(p)]).count() == 0
+    assert kg_triples(read_pages([str(p)])).count() == 0
 
 
 def test_linker_skew_page(ray_session, tmp_path):
@@ -185,8 +178,6 @@ def test_linker_skew_page(ray_session, tmp_path):
     from kgray import schema as _schema
     from kgray.fixtures import gen_pages_table
     from kgray.kernels.htmltext import extract_text
-    from kgray.pipelines.kg import kg_triples, read_pages
-
     t = gen_pages_table(8)
     body = " ".join(["Paris hosts composer organ baroque recitals ."] * 3000)
     html = (
@@ -219,7 +210,6 @@ def test_linker_cache_follows_alias_table(ray_session, small_corpus):
     and the tables alternate, so runs share worker processes."""
     import ray
 
-    from kgray.pipelines.kg import kg_triples
     from kgray.stages import link
 
     pages = _pages_rows(small_corpus)

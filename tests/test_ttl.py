@@ -2,7 +2,7 @@
 
 Mirrors the reference's diff tests (test_ttl_compare.py:86-126: addition,
 deletion, no-change over two TTL revisions of wd:Q42) against the engine's
-parse_ttl_stage -> diff_snapshots -> triple_to_command composition, plus
+parse_ttl_stage -> diff_snapshots -> serialize_stage composition, plus
 codec-level unit tests for the Turtle subset dump snapshots use.
 """
 
@@ -83,33 +83,15 @@ class TestDistributedDiff:
     def _diff_commands(self, ray, old_ttl: str, new_ttl: str) -> list[str]:
         import ray.data as rd
 
-        from kgray.kernels.rdf import format_object, triple_to_command
         from kgray.stages.diff import diff_snapshots
+        from kgray.stages.serialize import serialize_stage
         from kgray.stages.ttl import parse_ttl_stage
 
         def snap(ttl: str):
-            ds = rd.from_items([{"entity": "Q42", "ttl": ttl}])
-            return parse_ttl_stage(ds)
+            return parse_ttl_stage(rd.from_items([{"entity": "Q42", "ttl": ttl}]))
 
-        old_rows = snap(old_ttl).to_pandas()
-        new_rows = snap(new_ttl).to_pandas()
-        # obj_type lookup for rendering (the diff key drops it)
-        ot = {}
-        for df in (old_rows, new_rows):
-            for r in df.itertuples():
-                ot[(r.subj, r.pred, r.obj)] = r.obj_type
-
-        import ray.data as rd2
-
-        old_ds = rd2.from_pandas(old_rows.drop(columns=["obj_type"]))
-        new_ds = rd2.from_pandas(new_rows.drop(columns=["obj_type"]))
-        out = diff_snapshots(old_ds, new_ds).to_pandas()
-        cmds = []
-        for r in out.itertuples():
-            obj = format_object(r.obj, ot[(r.subj, r.pred, r.obj)],
-                                r.lang or None, r.datatype or None)
-            cmds.append(triple_to_command(r.op, r.subj, r.pred, obj))
-        return cmds
+        out = serialize_stage(diff_snapshots(snap(old_ttl), snap(new_ttl)))
+        return [r["command"] for r in out.take_all()]
 
     def test_addition(self, ray_session):
         cmds = self._diff_commands(ray_session, OLD_TTL, NEW_TTL)
