@@ -15,8 +15,10 @@ streaming ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
 Everything is built on public APIs only: Ray Data, pyarrow, pandas, numpy.
 Shared state rides in actor constructors or ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,
-per SURVEY.md §2.3/ST4); the one module global is ``stages/link.py``'s
-per-process linker cache, keyed by the alias broadcast.
+per SURVEY.md §2.3/ST4).  There are two module globals, both one-entry
+caches: ``stages/link.py``'s per-process linker, keyed by the alias
+broadcast, and ``stages/metrics.py``'s per-driver counter actor, keyed by
+the Ray job.
 """
 
 # NOTE: importing the library mutates NO process-global state (ADVICE r3

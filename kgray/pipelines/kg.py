@@ -2,11 +2,15 @@
 
     pages -> extract -> link -> assemble -> canonicalize -> [sort -> write]
 
-One streaming DAG: extract, link, assemble and the dedup combiner are
-stateless Arrow ``map_batches`` that Ray fuses into one task operator; one
-dedup shuffle, one sort shuffle at materialize.
-No driver-side row loops; the driver only composes stages and reads small
-aggregates.
+One streaming DAG: the parquet read, extract, link, assemble and the dedup
+combiner are stateless Arrow ``map_batches`` that Ray fuses into one task
+operator running one task per read block (no stage passes a Ray
+``batch_size``; see extract._SLICE_PAGES) on every CPU under the sort
+exchange (canonicalize_stage lifts Ray Data's per-operator reservation);
+one dedup shuffle, one sort shuffle at materialize.  The link counters
+go to the job's one accumulator actor under a fresh key per run
+(stages/metrics.py).  No driver-side row loops; the driver only
+composes stages and reads small aggregates.
 """
 
 from __future__ import annotations
@@ -91,13 +95,14 @@ def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     the write manifest dict.  ``kg_triples(read_pages(paths))`` is the
     same pipeline as a lazy Dataset, for further composition.
     """
-    from ..stages.metrics import MetricsAccumulator
+    from ..stages.metrics import run_counters
 
     pages = read_pages(paths)
-    # partition-scoped accumulator for counters that are invisible in the
-    # OUTPUT (the linker drops unresolved free-text blocks): the manifest's
-    # link block (north rule: link metrics per partition)
-    metrics_actor = MetricsAccumulator.remote()
+    # this run's key on the job's accumulator, for counters that are
+    # invisible in the OUTPUT (the linker drops unresolved free-text
+    # blocks): the manifest's link block (north rule: link metrics per
+    # partition)
+    metrics_actor = run_counters()
     ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor)
     # which exchange canonicalize ran and why: the same hint and selector
     # calls that kg_triples makes on the same read

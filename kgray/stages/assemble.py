@@ -14,13 +14,24 @@ import pyarrow as pa
 from ..kernels.assemble import raw_claim_to_triples
 from ..schema import OPS
 
-# raw-claim rows per assemble call
-_BATCH_SIZE = 8192
+# raw-claim rows per assemble slice, taken inside ``assemble_batch`` to
+# bound the per-call Python heap; not a Ray ``batch_size`` (see
+# extract._SLICE_PAGES)
+_SLICE_ROWS = 8192
 _ROW_FIELDS = ("entity", "kind", "prop", "vtype", "value", "lang", "rank",
                "parent_prop", "parent_value", "op")
 
 
 def assemble_batch(batch: pa.Table) -> pa.Table:
+    """Triple rows of every raw-claim row in ``batch``, assembled
+    ``_SLICE_ROWS`` rows at a time; the output keeps the input order."""
+    slices = batch.to_batches(max_chunksize=_SLICE_ROWS)
+    if not slices:
+        return OPS.empty_table()
+    return pa.concat_tables([_assemble_slice(b) for b in slices])
+
+
+def _assemble_slice(batch: pa.RecordBatch) -> pa.Table:
     """Row iteration is a single zip over the column lists (no per-row
     indexed dict rebuild), fan-out rows accumulate as tuples and transpose
     ONCE into arrays — the per-row Python surface is the kernel call plus
@@ -51,6 +62,4 @@ def assemble_batch(batch: pa.Table) -> pa.Table:
 
 
 def assemble_stage(raw_claims):
-    return raw_claims.map_batches(
-        assemble_batch, batch_format="pyarrow", batch_size=_BATCH_SIZE
-    )
+    return raw_claims.map_batches(assemble_batch, batch_format="pyarrow")

@@ -37,15 +37,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import TRIPLE_KEY
-from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map
+from .shuffle import (BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map,
+                      exchange_mode)
 
 KEY_COLS = ("op", *TRIPLE_KEY)
 LINEAGE_COLS = ("warc_ts", "src_url")
 _KEY = "__triple_key"
 _KEY_HASH = "__key_hash"
 _SEP = "\x1f"
-# rows per combiner batch: the local pre-dedup window ahead of the exchange
-_COMBINE_BATCH = 65536
 
 
 def _with_key(batch: pa.Table) -> pa.Table:
@@ -207,11 +206,26 @@ def canonicalize_stage(ops, *, size_hint_bytes: int | None = None):
         return _first_per_key_hashed(
             group.drop_columns([BUCKET_COL])).drop_columns([_KEY_HASH])
 
+    if exchange_mode(size_hint_bytes) == "sort":
+        # Ray Data's per-operator reservation gives every map operator at
+        # least one CPU of its own, so at 2 CPUs the fused page operator
+        # ran one task at a time while the map operators behind the Sort
+        # barriers held the other CPU idle.  Under the sort plan the
+        # combiner feeds a materializing Sort (which already lifts object
+        # store backpressure on its producer) and everything after reads
+        # that Sort's output, so the reservation only splits CPUs: turn it
+        # off on this Dataset's own context (the process-global DataContext
+        # is untouched, as in shuffle._tune_hash_shuffle).  The hash plan
+        # streams into its aggregators and keeps the reservation.
+        ops.context.op_resource_reservation_enabled = False
     # Physical plan: shuffle.exchange_map picks the hash or sort exchange
     # from size_hint_bytes.  Whole-partition map, not
     # groupby().map_groups: _first_per_key_hashed groups by the shipped key
     # hash itself, so one call per partition suffices (see
     # stages/shuffle.bucket_groupby for the per-group-overhead math).
-    pre = ops.map_batches(combine, batch_format="pyarrow",
-                          batch_size=_COMBINE_BATCH)
+    # No Ray batch_size: combine fuses with extract, and a batch_size here
+    # would become the fused task's input-bundle minimum in pages (see
+    # extract._SLICE_PAGES).  The pre-dedup window is one fused task's
+    # output.
+    pre = ops.map_batches(combine, batch_format="pyarrow")
     return exchange_map(pre, per_bucket, size_hint_bytes=size_hint_bytes)

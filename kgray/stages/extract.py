@@ -28,18 +28,25 @@ from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page
 from ..schema import RAW_CLAIMS
 
 
-# Modest because each page row fans out ~15-40 claim rows and html payloads
-# are KB-scale; at 100 TB the same setting bounds per-task heap no matter
-# the corpus size.  It also sets the TASK granularity (input bundles of
-# >= 128 pages) of the fused extract->link->assemble->combine operator,
-# which keeps the heaviest stage ~10 scheduling waves deep on a 32-wide
-# pool (a 2-wave schedule quantizes the tail ~20% at full width while
-# costing nothing at low width — measured as a width-dependent efficiency
-# loss on the scaling corpus).
-_BATCH_SIZE = 128
+# Pages per parse slice, taken inside ``extract_batch``: each page row fans
+# out ~15-40 claim rows and html payloads are KB-scale, so the slice bounds
+# the per-call Python heap however large a read block is.  It is NOT a Ray
+# ``batch_size``: Ray makes the largest ``batch_size`` of the stages fused
+# with extract the fused task's input-bundle minimum, so the stage passes
+# none and each task runs over exactly one read block.
+_SLICE_PAGES = 128
 
 
 def extract_batch(batch: pa.Table) -> pa.Table:
+    """Raw-claim rows of every page in ``batch``, parsed ``_SLICE_PAGES``
+    pages at a time; the output is the slices' rows in page order."""
+    slices = batch.to_batches(max_chunksize=_SLICE_PAGES)
+    if not slices:
+        return RAW_CLAIMS.empty_table()
+    return pa.concat_tables([_extract_slice(b) for b in slices])
+
+
+def _extract_slice(batch: pa.RecordBatch) -> pa.Table:
     cols: dict[str, list] = {name: [] for name in RAW_CLAIMS.names}
     urls = batch["url"].to_pylist()
     tss = batch["warc_ts"].to_pylist()
@@ -82,5 +89,4 @@ def make_extract_fn(verify_text: bool = True):
 
 def extract_stage(pages):
     """pages Dataset -> raw-claims Dataset."""
-    return pages.map_batches(extract_batch, batch_format="pyarrow",
-                             batch_size=_BATCH_SIZE)
+    return pages.map_batches(extract_batch, batch_format="pyarrow")

@@ -69,9 +69,6 @@ class LinkerActor:
         return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
 
 
-# raw-claim rows per link call
-_BATCH_SIZE = 128
-
 # This process's linker under the id (not the ref: nothing stays pinned) of
 # the broadcast it was built from; one entry, so a reused worker never links
 # with an earlier run's table and holds at most one alias index.
@@ -90,8 +87,8 @@ def link_stage(raw_claims, alias_rows: list[dict], *, metrics_actor=None,
                concurrency=None):
     """raw-claims Dataset -> raw-claims Dataset with mentions resolved.
 
-    ``metrics_actor`` (optional ``MetricsAccumulator`` handle) receives
-    per-batch mention counters for the partition's lineage manifest.
+    ``metrics_actor`` (optional ``metrics.RunCounters``) receives
+    per-call mention counters for the run's lineage manifest.
     ``concurrency`` is ignored; its only caller is ``perfbench/workloads.py
     staged()``."""
     alias_ref = ray.put(alias_rows)
@@ -100,12 +97,12 @@ def link_stage(raw_claims, alias_rows: list[dict], *, metrics_actor=None,
         out = _cached_linker(alias_ref)(batch)
         blocks = pc.sum(pc.equal(batch["kind"], "mention_text")).as_py()
         if metrics_actor is not None and blocks:
-            # each block row became its resolved mentions; blocking, so a
-            # snapshot() after execution never races a queued delta
-            ray.get(metrics_actor.add_many.remote(
+            # each block row became its resolved mentions
+            metrics_actor.add(
                 {"mention_blocks": blocks,
-                 "mentions_linked": len(out) - (len(batch) - blocks)}))
+                 "mentions_linked": len(out) - (len(batch) - blocks)})
         return out
 
-    return raw_claims.map_batches(
-        link_batch, batch_format="pyarrow", batch_size=_BATCH_SIZE)
+    # no Ray batch_size: one call per block of the fused operator (see
+    # extract._SLICE_PAGES)
+    return raw_claims.map_batches(link_batch, batch_format="pyarrow")

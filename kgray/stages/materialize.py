@@ -107,16 +107,14 @@ def materialize_stage(
     rows = sum(file_rows.values())
     metrics = dict(extra_metrics or {})
     if metrics_actor is not None:
-        # stage-side accumulator counters (e.g. the linker's mention
-        # counts — invisible in the output); the write above has executed
-        # the pipeline, and stage flushes are blocking, so the snapshot is
-        # complete.  north rule: link metrics in every partition manifest.
-        import ray as _ray
-
+        # stage-side counters (e.g. the linker's mention counts — invisible
+        # in the output), popped from the run's ``metrics.RunCounters``; the
+        # write above has executed the pipeline, and stage flushes are
+        # blocking, so the counts are complete.  north rule: link metrics in
+        # every partition manifest.
         from .metrics import link_metrics
 
-        metrics["link"] = link_metrics(
-            _ray.get(metrics_actor.snapshot.remote()))
+        metrics["link"] = link_metrics(metrics_actor.pop())
     if inputs:
         # per-partition lineage metrics (north rule): docs/sec, triples/doc
         n_docs = pads.dataset(inputs, format="parquet").count_rows()

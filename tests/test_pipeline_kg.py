@@ -63,6 +63,7 @@ def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
     fused = [s["stage"] for s in m1["stages"] if "link_batch" in s["stage"]]
     assert len(fused) == 1, m1["stages"]
     assert "extract_batch" in fused[0] and "assemble_batch" in fused[0]
+    assert "combine" in fused[0]
     # the exchange canonicalize ran, and the inputs of that choice
     exchange = m1["metrics"]["exchange"]
     assert exchange["mode"] == "sort"
@@ -70,6 +71,74 @@ def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
     # resume: second run with an existing valid manifest skips the write
     m2 = run_kg_pipeline(small_corpus, str(out))
     assert m2 == m1
+
+
+def test_fused_operator_runs_one_task_per_read_block(ray_session, small_corpus,
+                                                     tmp_path):
+    """No stage fused with extract passes a Ray ``batch_size``, so the
+    fused page operator runs one task per read block; a ``batch_size``
+    there becomes the fused task's input-bundle minimum in pages (65,536
+    from the combiner once ran the whole corpus as one task)."""
+    m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
+    fused = [s for s in m["stages"] if "extract_batch" in s["stage"]]
+    assert len(fused) == 1, m["stages"]
+    read_blocks = read_pages(small_corpus).materialize().num_blocks()
+    assert read_blocks >= len(small_corpus)
+    assert fused[0]["tasks"] == read_blocks, m["stages"]
+
+
+def test_sort_plan_lifts_the_per_operator_reservation(ray_session, small_corpus):
+    """Under the sort exchange the flagship Dataset's own context turns off
+    Ray Data's per-operator CPU reservation, which held the fused page
+    operator to one task at a time at 2 CPUs; the global context keeps it."""
+    from ray.data import DataContext
+
+    ds = kg_triples(read_pages(small_corpus))
+    assert ds.context.op_resource_reservation_enabled is False
+    assert DataContext.get_current().op_resource_reservation_enabled is True
+
+
+def test_runs_share_one_accumulator_with_exact_counts(ray_session, small_corpus,
+                                                     tmp_path):
+    """One counter actor per driver job serves every run; each run adds
+    under its own key and pops it, so counts never carry over."""
+    from kgray.stages import metrics
+
+    a = run_kg_pipeline(small_corpus, str(tmp_path / "a"))
+    actors = list(metrics._ACCUMULATOR.values())
+    b = run_kg_pipeline(small_corpus, str(tmp_path / "b"))
+    assert len(actors) == 1 and list(metrics._ACCUMULATOR.values()) == actors
+    assert a["metrics"]["link"] == b["metrics"]["link"]
+    assert a["metrics"]["link"]["mention_blocks"] == 120
+
+    one, two = metrics.run_counters(), metrics.run_counters()
+    assert one.actor is two.actor is actors[0] and one.run != two.run
+    one.add({"mention_blocks": 2})
+    one.add({"mention_blocks": 3})
+    assert two.pop() == {}
+    assert one.pop() == {"mention_blocks": 5}
+    assert one.pop() == {}
+
+
+def test_slicing_does_not_change_output():
+    """extract and assemble slice a block inside the function to bound the
+    per-call heap; their output is the concatenation of per-slice calls."""
+    from kgray.fixtures import gen_pages_table
+    from kgray.stages import assemble, extract
+
+    pages = gen_pages_table(300)
+    raw = extract.extract_batch(pages)
+    n = extract._SLICE_PAGES
+    assert len(pages) > 2 * n
+    assert raw.equals(pa.concat_tables(
+        [extract.extract_batch(pages.slice(i, n)) for i in range(0, len(pages), n)]))
+
+    raw = pa.concat_tables([raw] * 3)
+    n = assemble._SLICE_ROWS
+    assert len(raw) > n
+    ops = assemble.assemble_batch(raw)
+    assert ops.equals(pa.concat_tables(
+        [assemble.assemble_batch(raw.slice(i, n)) for i in range(0, len(raw), n)]))
 
 
 def test_truncated_output_recomputes(ray_session, small_corpus, tmp_path):
@@ -120,6 +189,9 @@ def test_partitioned_run_and_per_partition_resume(ray_session, small_corpus, tmp
         assert m["rows"] > 0
         assert m["metrics"]["docs"] > 0
         assert any(s["stage"].startswith("MapBatches") for s in m["stages"])
+        # the shared accumulator keeps each partition's counts its own
+        assert m["metrics"]["link"]["mention_blocks"] == m["metrics"]["docs"]
+    assert sorted(m["metrics"]["docs"] for m in m1.values()) == [40, 80]
 
     # sabotage nothing; rerun must resume every partition untouched
     m2 = run_kg_pipeline_partitioned(small_corpus, out, shards_per_partition=2)
