@@ -6,7 +6,7 @@ One streaming DAG: the parquet read, extract, link, assemble and the dedup
 combiner are stateless Arrow ``map_batches`` that Ray fuses into one task
 operator running one task per read block (no stage passes a Ray
 ``batch_size``; see extract._SLICE_PAGES) on every CPU under the sort
-exchange (canonicalize_stage lifts Ray Data's per-operator reservation);
+exchange (shuffle.exchange_map lifts Ray Data's per-operator reservation);
 one dedup shuffle, one sort shuffle at materialize.  The link counters
 go to the job's one accumulator actor under a fresh key per run
 (stages/metrics.py).  No driver-side row loops; the driver only

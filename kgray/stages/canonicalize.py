@@ -37,8 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import TRIPLE_KEY
-from .shuffle import (BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map,
-                      exchange_mode)
+from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map
 
 KEY_COLS = ("op", *TRIPLE_KEY)
 LINEAGE_COLS = ("warc_ts", "src_url")
@@ -206,18 +205,6 @@ def canonicalize_stage(ops, *, size_hint_bytes: int | None = None):
         return _first_per_key_hashed(
             group.drop_columns([BUCKET_COL])).drop_columns([_KEY_HASH])
 
-    if exchange_mode(size_hint_bytes) == "sort":
-        # Ray Data's per-operator reservation gives every map operator at
-        # least one CPU of its own, so at 2 CPUs the fused page operator
-        # ran one task at a time while the map operators behind the Sort
-        # barriers held the other CPU idle.  Under the sort plan the
-        # combiner feeds a materializing Sort (which already lifts object
-        # store backpressure on its producer) and everything after reads
-        # that Sort's output, so the reservation only splits CPUs: turn it
-        # off on this Dataset's own context (the process-global DataContext
-        # is untouched, as in shuffle._tune_hash_shuffle).  The hash plan
-        # streams into its aggregators and keeps the reservation.
-        ops.context.op_resource_reservation_enabled = False
     # Physical plan: shuffle.exchange_map picks the hash or sort exchange
     # from size_hint_bytes.  Whole-partition map, not
     # groupby().map_groups: _first_per_key_hashed groups by the shipped key

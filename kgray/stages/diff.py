@@ -44,7 +44,7 @@ def filter_triples(batch: pa.Table) -> pa.Table:
         ),
     )
     wd_p = pc.starts_with(subj, "wd:P")
-    own = pc.binary_join_element_wise(pa.array(["wd:"] * len(batch)), batch["entity"], "")
+    own = pc.binary_join_element_wise("wd:", batch["entity"], "")
     foreign = pc.and_(pc.starts_with(subj, "wd:Q"), pc.not_equal(subj, own))
     keep = pc.invert(pc.or_(pc.or_(owl, wd_p), foreign))
     return batch.filter(keep)
@@ -59,7 +59,8 @@ def _tag_side(side: int):
             .group_by(list(KEY_COLS), use_threads=False)
             .aggregate([])
         )
-        return t.append_column("side", pa.array([side] * len(t), pa.int8()))
+        return t.append_column(
+            "side", pa.repeat(pa.scalar(side, pa.int8()), len(t)))
 
     return fn
 

@@ -27,6 +27,11 @@ more CPUs, and the sort plan otherwise.  Hash won only at corpus scale
 spawn loses (sf0.1 headline 77.7 s vs 55.0 s) and at 2 CPUs it hangs
 (BASELINE.md "Exchange selection").
 
+One scheduling rule, for every caller: the sort plan turns off Ray Data's
+per-operator reservation, which gives every map operator at least one CPU
+and at 2 CPUs ran the Sort's producer (the fused page operator, the diff's
+TTL parse) one task at a time; the hash plan keeps it (``exchange_map``).
+
 ``NUM_BUCKETS`` must stay WELL ABOVE both the core count and any plausible
 sort-partition count:
 
@@ -214,13 +219,25 @@ def exchange_map(
 
     Both plans' exactly-once property is pinned by a regression test that
     forces a tiny ``target_max_block_size`` with multi-block-sized buckets
-    (tests/test_shuffle_exchange.py)."""
+    (tests/test_shuffle_exchange.py).
+
+    The sort plan turns Ray Data's per-operator reservation off on
+    ``tagged.context`` (never the process-global DataContext): the Sort's
+    materializing barrier already bounds its producer's object-store use,
+    so the reservation only splits CPUs.  The map chain from the last read
+    or union through the Sort and every Dataset after it share that one
+    context object, and the executor reads the executing Dataset's context
+    for the whole topology, so the rule reaches every operator of the plan,
+    including both branches of a union.  The hash plan keeps the
+    reservation: its map tasks stream into the aggregators with no barrier
+    between them."""
     if exchange_mode(size_hint_bytes) == "hash":
         num_partitions = default_exchange_partitions()
         _tune_hash_shuffle(tagged.context, num_partitions, _cluster_cpus())
         return tagged.repartition(
             num_partitions, keys=[BUCKET_COL]
         ).map_batches(per_partition, batch_format="pyarrow", batch_size=None)
+    tagged.context.op_resource_reservation_enabled = False
     return tagged.sort(BUCKET_COL).map_batches(
         per_partition, batch_format="pyarrow", batch_size=None
     )

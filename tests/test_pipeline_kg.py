@@ -9,7 +9,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from kgray.fixtures import aliases_table
+from kgray.fixtures import aliases_table, write_pages_corpus
 from kgray.oracle import oracle_triples, precision_recall
 from kgray.pipelines.kg import kg_triples, read_pages, run_kg_pipeline
 
@@ -85,17 +85,6 @@ def test_fused_operator_runs_one_task_per_read_block(ray_session, small_corpus,
     read_blocks = read_pages(small_corpus).materialize().num_blocks()
     assert read_blocks >= len(small_corpus)
     assert fused[0]["tasks"] == read_blocks, m["stages"]
-
-
-def test_sort_plan_lifts_the_per_operator_reservation(ray_session, small_corpus):
-    """Under the sort exchange the flagship Dataset's own context turns off
-    Ray Data's per-operator CPU reservation, which held the fused page
-    operator to one task at a time at 2 CPUs; the global context keeps it."""
-    from ray.data import DataContext
-
-    ds = kg_triples(read_pages(small_corpus))
-    assert ds.context.op_resource_reservation_enabled is False
-    assert DataContext.get_current().op_resource_reservation_enabled is True
 
 
 def test_runs_share_one_accumulator_with_exact_counts(ray_session, small_corpus,
@@ -308,47 +297,161 @@ def test_linker_cache_follows_alias_table(ray_session, small_corpus):
     assert {(t[2], t[3]) for t in only_remapped} == {("schema:mentions", "wd:Q1055")}
 
 
-def test_single_cpu_liveness(tmp_path):
-    """The flagship finishes on a 1-CPU Ray node (an actor-pool linker held
-    the only CPU and hung it).  Runs in its own Ray session, in a
-    subprocess, because the test session's Ray has 4 CPUs."""
-    import json
+def _run_on_own_node(script: str, *, num_cpus: int, store_mib: int,
+                     timeout: int) -> None:
+    """Run ``script`` in a subprocess that starts its own Ray node with
+    ``num_cpus`` CPUs and a ``store_mib`` MiB object store, because the
+    test session's Ray has 4 CPUs and a large store.  The subprocess is its
+    own process group: on timeout the driver AND the Ray node it started are
+    killed, so a hang leaves no processes behind."""
     import os
     import signal
     import subprocess
     import sys
 
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = f"""
-import json, ray
-ray.init(address="local", num_cpus=1, object_store_memory=256 * 2**20,
+    prelude = f"""
+import ray
+ray.init(address="local", num_cpus={num_cpus},
+         object_store_memory={store_mib} * 2**20,
          include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from kgray.fixtures import write_pages_corpus
-from kgray.pipelines.kg import run_kg_pipeline
-paths = write_pages_corpus({str(tmp_path / "pages")!r}, 60, shard_rows=20)
-m = run_kg_pipeline(paths, {str(tmp_path / "out")!r})
-print(json.dumps({{"rows": m["rows"], "link": m["metrics"]["link"]}}))
-ray.shutdown()
 """
     # Ray workers import kgray from PYTHONPATH, not from the driver's sys.path
     env = dict(os.environ, PYTHONPATH=repo)
-    # own process group: on timeout, kill the driver AND the Ray node it
-    # started, so a hang leaves no processes behind
-    proc = subprocess.Popen([sys.executable, "-c", script], cwd=repo, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
+    script = prelude + script + "ray.shutdown()\n"
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            cwd=repo, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
-        out, err = proc.communicate(timeout=120)
+        _, err = proc.communicate(timeout=timeout)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 0, err[-2000:]
-    result = json.loads(out.strip().splitlines()[-1])
-    assert result["rows"] > 0
-    assert result["link"]["mention_blocks"] == 60
+
+
+def _manifest(out_dir) -> dict:
+    import json
+
+    with open(out_dir / "_manifest.json") as f:
+        return json.load(f)
+
+
+def test_single_cpu_liveness(tmp_path):
+    """The flagship finishes on a 1-CPU Ray node (an actor-pool linker held
+    the only CPU and hung it)."""
+    out = tmp_path / "out"
+    _run_on_own_node(f"""
+from kgray.fixtures import write_pages_corpus
+from kgray.pipelines.kg import run_kg_pipeline
+paths = write_pages_corpus({str(tmp_path / "pages")!r}, 60, shard_rows=20)
+run_kg_pipeline(paths, {str(out)!r})
+""", num_cpus=1, store_mib=256, timeout=120)
+    m = _manifest(out)
+    assert m["rows"] > 0
+    assert m["metrics"]["link"]["mention_blocks"] == 60
+
+
+def _diff_keys(ent: str, rows) -> set:
+    """The diff's keys of one revision's (subj, pred, obj, obj_type, lang,
+    datatype) rows, after the M17 filters restated: no /owl# terms, no wd:P
+    subjects, no wd:Q subjects other than the revision's own entity."""
+    return {(ent, s, p, o, lg, dt, ot) for s, p, o, ot, lg, dt in rows
+            if "/owl#" not in s + p + o and not s.startswith("wd:P")
+            and not (s.startswith("wd:Q") and s != f"wd:{ent}")}
+
+
+def _revision_pairs(n: int, docs_per_file: int, out_dir) -> tuple[dict, set]:
+    """``n`` old/new Turtle revision pairs from the fixture pages' triples,
+    written as (entity, ttl) parquet files per side, and the exact op set
+    the diff must emit.  Every 10th triple is edited in the new revision:
+    a literal gets a new value (one DELETE + one INSERT), an IRI object is
+    removed (one DELETE)."""
+    import re
+
+    from kgray.fixtures import gen_pages_table, raw_ops_table
+    from kgray.kernels.ttl import serialize_ttl
+
+    raw = raw_ops_table(gen_pages_table(n))
+    per_page: dict[str, set] = {}
+    for url, *t in zip(*(raw[c].to_pylist() for c in (
+            "src_url", "subj", "pred", "obj", "obj_type", "lang", "datatype"))):
+        per_page.setdefault(url, set()).add(tuple(t))
+    docs: dict[str, list] = {"old": [], "new": []}
+    old_keys: set = set()
+    new_keys: set = set()
+    for i, url in enumerate(sorted(per_page)):
+        ent = re.search(r"/wiki/(Q\d+)\?", url).group(1)
+        old = sorted(per_page[url])
+        new = []
+        for j, (s, p, o, ot, lg, dt) in enumerate(old):
+            if (i + j) % 10:
+                new.append((s, p, o, ot, lg, dt))
+            elif ot == "literal":
+                new.append((s, p, f"{o} rev{i}", ot, lg, dt))
+        docs["old"].append((ent, serialize_ttl(old)))
+        docs["new"].append((ent, serialize_ttl(sorted(new))))
+        old_keys |= _diff_keys(ent, old)
+        new_keys |= _diff_keys(ent, new)
+    paths = {}
+    for side, rows in docs.items():
+        (out_dir / side).mkdir(parents=True)
+        paths[side] = []
+        for start in range(0, n, docs_per_file):
+            part = rows[start:start + docs_per_file]
+            path = str(out_dir / side / f"{side}-{start:06d}.parquet")
+            pq.write_table(pa.table({"entity": [e for e, _ in part],
+                                     "ttl": [t for _, t in part]}), path)
+            paths[side].append(path)
+    # one snapshot per side: pages of the same entity share its keys
+    return paths, ({("DELETE",) + k for k in old_keys - new_keys}
+                   | {("INSERT",) + k for k in new_keys - old_keys})
+
+
+# Both runs below take ~4 s at 2 CPUs and an 80 MiB object store.  With Ray
+# Data's per-operator reservation on, the diff's TTL parse ran one task at a
+# time and the diff took 44 s to over 60 s; shuffle.exchange_map turns the
+# reservation off under the sort plan.
+_SMALL_STORE = dict(num_cpus=2, store_mib=80, timeout=60)
+
+
+def test_revision_diff_under_small_object_store(tmp_path):
+    """600 revision pairs: parse both sides, diff, write; exact op set."""
+    paths, expected = _revision_pairs(600, 150, tmp_path / "ttl")
+    out = tmp_path / "out"
+    _run_on_own_node(f"""
+import ray.data as rd
+from kgray.stages.diff import diff_snapshots
+from kgray.stages.ttl import parse_ttl_stage
+old = parse_ttl_stage(rd.read_parquet({paths["old"]!r}))
+new = parse_ttl_stage(rd.read_parquet({paths["new"]!r}))
+diff_snapshots(old, new).write_parquet({str(out)!r})
+""", **_SMALL_STORE)
+    t = pq.read_table(str(out))
+    got = list(zip(*(t[c].to_pylist() for c in (
+        "op", "entity", "subj", "pred", "obj", "lang", "datatype", "obj_type"))))
+    assert {k[0] for k in expected} == {"INSERT", "DELETE"}
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+
+
+def test_flagship_under_small_object_store(tmp_path):
+    """The 120-page, richness-8 flagship; P/R 1.0 against the oracle."""
+    corpus = write_pages_corpus(str(tmp_path / "pages"), 120, shard_rows=30,
+                                parallel=False, richness=8)
+    out = tmp_path / "out"
+    _run_on_own_node(f"""
+from kgray.pipelines.kg import run_kg_pipeline
+run_kg_pipeline({corpus!r}, {str(out)!r})
+""", **_SMALL_STORE)
+    t = pa.concat_tables(
+        [pq.read_table(out / f) for f in _manifest(out)["files"]])
+    expected = oracle_triples(_pages_rows(corpus), aliases_table().to_pylist())
+    assert precision_recall(_triples(t.to_pydict()), expected) == (1.0, 1.0)
 
 
 def test_partitioned_run_resume_at_width(ray_session, tmp_path):

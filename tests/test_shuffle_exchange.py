@@ -16,6 +16,8 @@ by the size hint canonicalize passes (the only exchange that chooses):
 The test forces a pathological ``target_max_block_size`` (64 KiB) with
 8 buckets of ~1.5 MiB each, so any partition-splitting behavior change in
 Ray is caught loudly here rather than as silent duplicates downstream.
+
+The scheduling rule ``exchange_map`` sets for each plan is pinned here too.
 """
 
 from __future__ import annotations
@@ -116,3 +118,50 @@ def test_canonicalize_rows_mode_independent(ray_session, mode):
     out = canonicalize_stage(ray_session.data.from_arrow(raw),
                              size_hint_bytes=_size_hint(mode))
     assert rows(out.take_all()) == expected
+
+
+def _reservation_case(ray, case: str, small_corpus):
+    """The lazy Dataset each exchange caller returns."""
+    from kgray.fixtures import gen_pages_table, raw_ops_table
+    from kgray.pipelines.kg import kg_triples, read_pages
+    from kgray.schema import SNAPSHOT
+    from kgray.stages.canonicalize import canonicalize_stage
+    from kgray.stages.diff import diff_snapshots
+    from kgray.stages.shuffle import bucket_groupby
+
+    if case == "kg_triples":
+        return kg_triples(read_pages(small_corpus))
+    if case == "diff_snapshots":
+        snap = pa.Table.from_pylist([dict.fromkeys(SNAPSHOT.names, "x")],
+                                    schema=SNAPSHOT)
+        return diff_snapshots(ray.data.from_arrow(snap),
+                              ray.data.from_arrow(snap))
+    if case == "bucket_groupby":
+        return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
+                              ["k"], lambda t: t)
+    raw = ray.data.from_arrow(raw_ops_table(gen_pages_table(4)))
+    mode = case.removeprefix("canonicalize-")
+    return canonicalize_stage(raw, size_hint_bytes=_size_hint(mode))
+
+
+@pytest.mark.parametrize("case, enabled", [
+    ("kg_triples", False),
+    ("canonicalize-sort", False),
+    ("diff_snapshots", False),
+    ("bucket_groupby", False),
+    ("canonicalize-hash", True),
+])
+def test_sort_plan_lifts_the_per_operator_reservation(
+        ray_session, small_corpus, monkeypatch, case, enabled):
+    """``exchange_map`` turns Ray Data's per-operator CPU reservation off
+    on the Dataset's own context under the sort plan, for every caller (at
+    2 CPUs it held the producer of a sort to one task at a time); the hash
+    plan keeps it, and the process-global context is never touched."""
+    from ray.data import DataContext
+
+    from kgray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
+    ds = _reservation_case(ray_session, case, small_corpus)
+    assert ds.context.op_resource_reservation_enabled is enabled
+    assert DataContext.get_current().op_resource_reservation_enabled is True
