@@ -8,11 +8,15 @@ streaming ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
       -> extract   (HTML -> text + raw claims + mention candidates)   [stateless map_batches]
       -> link      (alias-table + context-score QID linking)          [stateless map_batches]
       -> assemble  (claims -> typed RDF triples, scaffolds, ids)      [stateless map_batches]
-      -> canonicalize (exact dedup, salted groupby for head keys)     [shuffle]
+      -> canonicalize (exact dedup, local combiner + hash buckets)    [shuffle]
       -> diff      (old vs new snapshot anti-join -> INSERT/DELETE)   [shuffle]
       -> materialize (sort, partitioned parquet, lineage manifests)   [shuffle + sink]
 
-Everything is built on public APIs only: Ray Data, pyarrow, pandas, numpy.
+Built on Ray Data, pyarrow, pandas, numpy and polars (the exchange's row
+hash, ``stages/shuffle.py``).  Ray Data internals are read in one place:
+``shuffle.source_size_hint`` checks the Dataset's plan against
+``ray.data._internal``'s logical ``Read`` operator for a free size estimate.
+
 Shared state rides in actor constructors or ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,
 per SURVEY.md §2.3/ST4).  There are two module globals, both one-entry

@@ -52,8 +52,6 @@ class Node:
 
     def text(self) -> str:
         """Inline text of the subtree, whitespace-collapsed and stripped."""
-        parts: list[str] = []
-        stack = [self]
         out: list[str] = []
 
         def walk(n: Node) -> None:
@@ -80,8 +78,17 @@ class Node:
         return found
 
     def find(self, tag: str | None = None, cls: str | None = None) -> "Node | None":
-        hits = self.find_all(tag, cls)
-        return hits[0] if hits else None
+        """The first ``find_all`` hit (pre-order), or None; stops walking
+        at the hit."""
+        stack = self.children[::-1]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, str):
+                continue
+            if (tag is None or n.tag == tag) and (cls is None or cls in n.classes):
+                return n
+            stack.extend(reversed(n.children))
+        return None
 
 
 class _TreeBuilder(HTMLParser):
@@ -378,8 +385,10 @@ def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
 
     # free-text mentions (link mentions carry an exact qid hint; plain
     # alias surfaces are resolved later by the link stage)
+    body_texts: list[str] = []
     for p in root.find_all("p", cls="body-text"):
         body_text = p.text()
+        body_texts.append(body_text)
         for a in p.find_all("a"):
             qid = extract_qid(a)
             if qid:
@@ -396,7 +405,6 @@ def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
                     )
                 )
 
-    body_texts = [p.text() for p in root.find_all("p", cls="body-text")]
     return {
         "entity": entity,
         "lang": page_lang,

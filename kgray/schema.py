@@ -7,7 +7,30 @@ columnar schema per stage so every ``map_batches`` can run
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+
+
+def source_rows(fanout: list[int]) -> pa.Array:
+    """Source row index of every output row, in order, when source row
+    ``i`` produced ``fanout[i]`` output rows: the ``take`` indices that
+    carry a source column (url, warc_ts, entity) to the output without
+    one Python object per row."""
+    return pa.array(np.repeat(np.arange(len(fanout)), fanout), pa.int64())
+
+
+def str_list(col: pa.Array | pa.ChunkedArray) -> list:
+    """``col.to_pylist()`` for a string, large_string or binary column, at
+    a fraction of its cost (one numpy object-array pass instead of a
+    Python scalar per row).  Any other type raises ``TypeError``: an int
+    column with nulls would come back as float NaN, and a timestamp would
+    cost a ``datetime`` per row — carry those by row index (``take``)."""
+    t = col.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t)):
+        raise TypeError(f"str_list takes string or binary columns, not {t}")
+    return col.to_numpy(zero_copy_only=False).tolist()
+
 
 # Primary input — authoritative shape from BASELINE.json input_hint.
 PAGES = pa.schema(

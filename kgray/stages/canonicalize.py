@@ -36,7 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import TRIPLE_KEY
+from ..schema import TRIPLE_KEY, str_list
 from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map
 
 KEY_COLS = ("op", *TRIPLE_KEY)
@@ -84,8 +84,8 @@ def _survivors_by_codes(t: pa.Table, codes: np.ndarray,
         tie = counts[codes[cand]] > 1
         hard = cand[tie]
         urls = np.asarray(
-            pc.take(t["src_url"].combine_chunks(),
-                    pa.array(hard, pa.int64())).to_pylist(),
+            str_list(pc.take(t["src_url"].combine_chunks(),
+                             pa.array(hard, pa.int64()))),
             dtype=object,
         )
         order = np.lexsort((urls, codes[hard]))

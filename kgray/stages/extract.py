@@ -1,8 +1,11 @@
 """Extract stage: pages -> raw-claim rows (SURVEY.md M1-M10 analog).
 
-Stateless ``map_batches`` over zero-copy Arrow batches; per-row work is the
-pure ``kernels.htmltext`` parser (stdlib html.parser — the reference's
-BeautifulSoup walk at get_updates.py:191-358, restated).  Emits one combined
+Stateless ``map_batches`` over Arrow batches; the per-page work is the
+pure ``kernels.htmltext`` parser (a regex tokenizer over the well-formed
+subset, stdlib html.parser for anything else — the reference's
+BeautifulSoup walk at get_updates.py:191-358, restated).  Only ``url``,
+``html`` and ``text`` become Python objects; each output row's ``url``
+and ``warc_ts`` are taken from its page by row index.  Emits one combined
 row stream (schema.RAW_CLAIMS) containing:
 
   * label/desc/alias/claim/qualifier/reference/diff rows,
@@ -25,7 +28,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page
-from ..schema import RAW_CLAIMS
+from ..schema import RAW_CLAIMS, source_rows, str_list
 
 
 # Pages per parse slice, taken inside ``extract_batch``: each page row fans
@@ -35,6 +38,8 @@ from ..schema import RAW_CLAIMS
 # with extract the fused task's input-bundle minimum, so the stage passes
 # none and each task runs over exactly one read block.
 _SLICE_PAGES = 128
+# every RAW_CLAIMS column but the two carried by page index
+_ROW_FIELDS = RAW_CLAIMS.names[2:]
 
 
 def extract_batch(batch: pa.Table) -> pa.Table:
@@ -47,37 +52,46 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
 
 def _extract_slice(batch: pa.RecordBatch) -> pa.Table:
-    cols: dict[str, list] = {name: [] for name in RAW_CLAIMS.names}
-    urls = batch["url"].to_pylist()
-    tss = batch["warc_ts"].to_pylist()
-    htmls = batch["html"].to_pylist()
-    texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * len(urls)
+    """Raw-claim rows of one slice.  The parser reads ``url``, ``html``
+    and ``text`` as Python objects (one ``str_list`` pass per column);
+    ``url`` and ``warc_ts`` go OUT by row index instead (``source_rows``
+    of the per-page row counts, then one ``take`` per column), so no
+    per-row ``datetime`` is ever built."""
+    cols: dict[str, list] = {name: [] for name in _ROW_FIELDS}
+    counts: list[int] = []  # output rows per page
+    urls = str_list(batch["url"])
+    htmls = str_list(batch["html"])
+    texts = (str_list(batch["text"]) if "text" in batch.column_names
+             else [None] * len(urls))
 
-    def emit(url, ts, row):
-        cols["url"].append(url)
-        cols["warc_ts"].append(ts)
-        for k in ("entity", "kind", "prop", "vtype", "value", "lang", "rank",
-                  "parent_prop", "parent_value", "op"):
+    def emit(row):
+        for k in _ROW_FIELDS:
             cols[k].append(row.get(k, ""))
 
-    for url, ts, html, text in zip(urls, tss, htmls, texts):
+    for url, html, text in zip(urls, htmls, texts):
+        start = len(cols["kind"])
         root = parse_html(html)  # ONE DOM for verify + structure parse
         if text is not None and extract_text_from_root(root) != text:
             raise ValueError(f"text extraction drift for url={url!r}")
         parsed = parse_page(html, url, root=root)
         ent = parsed["entity"]
         for row in parsed["claims"]:
-            emit(url, ts, row)
+            emit(row)
         spans = []
         for m in parsed["mentions"]:
-            emit(url, ts, dict(entity=ent, kind="mention", value=m["qid_hint"]))
+            emit(dict(entity=ent, kind="mention", value=m["qid_hint"]))
             if m["span_start"] >= 0:
                 spans.append(f"{m['span_start']}:{m['span_end']}")
         if parsed["body_text"]:
-            emit(url, ts, dict(entity=ent, kind="mention_text",
-                               value=parsed["body_text"],
-                               parent_value=";".join(spans)))
-    return pa.Table.from_pydict(cols, schema=RAW_CLAIMS)
+            emit(dict(entity=ent, kind="mention_text",
+                      value=parsed["body_text"],
+                      parent_value=";".join(spans)))
+        counts.append(len(cols["kind"]) - start)
+    parents = source_rows(counts)
+    return pa.Table.from_pydict(
+        {"url": batch["url"].take(parents),
+         "warc_ts": batch["warc_ts"].take(parents), **cols},
+        schema=RAW_CLAIMS)
 
 
 def make_extract_fn(verify_text: bool = True):

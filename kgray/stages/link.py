@@ -21,7 +21,7 @@ from ..kernels.link import (
     compile_surface_pattern,
     detect_and_link,
 )
-from ..schema import RAW_CLAIMS
+from ..schema import RAW_CLAIMS, source_rows, str_list
 
 
 class LinkerActor:
@@ -45,27 +45,30 @@ class LinkerActor:
         passthrough = batch.filter(pc.invert(is_mention))
         mentions = batch.filter(is_mention)
 
-        cols: dict[str, list] = {name: [] for name in batch.column_names}
-        urls = mentions["url"].to_pylist()
-        tss = mentions["warc_ts"].to_pylist()
-        ents = mentions["entity"].to_pylist()
-        vals = mentions["value"].to_pylist()
-        pvals = mentions["parent_value"].to_pylist()
-        for i in range(len(mentions)):
+        # url/warc_ts/entity go out by row index; the matcher reads only
+        # the text and its already-linked spans
+        qids: list[str] = []
+        counts: list[int] = []
+        for text, pval in zip(str_list(mentions["value"]),
+                              str_list(mentions["parent_value"])):
             spans = []
-            if pvals[i]:
-                for part in pvals[i].split(";"):
+            if pval:
+                for part in pval.split(";"):
                     s, _, e = part.partition(":")
                     spans.append((int(s), int(e)))
-            for _, qid, _, _ in detect_and_link(vals[i], self.index, self.pattern, spans):
-                cols["url"].append(urls[i])
-                cols["warc_ts"].append(tss[i])
-                cols["entity"].append(ents[i])
-                cols["kind"].append("mention")
-                cols["value"].append(qid)
-                for f in ("prop", "vtype", "lang", "rank", "parent_prop", "parent_value", "op"):
-                    cols[f].append("")
-        linked = pa.Table.from_pydict(cols, schema=RAW_CLAIMS)
+            hits = detect_and_link(text, self.index, self.pattern, spans)
+            qids += [qid for _, qid, _, _ in hits]
+            counts.append(len(hits))
+        parents = source_rows(counts)
+        blank = [""] * len(qids)
+        linked = pa.Table.from_pydict(
+            {"url": mentions["url"].take(parents),
+             "warc_ts": mentions["warc_ts"].take(parents),
+             "entity": mentions["entity"].take(parents),
+             "kind": ["mention"] * len(qids), "prop": blank, "vtype": blank,
+             "value": qids, "lang": blank, "rank": blank,
+             "parent_prop": blank, "parent_value": blank, "op": blank},
+            schema=RAW_CLAIMS)
         return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
 
 

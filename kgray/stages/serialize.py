@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 from ..kernels.rdf import (
     PREFIX_HEADER, PREFIX_TO_URI, PREFIXES, format_object, triple_to_command,
 )
+from ..schema import str_list
 
 # ops rows per serialize call
 _BATCH_SIZE = 65536
@@ -108,10 +109,8 @@ def serialize_batch(batch: pa.Table) -> pa.Table:
         slow = [
             triple_to_command(o, s, p, format_object(ob, t, lg or None, d or None))
             for o, s, p, ob, t, lg, d in zip(
-                op.take(take).to_pylist(), subj.take(take).to_pylist(),
-                pred.take(take).to_pylist(), obj.take(take).to_pylist(),
-                ot.take(take).to_pylist(), lang.take(take).to_pylist(),
-                dt.take(take).to_pylist(),
+                *(str_list(c.take(take))
+                  for c in (op, subj, pred, obj, ot, lang, dt))
             )
         ]
         cmd = pc.replace_with_mask(cmd, bad, pa.array(slow, pa.string()))

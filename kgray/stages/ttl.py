@@ -13,7 +13,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.ttl import parse_ttl
-from ..schema import SNAPSHOT
+from ..schema import SNAPSHOT, source_rows, str_list
 
 # Small because one TTL document fans out into hundreds of rows and dump
 # snapshots run to MBs per entity.
@@ -21,18 +21,24 @@ _BATCH_SIZE = 64
 
 
 def parse_ttl_batch(batch: pa.Table) -> pa.Table:
-    """(entity, ttl) rows -> one schema.SNAPSHOT row per parsed triple."""
-    cols: dict[str, list] = {name: [] for name in SNAPSHOT.names}
-    for ent, text in zip(batch["entity"].to_pylist(), batch["ttl"].to_pylist()):
-        for (s, p, o, ot, lg, dt) in parse_ttl(text or ""):
-            cols["entity"].append(ent)
+    """(entity, ttl) rows -> one schema.SNAPSHOT row per parsed triple;
+    ``entity`` goes out by row index (``source_rows`` of the per-document
+    triple counts)."""
+    cols: dict[str, list] = {name: [] for name in SNAPSHOT.names[1:]}
+    counts: list[int] = []
+    for text in str_list(batch["ttl"]):
+        parsed = parse_ttl(text or "")
+        for (s, p, o, ot, lg, dt) in parsed:
             cols["subj"].append(s)
             cols["pred"].append(p)
             cols["obj"].append(o)
             cols["obj_type"].append(ot)
             cols["lang"].append(lg)
             cols["datatype"].append(dt)
-    return pa.Table.from_pydict(cols, schema=SNAPSHOT)
+        counts.append(len(parsed))
+    return pa.Table.from_pydict(
+        {"entity": batch["entity"].take(source_rows(counts)), **cols},
+        schema=SNAPSHOT)
 
 
 def parse_ttl_stage(snapshots):
