@@ -45,25 +45,24 @@ def is_complete(out_dir: str) -> bool:
 
 
 def _stage_summary(ds) -> list[dict]:
-    """Compact per-operator metrics from the executed Dataset's stats():
-    one {stage, tasks, wall} entry per operator line."""
-    import re
-
+    """One {stage, tasks, wall_sec} record per executed operator of the
+    write, in plan order, an exchange's sub-operators (SortMap, SortReduce)
+    included.  ``wall_sec`` is the operator's own first-start to last-end
+    span, not the whole dataset's time that ``ds.stats()`` prints for an
+    AllToAll stage."""
     out: list[dict] = []
-    try:
-        stats = ds.stats()
-    except Exception:
-        return out
-    for line in stats.splitlines():
-        m = re.match(
-            r"Operator (\d+) (\S+?):? (?:(\d+) tasks executed, )?"
-            r".*?in ([0-9.]+)s", line)
-        if m:
+
+    def walk(summary) -> None:
+        for parent in summary.parents:
+            walk(parent)
+        for op in summary.operators_stats:
             out.append({
-                "stage": m.group(2).rstrip(":"),
-                "tasks": int(m.group(3)) if m.group(3) else None,
-                "wall_sec": float(m.group(4)),
+                "stage": op.operator_name,
+                "tasks": (op.task_rows or {}).get("count"),
+                "wall_sec": round(op.time_total_s, 3),
             })
+
+    walk(ds._write_ds._get_stats_summary())
     return out
 
 
@@ -136,7 +135,7 @@ def materialize_stage(
         "write_sec": round(elapsed, 3),
         "metrics": metrics,
         # per-stage wall/task breakdown (north rule: metrics logged for
-        # every stage), parsed from the executed plan's stats
+        # every stage), from the executed plan's stats
         "stages": stage_metrics,
     }
     tmp = manifest_path(out_dir) + ".tmp"

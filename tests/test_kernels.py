@@ -364,9 +364,10 @@ class TestVectorizedSerializer:
 
 
 class TestCanonicalizeSurvivor:
-    """The hash-group survivor kernel must implement the exact lexicographic
-    (warc_ts, src_url)-min rule, including separator bytes in content and
-    timestamp ties across pages (the small-lexsort tie path)."""
+    """``local_dedup`` must implement the exact lexicographic
+    (warc_ts, src_url)-min rule, including separator bytes in content,
+    timestamp ties across pages and null key components, and return the
+    survivors in input order."""
 
     def _table(self):
         import datetime as dt
@@ -380,8 +381,7 @@ class TestCanonicalizeSurvivor:
             "op": [("INSERT", "DELETE")[k % 2] for k in keys],
             "subj": [f"wd:Q{k}" for k in keys],
             "pred": [f"p:P{k % 11}" for k in keys],
-            # separator byte inside content: the length-prefixed key must
-            # not alias
+            # separator byte inside content: keys must still compare whole
             "obj": [f"v\x1fal{k % 5}" for k in keys],
             "lang": ["" for _ in keys],
             "datatype": ["" for _ in keys],
@@ -393,96 +393,48 @@ class TestCanonicalizeSurvivor:
                         for _ in keys],
         })
 
-    def test_matches_bruteforce_lexicographic_min(self):
-        from kgray.stages.canonicalize import (
-            KEY_COLS, _first_per_key, _with_key,
-        )
+    @staticmethod
+    def _bruteforce(t):
+        from kgray.stages.canonicalize import KEY_COLS
 
-        t = self._table()
-        got = _first_per_key(_with_key(t)).drop_columns(
-            ["__triple_key"]).to_pylist()
+        rows = t.to_pylist()
         best = {}
-        for r in t.to_pylist():
+        for i, r in enumerate(rows):
             k = tuple(r[c] for c in KEY_COLS)
             lin = (r["warc_ts"], r["src_url"])
             if k not in best or lin < (
-                    best[k]["warc_ts"], best[k]["src_url"]):
-                best[k] = r
-        canon = lambda r: tuple(sorted(r.items()))
-        assert sorted(map(canon, got)) == sorted(map(canon, best.values()))
+                    rows[best[k]]["warc_ts"], rows[best[k]]["src_url"]):
+                best[k] = i
+        return [rows[i] for i in sorted(best.values())]
 
-    def test_empty_input(self):
-        from kgray.stages.canonicalize import _first_per_key, _with_key
-
-        t = self._table().slice(0, 0)
-        assert len(_first_per_key(_with_key(t))) == 0
-
-
-class TestFirstPerKeyHashed:
-    """The hash-grouped dedup path (round 5) must produce EXACTLY the row
-    set of the injective key-string path — including under forced 64-bit
-    hash collisions, which the per-row representative guard must separate
-    via the exact fallback."""
-
-    def _table(self):
-        return TestCanonicalizeSurvivor._table(self)
-
-    def test_matches_exact_path(self):
-        import pyarrow as pa
-
-        from kgray.stages.canonicalize import (
-            KEY_COLS, _KEY_HASH, _first_per_key, _first_per_key_hashed,
-            _with_key,
-        )
-        from kgray.stages.shuffle import _hash_key
+    def test_matches_bruteforce_lexicographic_min(self):
+        from kgray.stages.canonicalize import local_dedup
 
         t = self._table()
-        exact = _first_per_key(_with_key(t)).drop_columns(["__triple_key"])
-        th = t.append_column(_KEY_HASH,
-                             pa.array(_hash_key(t, list(KEY_COLS))))
-        hashed = _first_per_key_hashed(th).drop_columns([_KEY_HASH])
-        canon = lambda r: tuple(sorted(r.items()))
-        assert (sorted(map(canon, hashed.to_pylist()))
-                == sorted(map(canon, exact.to_pylist())))
+        assert local_dedup(t).to_pylist() == self._bruteforce(t)
 
-    def test_forced_collision_separated_exactly(self):
-        import datetime as dt
-
-        import numpy as np
+    def test_null_key_components_group_together(self):
         import pyarrow as pa
 
-        from kgray.stages.canonicalize import (
-            KEY_COLS, _KEY_HASH, _first_per_key, _first_per_key_hashed,
-            _with_key,
-        )
+        from kgray.stages.canonicalize import local_dedup
 
-        # 6 rows over 3 DISTINCT keys, all crammed into 2 hash values so
-        # each hash group holds two different keys
-        rows = []
-        for i in range(6):
-            rows.append(dict(
-                op="INSERT", subj=f"wd:Q{i % 3}", pred="p:P1",
-                obj=f"val{i % 3}", lang="", datatype="", obj_type="iri",
-                src_url=f"https://x/{i}",
-                warc_ts=dt.datetime(2024, 1, 1, second=i % 2),
-            ))
-        t = pa.Table.from_pylist(rows)
-        th = t.append_column(
-            _KEY_HASH, pa.array(np.array([7, 7, 9, 9, 7, 9], np.uint64)))
-        hashed = _first_per_key_hashed(th).drop_columns([_KEY_HASH])
-        exact = _first_per_key(_with_key(t)).drop_columns(["__triple_key"])
-        canon = lambda r: tuple(sorted(r.items()))
-        assert (sorted(map(canon, hashed.to_pylist()))
-                == sorted(map(canon, exact.to_pylist())))
-        assert len(hashed) == 3  # one survivor per DISTINCT key
+        t = self._table()
+        n = len(t)
+        # null lang on every third row and null datatype on every fourth:
+        # null equals null within a key, and a null never equals ""
+        lang = pa.array([None if i % 3 == 0 else "" for i in range(n)],
+                        pa.string())
+        datatype = pa.array([None if i % 4 == 0 else "" for i in range(n)],
+                            pa.string())
+        t = (t.set_column(t.schema.get_field_index("lang"), "lang", lang)
+             .set_column(t.schema.get_field_index("datatype"), "datatype",
+                         datatype))
+        got = local_dedup(t)
+        assert got.to_pylist() == self._bruteforce(t)
+        assert got["lang"].null_count > 0 and got["datatype"].null_count > 0
 
-    def test_empty(self):
-        import pyarrow as pa
+    def test_empty_input(self):
+        from kgray.stages.canonicalize import local_dedup
 
-        from kgray.stages.canonicalize import (
-            _KEY_HASH, _first_per_key_hashed,
-        )
-
-        t = self._table().slice(0, 0).append_column(
-            _KEY_HASH, pa.array([], pa.uint64()))
-        assert len(_first_per_key_hashed(t)) == 0
+        t = self._table().slice(0, 0)
+        assert len(local_dedup(t)) == 0

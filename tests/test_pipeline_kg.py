@@ -87,6 +87,33 @@ def test_fused_operator_runs_one_task_per_read_block(ray_session, small_corpus,
     assert fused[0]["tasks"] == read_blocks, m["stages"]
 
 
+def test_manifest_records_each_exchange_operator(ray_session, small_corpus,
+                                                 tmp_path):
+    """The manifest lists every operator with its own wall time, an
+    exchange's SortMap and SortReduce included: canonicalize's bucket sort
+    and materialize's output sort each give one pair, and no operator's
+    wall exceeds the whole write's."""
+    m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
+    names = [s["stage"] for s in m["stages"]]
+    assert names.count("SortMap") == names.count("SortReduce") == 2, names
+    assert all(0 <= s["wall_sec"] <= m["write_sec"] for s in m["stages"]), (
+        m["stages"], m["write_sec"])
+
+
+def test_clean_runs_write_identical_files(ray_session, small_corpus, tmp_path):
+    """Two clean runs of one corpus write the same rows in the same order:
+    the materialize sort is stable, so rows that tie on (pred, subj, obj)
+    keep the order canonicalize emits them in, which must not vary from
+    run to run."""
+    def written(out_dir):
+        m = run_kg_pipeline(small_corpus, str(out_dir))
+        return [pq.read_table(str(out_dir / f)) for f in m["files"]]
+
+    a = written(tmp_path / "a")
+    b = written(tmp_path / "b")
+    assert len(a) == len(b) and all(x.equals(y) for x, y in zip(a, b))
+
+
 def test_runs_share_one_accumulator_with_exact_counts(ray_session, small_corpus,
                                                      tmp_path):
     """One counter actor per driver job serves every run; each run adds
