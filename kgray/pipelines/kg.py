@@ -1,16 +1,21 @@
 """Flagship KG-construction pipeline (SURVEY.md §3.4 lifecycle).
 
-    pages -> extract -> link -> assemble -> canonicalize -> [sort -> write]
+    pages -> extract -> link -> assemble -> canonicalize -> write
 
-One streaming DAG: the parquet read, extract, link, assemble and the dedup
-combiner are stateless Arrow ``map_batches`` that Ray fuses into one task
-operator running one task per read block (no stage passes a Ray
-``batch_size``; see extract._SLICE_PAGES) on every CPU under the sort
-exchange (shuffle.exchange_map lifts Ray Data's per-operator reservation);
-one dedup shuffle, one sort shuffle at materialize.  The link counters
-go to the job's one accumulator actor under a fresh key per run
-(stages/metrics.py).  No driver-side row loops; the driver only
-composes stages and reads small aggregates.
+One streaming DAG with one exchange:
+
+    Read -> fused(extract..local_dedup) -> Sort -> MapBatches(local_dedup)->Write
+
+The parquet read, extract, link, assemble and the dedup combiner are
+stateless Arrow ``map_batches`` that Ray fuses into one task operator
+running one task per read block (no stage passes a Ray ``batch_size``;
+see extract._SLICE_PAGES) on every CPU (shuffle.exchange_map lifts Ray
+Data's per-operator reservation).  Canonicalize's range sort on
+``schema.TRIPLE_ORDER`` both co-locates every dedup key and produces the
+written order, so the final dedup pass fuses with the write.  The link
+counters go to the job's one accumulator actor under a fresh key per run
+(stages/metrics.py).  No driver-side row loops; the driver only composes
+stages and reads small aggregates.
 """
 
 from __future__ import annotations
@@ -39,18 +44,14 @@ def _auto_concurrency() -> None:
 
 
 def kg_triples(pages, alias_rows=None, *, metrics_actor=None):
-    """pages Dataset -> canonical deduped ops Dataset (lazy)."""
-    from ..stages.shuffle import source_size_hint
-
+    """pages Dataset -> canonical deduped ops Dataset (lazy), in
+    ``schema.TRIPLE_ORDER`` order."""
     if alias_rows is None:
         alias_rows = aliases_table().to_pylist()
-    # exchange-size hint from the SOURCE read (free parquet-metadata
-    # estimate; selects the hash exchange for corpus-scale runs)
-    size_hint = source_size_hint(pages)
     raw = extract_stage(pages)
     linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
-    return canonicalize_stage(ops, size_hint_bytes=size_hint)
+    return canonicalize_stage(ops)
 
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,
@@ -91,7 +92,7 @@ def run_kg_pipeline_partitioned(paths, out_root: str, *,
 
 
 def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
-    """Full run: read -> ... -> canonicalize -> sort+write+manifest; returns
+    """Full run: read -> ... -> canonicalize -> write+manifest; returns
     the write manifest dict.  ``kg_triples(read_pages(paths))`` is the
     same pipeline as a lazy Dataset, for further composition.
     """
@@ -104,18 +105,9 @@ def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     # partition)
     metrics_actor = run_counters()
     ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor)
-    # which exchange canonicalize ran and why: the same hint and selector
-    # calls that kg_triples makes on the same read
-    from ..stages.shuffle import _cluster_cpus, exchange_mode, source_size_hint
-
-    size_hint = source_size_hint(pages)
-    exchange = {"mode": exchange_mode(size_hint), "size_hint_bytes": size_hint,
-                "cpus": _cluster_cpus()}
     return materialize_stage(
         ops,
         out_dir,
-        sort_key=("pred", "subj", "obj"),
         inputs=[str(p) for p in (paths if isinstance(paths, (list, tuple)) else [paths])],
-        extra_metrics={"exchange": exchange},
         metrics_actor=metrics_actor,
     )

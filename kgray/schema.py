@@ -73,6 +73,12 @@ RAW_CLAIMS = pa.schema(
 # column order of the 64-bit key hash, and so the bucket of every triple.
 TRIPLE_KEY = ("subj", "pred", "obj", "lang", "datatype", "obj_type")
 
+# The written order of the triple tables (the reference sorts its output
+# the same way, get_updates.py:1171-1176).  Every dedup key contains these
+# columns, so canonicalize's one range sort on them co-locates each key and
+# yields the output order in the same pass.
+TRIPLE_ORDER = ("pred", "subj", "obj")
+
 # ops table (SURVEY.md §1.2): one triple per row plus its op ('INSERT' |
 # 'DELETE').  Flat columns beat a struct for shuffle keys.
 # obj_type: 'iri' | 'literal'.

@@ -3,10 +3,12 @@ manifests + checkpoint-resume (SURVEY.md S5/O1, §4).
 
 The reference writes one ordered text file from an in-memory list
 (write_to_file, sparql_updates.py:313-333; sort at get_updates.py:1171-1176).
-At scale that becomes: a range-partitioned ``Dataset.sort`` shuffle, a
-directory of parquet part files (never one giant file), and a ``_manifest.json``
-recording inputs, row counts and stage metrics — written only after the data
-lands, so "resume" = "skip any output dir whose manifest validates".
+At scale that becomes: a directory of parquet part files (never one giant
+file), written in the order its input arrives in — canonicalize's range
+sort already produced the output order, so there is no second exchange —
+and a ``_manifest.json`` recording inputs, row counts, byte sizes and
+stage metrics, written only after the data lands, so "resume" = "skip any
+output dir whose manifest validates".
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import time
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from ..schema import TRIPLE_ORDER
 
-# sort direction and the writer's file-size floor of every materialized
-# partition
-_DESCENDING = False
+# the writer's file-size floor of every materialized partition
 _MIN_ROWS_PER_FILE = 100_000
 
 
@@ -31,25 +32,33 @@ def manifest_path(out_dir: str) -> str:
 
 def is_complete(out_dir: str) -> bool:
     """A partition is done iff its manifest exists and every file it lists
-    has, in its parquet footer, the row count the manifest recorded — a
-    missing, truncated or rewritten file makes the partition recompute."""
+    has the byte size and, in its parquet footer, the row count the
+    manifest recorded — a missing, truncated or rewritten file makes the
+    partition recompute."""
     try:
         with open(manifest_path(out_dir)) as f:
-            file_rows = json.load(f)["file_rows"]
+            m = json.load(f)
+        file_rows, file_bytes = m["file_rows"], m["file_bytes"]
         return all(
-            pq.read_metadata(os.path.join(out_dir, p)).num_rows == n
+            os.path.getsize(os.path.join(out_dir, p)) == file_bytes[p]
+            and pq.read_metadata(os.path.join(out_dir, p)).num_rows == n
             for p, n in file_rows.items())
     except (OSError, ValueError, KeyError):
-        # missing file; torn manifest or unreadable footer; no file_rows
+        # missing file; torn manifest or unreadable footer; a manifest
+        # without file_rows or file_bytes
         return False
 
 
 def _stage_summary(ds) -> list[dict]:
-    """One {stage, tasks, wall_sec} record per executed operator of the
-    write, in plan order, an exchange's sub-operators (SortMap, SortReduce)
-    included.  ``wall_sec`` is the operator's own first-start to last-end
-    span, not the whole dataset's time that ``ds.stats()`` prints for an
-    AllToAll stage."""
+    """One {stage, tasks, wall_sec, rows_out, bytes_out} record per executed
+    operator of the write, in plan order, an exchange's sub-operators
+    (SortMap, SortReduce) included.  ``wall_sec`` is the operator's own
+    first-start to last-end span, not the whole dataset's time that
+    ``ds.stats()`` prints for an AllToAll stage.  ``rows_out`` and
+    ``bytes_out`` sum the operator's output blocks: SortReduce's
+    ``rows_out`` against the manifest's ``rows`` is the exchange's dedup
+    yield.  A ``...->Write`` record counts the rows of Write's own stat
+    table (one per write task), not triples."""
     out: list[dict] = []
 
     def walk(summary) -> None:
@@ -60,6 +69,8 @@ def _stage_summary(ds) -> list[dict]:
                 "stage": op.operator_name,
                 "tasks": (op.task_rows or {}).get("count"),
                 "wall_sec": round(op.time_total_s, 3),
+                "rows_out": (op.output_num_rows or {}).get("sum"),
+                "bytes_out": (op.output_size_bytes or {}).get("sum"),
             })
 
     walk(ds._write_ds._get_stats_summary())
@@ -70,12 +81,16 @@ def materialize_stage(
     ds,
     out_dir: str,
     *,
-    sort_key=("pred", "subj", "obj"),
+    sort_key=TRIPLE_ORDER,
     inputs: list[str] | None = None,
     extra_metrics: dict | None = None,
     metrics_actor=None,
 ):
-    """Sort, write, manifest.  Returns the manifest dict.
+    """Write, manifest.  Returns the manifest dict.
+
+    ``ds`` must already be in ``sort_key`` order, as ``canonicalize_stage``
+    guarantees: its blocks are written in order, one file name after
+    another, and ``sort_key`` is only recorded in the manifest.
 
     If the partition already has a valid manifest the write is skipped
     entirely (checkpoint-resume).  ``docs`` is the row count of the
@@ -88,8 +103,6 @@ def materialize_stage(
             return json.load(f)
 
     t0 = time.perf_counter()
-    if sort_key:
-        ds = ds.sort(list(sort_key), descending=_DESCENDING)
     os.makedirs(out_dir, exist_ok=True)
     # no valid manifest => any parquet here is debris from a crashed or
     # invalidated run; clear it so the rewrite can't double-count rows
@@ -103,6 +116,7 @@ def materialize_stage(
     files = sorted(p for p in os.listdir(out_dir) if p.endswith(".parquet"))
     file_rows = {p: pq.read_metadata(os.path.join(out_dir, p)).num_rows
                  for p in files}
+    file_bytes = {p: os.path.getsize(os.path.join(out_dir, p)) for p in files}
     rows = sum(file_rows.values())
     metrics = dict(extra_metrics or {})
     if metrics_actor is not None:
@@ -129,9 +143,9 @@ def materialize_stage(
         "inputs": inputs or [],
         "files": files,
         "file_rows": file_rows,
+        "file_bytes": file_bytes,
         "rows": rows,
         "sort_key": list(sort_key) if sort_key else [],
-        "descending": _DESCENDING,
         "write_sec": round(elapsed, 3),
         "metrics": metrics,
         # per-stage wall/task breakdown (north rule: metrics logged for

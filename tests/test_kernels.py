@@ -367,7 +367,7 @@ class TestCanonicalizeSurvivor:
     """``local_dedup`` must implement the exact lexicographic
     (warc_ts, src_url)-min rule, including separator bytes in content,
     timestamp ties across pages and null key components, and return the
-    survivors in input order."""
+    survivors in key order, nulls last."""
 
     def _table(self):
         import datetime as dt
@@ -395,7 +395,7 @@ class TestCanonicalizeSurvivor:
 
     @staticmethod
     def _bruteforce(t):
-        from kgray.stages.canonicalize import KEY_COLS
+        from kgray.stages.canonicalize import KEY_COLS, KEY_ORDER
 
         rows = t.to_pylist()
         best = {}
@@ -405,7 +405,9 @@ class TestCanonicalizeSurvivor:
             if k not in best or lin < (
                     rows[best[k]]["warc_ts"], rows[best[k]]["src_url"]):
                 best[k] = i
-        return [rows[i] for i in sorted(best.values())]
+        return sorted((rows[i] for i in best.values()),
+                      key=lambda r: [(r[c] is None, r[c] or "")
+                                     for c in KEY_ORDER])
 
     def test_matches_bruteforce_lexicographic_min(self):
         from kgray.stages.canonicalize import local_dedup

@@ -58,16 +58,12 @@ def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
     assert link["mention_blocks"] > 0 and link["mentions_linked"] > 0
     assert link["mentions_per_block"] == round(
         link["mentions_linked"] / link["mention_blocks"], 4)
-    # extract, link, assemble and combine run as ONE fused task operator:
-    # an actor (or any non-fusable) link stage would split it
+    # extract, link, assemble and the dedup combiner run as ONE fused task
+    # operator: an actor (or any non-fusable) link stage would split it
     fused = [s["stage"] for s in m1["stages"] if "link_batch" in s["stage"]]
     assert len(fused) == 1, m1["stages"]
     assert "extract_batch" in fused[0] and "assemble_batch" in fused[0]
-    assert "combine" in fused[0]
-    # the exchange canonicalize ran, and the inputs of that choice
-    exchange = m1["metrics"]["exchange"]
-    assert exchange["mode"] == "sort"
-    assert exchange["size_hint_bytes"] > 0 and exchange["cpus"] > 0
+    assert fused[0].endswith("MapBatches(local_dedup)")
     # resume: second run with an existing valid manifest skips the write
     m2 = run_kg_pipeline(small_corpus, str(out))
     assert m2 == m1
@@ -90,21 +86,61 @@ def test_fused_operator_runs_one_task_per_read_block(ray_session, small_corpus,
 def test_manifest_records_each_exchange_operator(ray_session, small_corpus,
                                                  tmp_path):
     """The manifest lists every operator with its own wall time, an
-    exchange's SortMap and SortReduce included: canonicalize's bucket sort
-    and materialize's output sort each give one pair, and no operator's
-    wall exceeds the whole write's."""
+    exchange's SortMap and SortReduce included: the flagship runs one
+    exchange, canonicalize's range sort, whose last dedup pass fuses with
+    the write, and no operator's wall exceeds the whole write's."""
     m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
     names = [s["stage"] for s in m["stages"]]
-    assert names.count("SortMap") == names.count("SortReduce") == 2, names
+    assert names.count("SortMap") == names.count("SortReduce") == 1, names
+    assert names[-3:] == ["SortMap", "SortReduce",
+                          "MapBatches(local_dedup)->Write"], names
     assert all(0 <= s["wall_sec"] <= m["write_sec"] for s in m["stages"]), (
         m["stages"], m["write_sec"])
 
 
+def test_manifest_stage_rows_show_the_exchange_yield(ray_session,
+                                                     small_corpus, tmp_path):
+    """Each stage record carries its output rows and bytes: every combiner
+    row enters the exchange, and the final dedup pass drops the
+    cross-block duplicates among them."""
+    m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
+    fused = next(s for s in m["stages"] if "extract_batch" in s["stage"])
+    reduce = next(s for s in m["stages"] if s["stage"] == "SortReduce")
+    assert fused["rows_out"] == reduce["rows_out"] >= m["rows"] > 0
+    assert all(s["bytes_out"] > 0 for s in m["stages"]), m["stages"]
+
+
+def test_files_concatenate_in_key_order(ray_session, small_corpus, tmp_path,
+                                        monkeypatch):
+    """The written files, read in name order, are one total order: sorted
+    by (pred, subj, obj) and then the rest of the dedup key, nulls last,
+    and the same rows in the same order however many files the writer
+    splits them into."""
+    import pyarrow.compute as pc
+
+    from kgray.stages import materialize
+    from kgray.stages.canonicalize import KEY_ORDER
+
+    def written(out_dir):
+        m = run_kg_pipeline(small_corpus, str(out_dir))
+        assert m["files"] == sorted(m["files"])
+        return len(m["files"]), pa.concat_tables(
+            pq.read_table(str(out_dir / f)) for f in m["files"])
+
+    n_one, one = written(tmp_path / "one")
+    monkeypatch.setattr(materialize, "_MIN_ROWS_PER_FILE", 1_000)
+    n_many, many = written(tmp_path / "many")
+    assert n_one == 1 and n_many > 1, (n_one, n_many)
+    order = pc.sort_indices(many, [(c, "ascending") for c in KEY_ORDER],
+                            null_placement="at_end")
+    assert many.take(order).equals(many)
+    assert many.equals(one)
+
+
 def test_clean_runs_write_identical_files(ray_session, small_corpus, tmp_path):
     """Two clean runs of one corpus write the same rows in the same order:
-    the materialize sort is stable, so rows that tie on (pred, subj, obj)
-    keep the order canonicalize emits them in, which must not vary from
-    run to run."""
+    canonicalize emits each partition in key order, a total order on the
+    deduped rows, so no tie is left to the order rows arrive in."""
     def written(out_dir):
         m = run_kg_pipeline(small_corpus, str(out_dir))
         return [pq.read_table(str(out_dir / f)) for f in m["files"]]
@@ -158,14 +194,19 @@ def test_slicing_does_not_change_output():
 
 
 def test_truncated_output_recomputes(ray_session, small_corpus, tmp_path):
-    """A manifest validates only against its files' parquet footers: a
-    truncated output file makes the partition recompute, with the same
-    rows as the clean run."""
+    """A manifest validates only against its files' byte sizes and parquet
+    footers: a truncated output file, or one rewritten with the same row
+    count in a different size, makes the partition recompute, with the
+    same rows as the clean run."""
+    import os
+
     from kgray.stages.materialize import is_complete
 
     out = tmp_path / "triples"
     m1 = run_kg_pipeline(small_corpus, str(out))
     assert sum(m1["file_rows"].values()) == m1["rows"]
+    assert m1["file_bytes"] == {
+        f: os.path.getsize(out / f) for f in m1["files"]}
     before = sorted(pq.read_table(str(out)).to_pylist(), key=repr)
     victim = out / m1["files"][0]
     data = victim.read_bytes()
@@ -175,6 +216,17 @@ def test_truncated_output_recomputes(ray_session, small_corpus, tmp_path):
     m2 = run_kg_pipeline(small_corpus, str(out))
     assert is_complete(str(out))
     assert m2["rows"] == m1["rows"]
+    assert sorted(pq.read_table(str(out)).to_pylist(), key=repr) == before
+
+    victim = out / m2["files"][0]
+    pq.write_table(pq.read_table(victim), victim, compression="none")
+    assert pq.read_metadata(victim).num_rows == m2["file_rows"][victim.name]
+    assert os.path.getsize(victim) != m2["file_bytes"][victim.name]
+    assert not is_complete(str(out))
+
+    m3 = run_kg_pipeline(small_corpus, str(out))
+    assert is_complete(str(out))
+    assert m3["rows"] == m1["rows"]
     assert sorted(pq.read_table(str(out)).to_pylist(), key=repr) == before
 
 

@@ -10,12 +10,13 @@ and stable.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgray.kernels.htmltext import extract_text
 from kgray.kernels.ids import statement_id, time_node_id
-from kgray.stages.canonicalize import KEY_COLS, LINEAGE_COLS, local_dedup
+from kgray.stages.canonicalize import KEY_COLS, KEY_ORDER, LINEAGE_COLS, local_dedup
 
 # text that may contain markup fragments, entities, broken tags
 _html_text = st.text(
@@ -51,8 +52,8 @@ def test_extract_text_total_and_deterministic(s):
 )
 def test_local_dedup_idempotent_and_exact(rows):
     """Combiner invariants on arbitrary row multisets: output keys are the
-    distinct input keys; applying it twice changes nothing; survivor lineage
-    is the minimum."""
+    distinct input keys, in key order; applying it twice changes nothing;
+    survivor lineage is the minimum."""
     import datetime as dt
 
     table = pa.Table.from_pydict(
@@ -77,10 +78,11 @@ def test_local_dedup_idempotent_and_exact(rows):
     keys_out = [tuple(out[c][i].as_py() for c in KEY_COLS) for i in range(len(out))]
     assert len(keys_out) == len(set(keys_out)) == len(keys_in)
     assert set(keys_out) == keys_in
-    again = local_dedup(out)
-    assert again.sort_by([(c, "ascending") for c in KEY_COLS]).equals(
-        out.sort_by([(c, "ascending") for c in KEY_COLS])
-    )
+    assert local_dedup(out).equals(out)
+    # survivors leave in key order, strings by code point (Arrow's order)
+    order = pc.sort_indices(
+        out, [(c, "ascending") for c in KEY_ORDER], null_placement="at_end")
+    assert out.take(order).equals(out)
     # survivor lineage is the per-key minimum (warc_ts, src_url)
     by_key: dict[tuple, tuple] = {}
     for i in range(len(table)):

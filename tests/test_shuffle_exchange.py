@@ -1,59 +1,33 @@
-"""Exchange contract regression (ADVICE r3, medium): every ``__bucket``
-value must reach the per-partition fn EXACTLY ONCE, even when a single
-bucket's rows are far larger than ``target_max_block_size``.
+"""Exchange contract regression (ADVICE r3, medium): every key value must
+reach the per-partition fn EXACTLY ONCE, even when a single key's rows are
+far larger than ``target_max_block_size``.
 
-Both physical modes are pinned, each selected through ``exchange_mode``
-by the size hint canonicalize passes (the only exchange that chooses):
-
-* hash (size hint >= ``_HASH_MIN_BYTES`` on >= 4 CPUs): repartition-by-key
-  finalization must emit one block per partition — if a future Ray splits
-  finalized partitions to honor the block-size target, a bucket would
-  straddle two fn calls and canonicalize dedup would silently emit
-  duplicate triples.
-* sort (smaller or no size hint): relies on merge_sorted_blocks returning
-  a single merged block per reduce partition in the pinned ray 2.49.2.
-
-The test forces a pathological ``target_max_block_size`` (64 KiB) with
-8 buckets of ~1.5 MiB each, so any partition-splitting behavior change in
+The one plan is Ray's range sort, and it relies on merge_sorted_blocks
+returning a single merged block per reduce partition in the pinned ray
+2.49.2.  The tests force a pathological ``target_max_block_size`` (64 KiB)
+with multi-block-sized keys, so any partition-splitting behavior change in
 Ray is caught loudly here rather than as silent duplicates downstream.
 
-The scheduling rule ``exchange_map`` sets for each plan is pinned here too.
+Canonicalize sorts on three string columns and writes its partitions in
+that order, so its exactly-once and order contracts are pinned here too,
+with non-ASCII keys; so is the scheduling rule ``exchange_map`` sets.
 """
 
 from __future__ import annotations
 
 import collections
+import datetime as dt
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 
-def _size_hint(mode: str) -> int | None:
-    """The size hint that makes ``exchange_mode`` select ``mode``."""
-    from kgray.stages.shuffle import _HASH_MIN_BYTES
-
-    return _HASH_MIN_BYTES if mode == "hash" else None
-
-
-def test_exchange_mode_selects_by_size_hint(monkeypatch):
-    from kgray.stages import shuffle
-    from kgray.stages.shuffle import _HASH_MIN_BYTES, exchange_mode
-
-    assert exchange_mode(None) == "sort"
-    assert exchange_mode(_HASH_MIN_BYTES - 1) == "sort"
-    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
-    # the hash exchange hangs at 2 CPUs: width guard
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 2)
-    assert exchange_mode(_HASH_MIN_BYTES) == "sort"
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
-    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
-
-
-def _run_exchange(ray, mode: str) -> list[dict]:
+def _run_exchange(ray, key: str) -> list[dict]:
     from kgray.stages.shuffle import BUCKET_COL, exchange_map
 
-    n, num_buckets = 40_000, 8
+    n, num_keys = 40_000, 8
+    cols = [BUCKET_COL] if key == "sort" else ["s", "t"]
     rng = np.random.default_rng(7)
     t = pa.table(
         {
@@ -63,14 +37,16 @@ def _run_exchange(ray, mode: str) -> list[dict]:
     )
 
     def tag(b: pa.Table) -> pa.Table:
-        bucket = (np.asarray(b["k"]) % num_buckets).astype(np.int32)
-        return b.append_column(BUCKET_COL, pa.array(bucket))
+        k = np.asarray(b["k"]) % num_keys
+        return (b.append_column(BUCKET_COL, pa.array(k.astype(np.int32)))
+                .append_column("s", pa.array([f"s{v % 2}" for v in k]))
+                .append_column("t", pa.array([f"t{v // 2}" for v in k])))
 
     def per_partition(part: pa.Table) -> pa.Table:
-        buckets = pa.compute.unique(part[BUCKET_COL]).to_pylist()
+        keys = set(zip(*(part[c].to_pylist() for c in cols)))
         return pa.table(
             {
-                "buckets": [",".join(map(str, sorted(buckets)))],
+                "keys": [",".join(sorted("/".join(map(str, k)) for k in keys))],
                 "rows": [len(part)],
             }
         )
@@ -79,45 +55,76 @@ def _run_exchange(ray, mode: str) -> list[dict]:
     # per-dataset context copy: pathological block-size target, this test only
     ds.context.target_max_block_size = 64 * 1024
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    out = exchange_map(tagged, per_partition,
-                       size_hint_bytes=_size_hint(mode)).take_all()
-    return out
+    return exchange_map(tagged, per_partition, key=cols).take_all()
 
 
-@pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_bucket_reaches_fn_exactly_once(ray_session, mode):
-    out = _run_exchange(ray_session, mode)
+@pytest.mark.parametrize("key", ["sort", "strings"])
+def test_bucket_reaches_fn_exactly_once(ray_session, key):
+    """``sort``: the int ``__bucket`` key bucket_groupby sorts on;
+    ``strings``: a two-column string key, the shape canonicalize sorts
+    on."""
+    out = _run_exchange(ray_session, key)
     seen: collections.Counter = collections.Counter()
     total_rows = 0
     for rec in out:
         total_rows += rec["rows"]
-        for b in rec["buckets"].split(","):
+        for b in rec["keys"].split(","):
             seen[b] += 1
     assert total_rows == 40_000
-    assert sorted(seen) == [str(i) for i in range(8)]
+    assert len(seen) == 8
     dups = {b: c for b, c in seen.items() if c > 1}
-    assert not dups, f"buckets split across fn calls: {dups}"
+    assert not dups, f"keys split across fn calls: {dups}"
 
 
-@pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_canonicalize_rows_mode_independent(ray_session, mode):
-    """The one exchange that still chooses its plan: canonicalize yields
-    the same row set through either exchange, equal to the single-batch
-    dedup of the same table."""
+def test_canonicalize_rows_exactly_once(ray_session):
+    """Canonicalize writes exactly the single-batch dedup of its input,
+    row for row in key order: on a small table, and on a 6x-duplicated
+    one spread over 40 blocks under a 64 KiB block-size target, where
+    every key's copies arrive in many blocks and the reduce partitions
+    are many blocks large."""
     from kgray.fixtures import gen_pages_table, raw_ops_table
     from kgray.stages.canonicalize import canonicalize_stage, local_dedup
 
     raw = raw_ops_table(gen_pages_table(60))
+    expected = local_dedup(raw)
+    assert len(expected) < len(raw)
+    out = canonicalize_stage(ray_session.data.from_arrow(raw))
+    assert pa.Table.from_pylist(out.take_all(), raw.schema).equals(expected)
 
-    def rows(records: list[dict]) -> collections.Counter:
-        return collections.Counter(
-            tuple(r[c] for c in raw.column_names) for r in records)
+    dup = pa.concat_tables([raw] * 6)
+    ds = ray_session.data.from_arrow(dup).repartition(40)
+    # per-dataset context copy: pathological block-size target, this test only
+    ds.context.target_max_block_size = 64 * 1024
+    out = canonicalize_stage(ds)
+    assert pa.Table.from_pylist(out.take_all(), raw.schema).equals(expected)
 
-    expected = rows(local_dedup(raw).to_pylist())
-    assert sum(expected.values()) < len(raw)
-    out = canonicalize_stage(ray_session.data.from_arrow(raw),
-                             size_hint_bytes=_size_hint(mode))
-    assert rows(out.take_all()) == expected
+
+def test_canonicalize_orders_keys_by_code_point(ray_session):
+    """Ray places the range bounds with Python string comparisons and
+    ``local_dedup`` sorts each partition with polars: both must order by
+    code point, or a partition's rows would interleave with its
+    neighbours'.  U+FB01 sorts below U+1D11E by code point but above it
+    in UTF-16, so the two orders are told apart."""
+    from kgray.schema import OPS
+    from kgray.stages.canonicalize import KEY_ORDER, canonicalize_stage
+
+    words = ["plain", "café", "Ωmega", "日本", "ﬁn", "𝄞clef", "Zeta", "émile"]
+    rows = [
+        {"subj": f"wd:Q{i % 5}{words[i % 7]}", "pred": words[i % 8],
+         "obj": words[(i * 3) % 8] + str(i % 4), "obj_type": "literal",
+         "lang": None if i % 3 else "ja", "datatype": "",
+         "src_url": f"u{i % 2}",
+         "warc_ts": dt.datetime(2024, 1, 1) + dt.timedelta(seconds=i % 3),
+         "op": ("INSERT", "DELETE")[i % 2]}
+        for i in range(2400)
+    ]
+    t = pa.Table.from_pylist(rows, OPS)
+    out = canonicalize_stage(ray_session.data.from_arrow(t).repartition(12))
+    got = [tuple(r[c] for c in KEY_ORDER) for r in out.take_all()]
+    keys = {tuple(r[c] for c in KEY_ORDER) for r in rows}
+    assert len(got) == len(keys) and set(got) == keys
+    assert got == sorted(got, key=lambda k: [(v is None, v or "") for v in k])
+    assert any("𝄞" in k[0] for k in got) and any("ﬁ" in k[0] for k in got)
 
 
 def _reservation_case(ray, case: str, small_corpus):
@@ -139,9 +146,8 @@ def _reservation_case(ray, case: str, small_corpus):
     if case == "bucket_groupby":
         return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
                               ["k"], lambda t: t)
-    raw = ray.data.from_arrow(raw_ops_table(gen_pages_table(4)))
-    mode = case.removeprefix("canonicalize-")
-    return canonicalize_stage(raw, size_hint_bytes=_size_hint(mode))
+    return canonicalize_stage(
+        ray.data.from_arrow(raw_ops_table(gen_pages_table(4))))
 
 
 @pytest.mark.parametrize("case, enabled", [
@@ -149,19 +155,15 @@ def _reservation_case(ray, case: str, small_corpus):
     ("canonicalize-sort", False),
     ("diff_snapshots", False),
     ("bucket_groupby", False),
-    ("canonicalize-hash", True),
 ])
 def test_sort_plan_lifts_the_per_operator_reservation(
-        ray_session, small_corpus, monkeypatch, case, enabled):
+        ray_session, small_corpus, case, enabled):
     """``exchange_map`` turns Ray Data's per-operator CPU reservation off
-    on the Dataset's own context under the sort plan, for every caller (at
-    2 CPUs it held the producer of a sort to one task at a time); the hash
-    plan keeps it, and the process-global context is never touched."""
+    on the Dataset's own context, for every caller (at 2 CPUs it held the
+    producer of a sort to one task at a time), and the process-global
+    context is never touched."""
     from ray.data import DataContext
 
-    from kgray.stages import shuffle
-
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
     ds = _reservation_case(ray_session, case, small_corpus)
     assert ds.context.op_resource_reservation_enabled is enabled
     assert DataContext.get_current().op_resource_reservation_enabled is True
