@@ -8,17 +8,19 @@ streaming ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
       -> extract   (HTML -> text + raw claims + mention candidates)   [stateless map_batches]
       -> link      (alias-table + context-score QID linking)          [stateless map_batches]
       -> assemble  (claims -> typed RDF triples, scaffolds, ids)      [stateless map_batches]
-      -> canonicalize (exact dedup, local combiner + range sort on
-                       (pred, subj, obj), the output order)           [shuffle]
+      -> canonicalize (exact dedup, local combiner + one exchange: a range
+                       sort on (pred, subj, obj), the output order, for
+                       a write; a hash-bucket exchange otherwise)     [shuffle]
       -> diff      (old vs new snapshot anti-join -> INSERT/DELETE)   [shuffle]
       -> materialize (partitioned parquet, lineage manifests)         [sink]
 
 Built on Ray Data, pyarrow, pandas, numpy and polars (the bucket row hash
 in ``stages/shuffle.py`` and the survivor pick in
-``stages/canonicalize.py``).  kgray imports nothing from
-``ray.data._internal``; the one private Ray Data call is
-``materialize._stage_summary``'s ``_write_ds._get_stats_summary()``, the
-per-operator stats of a write.
+``stages/canonicalize.py``).  Ray Data internals are read in two places:
+``shuffle.source_size_hint`` checks the Dataset's plan against
+``ray.data._internal``'s logical ``Read`` operator for a free size
+estimate, and ``materialize._stage_summary`` calls
+``_write_ds._get_stats_summary()`` for the per-operator stats of a write.
 
 Shared state rides in actor constructors or ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,

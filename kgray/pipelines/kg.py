@@ -10,10 +10,12 @@ The parquet read, extract, link, assemble and the dedup combiner are
 stateless Arrow ``map_batches`` that Ray fuses into one task operator
 running one task per read block (no stage passes a Ray ``batch_size``;
 see extract._SLICE_PAGES) on every CPU (shuffle.exchange_map lifts Ray
-Data's per-operator reservation).  Canonicalize's range sort on
-``schema.TRIPLE_ORDER`` both co-locates every dedup key and produces the
-written order, so the final dedup pass fuses with the write.  The link
-counters go to the job's one accumulator actor under a fresh key per run
+Data's per-operator reservation).  A write's canonicalize range-sorts on
+``schema.TRIPLE_ORDER``, which both co-locates every dedup key and
+produces the written order, so the final dedup pass fuses with the
+write.  ``kg_triples`` without ``ordered`` takes canonicalize's cheaper
+unordered exchange instead (stages/canonicalize.py).  The link counters
+go to the job's one accumulator actor under a fresh key per run
 (stages/metrics.py).  No driver-side row loops; the driver only composes
 stages and reads small aggregates.
 """
@@ -43,15 +45,21 @@ def _auto_concurrency() -> None:
     return None
 
 
-def kg_triples(pages, alias_rows=None, *, metrics_actor=None):
-    """pages Dataset -> canonical deduped ops Dataset (lazy), in
-    ``schema.TRIPLE_ORDER`` order."""
+def kg_triples(pages, alias_rows=None, *, metrics_actor=None,
+               ordered: bool = False):
+    """pages Dataset -> canonical deduped ops Dataset (lazy); in
+    ``schema.TRIPLE_ORDER`` order iff ``ordered``."""
+    from ..stages.shuffle import source_size_hint
+
     if alias_rows is None:
         alias_rows = aliases_table().to_pylist()
+    # exchange-size hint from the SOURCE read (free parquet-metadata
+    # estimate; selects the hash exchange for corpus-scale unordered runs)
+    size_hint = None if ordered else source_size_hint(pages)
     raw = extract_stage(pages)
     linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
-    return canonicalize_stage(ops)
+    return canonicalize_stage(ops, ordered=ordered, size_hint_bytes=size_hint)
 
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,
@@ -93,8 +101,9 @@ def run_kg_pipeline_partitioned(paths, out_root: str, *,
 
 def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     """Full run: read -> ... -> canonicalize -> write+manifest; returns
-    the write manifest dict.  ``kg_triples(read_pages(paths))`` is the
-    same pipeline as a lazy Dataset, for further composition.
+    the write manifest dict.  ``kg_triples(read_pages(paths),
+    ordered=True)`` is the same pipeline as a lazy Dataset, for further
+    composition.
     """
     from ..stages.metrics import run_counters
 
@@ -104,7 +113,8 @@ def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     # blocks): the manifest's link block (north rule: link metrics per
     # partition)
     metrics_actor = run_counters()
-    ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor)
+    ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor,
+                     ordered=True)
     return materialize_stage(
         ops,
         out_dir,

@@ -88,9 +88,10 @@ def materialize_stage(
 ):
     """Write, manifest.  Returns the manifest dict.
 
-    ``ds`` must already be in ``sort_key`` order, as ``canonicalize_stage``
-    guarantees: its blocks are written in order, one file name after
-    another, and ``sort_key`` is only recorded in the manifest.
+    ``ds`` must already be in ``sort_key`` order, as
+    ``canonicalize_stage(ordered=True)`` guarantees: its blocks are
+    written in order, one file name after another, and ``sort_key`` is
+    only recorded in the manifest.
 
     If the partition already has a valid manifest the write is skipped
     entirely (checkpoint-resume).  ``docs`` is the row count of the

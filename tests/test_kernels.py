@@ -367,7 +367,8 @@ class TestCanonicalizeSurvivor:
     """``local_dedup`` must implement the exact lexicographic
     (warc_ts, src_url)-min rule, including separator bytes in content,
     timestamp ties across pages and null key components, and return the
-    survivors in key order, nulls last."""
+    survivors in input order, or with ``in_key_order`` in key order, nulls
+    last."""
 
     def _table(self):
         import datetime as dt
@@ -394,7 +395,7 @@ class TestCanonicalizeSurvivor:
         })
 
     @staticmethod
-    def _bruteforce(t):
+    def _bruteforce(t, in_key_order: bool):
         from kgray.stages.canonicalize import KEY_COLS, KEY_ORDER
 
         rows = t.to_pylist()
@@ -405,6 +406,8 @@ class TestCanonicalizeSurvivor:
             if k not in best or lin < (
                     rows[best[k]]["warc_ts"], rows[best[k]]["src_url"]):
                 best[k] = i
+        if not in_key_order:
+            return [rows[i] for i in sorted(best.values())]
         return sorted((rows[i] for i in best.values()),
                       key=lambda r: [(r[c] is None, r[c] or "")
                                      for c in KEY_ORDER])
@@ -413,7 +416,9 @@ class TestCanonicalizeSurvivor:
         from kgray.stages.canonicalize import local_dedup
 
         t = self._table()
-        assert local_dedup(t).to_pylist() == self._bruteforce(t)
+        for in_key_order in (False, True):
+            assert (local_dedup(t, in_key_order=in_key_order).to_pylist()
+                    == self._bruteforce(t, in_key_order))
 
     def test_null_key_components_group_together(self):
         import pyarrow as pa
@@ -431,8 +436,9 @@ class TestCanonicalizeSurvivor:
         t = (t.set_column(t.schema.get_field_index("lang"), "lang", lang)
              .set_column(t.schema.get_field_index("datatype"), "datatype",
                          datatype))
-        got = local_dedup(t)
-        assert got.to_pylist() == self._bruteforce(t)
+        for in_key_order in (False, True):
+            got = local_dedup(t, in_key_order=in_key_order)
+            assert got.to_pylist() == self._bruteforce(t, in_key_order)
         assert got["lang"].null_count > 0 and got["datatype"].null_count > 0
 
     def test_empty_input(self):

@@ -52,8 +52,9 @@ def test_extract_text_total_and_deterministic(s):
 )
 def test_local_dedup_idempotent_and_exact(rows):
     """Combiner invariants on arbitrary row multisets: output keys are the
-    distinct input keys, in key order; applying it twice changes nothing;
-    survivor lineage is the minimum."""
+    distinct input keys; applying it twice changes nothing; the key-order
+    form holds the same rows in key order; survivor lineage is the
+    minimum."""
     import datetime as dt
 
     table = pa.Table.from_pydict(
@@ -79,10 +80,11 @@ def test_local_dedup_idempotent_and_exact(rows):
     assert len(keys_out) == len(set(keys_out)) == len(keys_in)
     assert set(keys_out) == keys_in
     assert local_dedup(out).equals(out)
-    # survivors leave in key order, strings by code point (Arrow's order)
+    # the key-order form: the same rows, in key order, strings by code
+    # point (Arrow's order)
     order = pc.sort_indices(
         out, [(c, "ascending") for c in KEY_ORDER], null_placement="at_end")
-    assert out.take(order).equals(out)
+    assert local_dedup(table, in_key_order=True).equals(out.take(order))
     # survivor lineage is the per-key minimum (warc_ts, src_url)
     by_key: dict[tuple, tuple] = {}
     for i in range(len(table)):

@@ -2,15 +2,27 @@
 reach the per-partition fn EXACTLY ONCE, even when a single key's rows are
 far larger than ``target_max_block_size``.
 
-The one plan is Ray's range sort, and it relies on merge_sorted_blocks
-returning a single merged block per reduce partition in the pinned ray
-2.49.2.  The tests force a pathological ``target_max_block_size`` (64 KiB)
-with multi-block-sized keys, so any partition-splitting behavior change in
-Ray is caught loudly here rather than as silent duplicates downstream.
+Both physical plans are pinned, each selected through ``exchange_mode``
+by the size hint an unordered canonicalize passes (the only exchange that
+chooses):
 
-Canonicalize sorts on three string columns and writes its partitions in
-that order, so its exactly-once and order contracts are pinned here too,
-with non-ASCII keys; so is the scheduling rule ``exchange_map`` sets.
+* hash (size hint >= ``_HASH_MIN_BYTES`` on >= 4 CPUs): repartition-by-key
+  finalization must emit one block per partition — if a future Ray splits
+  finalized partitions to honor the block-size target, a bucket would
+  straddle two fn calls and canonicalize dedup would silently emit
+  duplicate triples.
+* sort (smaller or no size hint, and every other caller): relies on
+  merge_sorted_blocks returning a single merged block per reduce partition
+  in the pinned ray 2.49.2, on an int bucket key and on string keys alike.
+
+The tests force a pathological ``target_max_block_size`` (64 KiB) with
+multi-block-sized keys, so any partition-splitting behavior change in Ray
+is caught loudly here rather than as silent duplicates downstream.
+
+An ordered canonicalize sorts on three string columns and writes its
+partitions in that order, so its exactly-once and order contracts are
+pinned here too, with non-ASCII keys; so is the scheduling rule
+``exchange_map`` sets for each plan.
 """
 
 from __future__ import annotations
@@ -23,11 +35,32 @@ import pyarrow as pa
 import pytest
 
 
+def _size_hint(mode: str) -> int | None:
+    """The size hint that makes ``exchange_mode`` select ``mode``."""
+    from kgray.stages.shuffle import _HASH_MIN_BYTES
+
+    return _HASH_MIN_BYTES if mode == "hash" else None
+
+
+def test_exchange_mode_selects_by_size_hint(monkeypatch):
+    from kgray.stages import shuffle
+    from kgray.stages.shuffle import _HASH_MIN_BYTES, exchange_mode
+
+    assert exchange_mode(None) == "sort"
+    assert exchange_mode(_HASH_MIN_BYTES - 1) == "sort"
+    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
+    # the hash exchange hangs at 2 CPUs: width guard
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 2)
+    assert exchange_mode(_HASH_MIN_BYTES) == "sort"
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
+    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
+
+
 def _run_exchange(ray, key: str) -> list[dict]:
     from kgray.stages.shuffle import BUCKET_COL, exchange_map
 
     n, num_keys = 40_000, 8
-    cols = [BUCKET_COL] if key == "sort" else ["s", "t"]
+    cols = ["s", "t"] if key == "strings" else [BUCKET_COL]
     rng = np.random.default_rng(7)
     t = pa.table(
         {
@@ -55,14 +88,15 @@ def _run_exchange(ray, key: str) -> list[dict]:
     # per-dataset context copy: pathological block-size target, this test only
     ds.context.target_max_block_size = 64 * 1024
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return exchange_map(tagged, per_partition, key=cols).take_all()
+    return exchange_map(tagged, per_partition, key=cols,
+                        size_hint_bytes=_size_hint(key)).take_all()
 
 
-@pytest.mark.parametrize("key", ["sort", "strings"])
+@pytest.mark.parametrize("key", ["hash", "sort", "strings"])
 def test_bucket_reaches_fn_exactly_once(ray_session, key):
-    """``sort``: the int ``__bucket`` key bucket_groupby sorts on;
-    ``strings``: a two-column string key, the shape canonicalize sorts
-    on."""
+    """``hash``/``sort``: the int ``__bucket`` key through either plan;
+    ``strings``: a two-column string key through the sort plan, the shape
+    an ordered canonicalize sorts on."""
     out = _run_exchange(ray_session, key)
     seen: collections.Counter = collections.Counter()
     total_rows = 0
@@ -76,8 +110,30 @@ def test_bucket_reaches_fn_exactly_once(ray_session, key):
     assert not dups, f"keys split across fn calls: {dups}"
 
 
+@pytest.mark.parametrize("mode", ["hash", "sort"])
+def test_canonicalize_rows_mode_independent(ray_session, mode):
+    """The one exchange that still chooses its plan: an unordered
+    canonicalize yields the same row set through either exchange, equal to
+    the single-batch dedup of the same table."""
+    from kgray.fixtures import gen_pages_table, raw_ops_table
+    from kgray.stages.canonicalize import canonicalize_stage, local_dedup
+
+    raw = raw_ops_table(gen_pages_table(60))
+
+    def rows(records: list[dict]) -> collections.Counter:
+        return collections.Counter(
+            tuple(r[c] for c in raw.column_names) for r in records)
+
+    expected = rows(local_dedup(raw).to_pylist())
+    assert sum(expected.values()) < len(raw)
+    out = canonicalize_stage(ray_session.data.from_arrow(raw), ordered=False,
+                             size_hint_bytes=_size_hint(mode))
+    assert rows(out.take_all()) == expected
+
+
 def test_canonicalize_rows_exactly_once(ray_session):
-    """Canonicalize writes exactly the single-batch dedup of its input,
+    """An ordered canonicalize yields exactly the single-batch dedup of
+    its input,
     row for row in key order: on a small table, and on a 6x-duplicated
     one spread over 40 blocks under a 64 KiB block-size target, where
     every key's copies arrive in many blocks and the reduce partitions
@@ -86,7 +142,7 @@ def test_canonicalize_rows_exactly_once(ray_session):
     from kgray.stages.canonicalize import canonicalize_stage, local_dedup
 
     raw = raw_ops_table(gen_pages_table(60))
-    expected = local_dedup(raw)
+    expected = local_dedup(raw, in_key_order=True)
     assert len(expected) < len(raw)
     out = canonicalize_stage(ray_session.data.from_arrow(raw))
     assert pa.Table.from_pylist(out.take_all(), raw.schema).equals(expected)
@@ -146,24 +202,33 @@ def _reservation_case(ray, case: str, small_corpus):
     if case == "bucket_groupby":
         return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
                               ["k"], lambda t: t)
-    return canonicalize_stage(
-        ray.data.from_arrow(raw_ops_table(gen_pages_table(4))))
+    raw = ray.data.from_arrow(raw_ops_table(gen_pages_table(4)))
+    mode = case.removeprefix("canonicalize-")
+    if mode == "ordered":
+        return canonicalize_stage(raw)
+    return canonicalize_stage(raw, ordered=False,
+                              size_hint_bytes=_size_hint(mode))
 
 
 @pytest.mark.parametrize("case, enabled", [
     ("kg_triples", False),
     ("canonicalize-sort", False),
+    ("canonicalize-ordered", False),
     ("diff_snapshots", False),
     ("bucket_groupby", False),
+    ("canonicalize-hash", True),
 ])
 def test_sort_plan_lifts_the_per_operator_reservation(
-        ray_session, small_corpus, case, enabled):
+        ray_session, small_corpus, monkeypatch, case, enabled):
     """``exchange_map`` turns Ray Data's per-operator CPU reservation off
-    on the Dataset's own context, for every caller (at 2 CPUs it held the
-    producer of a sort to one task at a time), and the process-global
-    context is never touched."""
+    on the Dataset's own context under the sort plan, for every caller (at
+    2 CPUs it held the producer of a sort to one task at a time); the hash
+    plan keeps it, and the process-global context is never touched."""
     from ray.data import DataContext
 
+    from kgray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
     ds = _reservation_case(ray_session, case, small_corpus)
     assert ds.context.op_resource_reservation_enabled is enabled
     assert DataContext.get_current().op_resource_reservation_enabled is True
