@@ -4,20 +4,20 @@
 
 One streaming DAG with one exchange:
 
-    Read -> fused(extract..local_dedup) -> Sort -> MapBatches(local_dedup)->Write
+    Read -> fused(extract..combine) -> Sort -> MapBatches(per_partition)->Write
 
 The parquet read, extract, link, assemble and the dedup combiner are
 stateless Arrow ``map_batches`` that Ray fuses into one task operator
 running one task per read block (no stage passes a Ray ``batch_size``;
 see extract._SLICE_PAGES) on every CPU (shuffle.exchange_map lifts Ray
-Data's per-operator reservation).  A write's canonicalize range-sorts on
-``schema.TRIPLE_ORDER``, which both co-locates every dedup key and
-produces the written order, so the final dedup pass fuses with the
-write.  ``kg_triples`` without ``ordered`` takes canonicalize's cheaper
-unordered exchange instead (stages/canonicalize.py).  The link counters
-go to the job's one accumulator actor under a fresh key per run
-(stages/metrics.py).  No driver-side row loops; the driver only composes
-stages and reads small aggregates.
+Data's per-operator reservation).  Canonicalize range-sorts on the order
+words of ``schema.TRIPLE_ORDER``, which both co-locates every dedup key
+and produces the written order, so the final dedup pass fuses with the
+write.  A lazy ``kg_triples`` runs the same plan, unless its source is
+large enough for canonicalize's hash plan (stages/canonicalize.py).  The
+link counters go to the job's one accumulator actor under a fresh key
+per run (stages/metrics.py).  No driver-side row loops; the driver only
+composes stages and reads small aggregates.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ def _auto_concurrency() -> None:
 
 def kg_triples(pages, alias_rows=None, *, metrics_actor=None,
                ordered: bool = False):
-    """pages Dataset -> canonical deduped ops Dataset (lazy); in
-    ``schema.TRIPLE_ORDER`` order iff ``ordered``."""
+    """pages Dataset -> canonical deduped ops Dataset (lazy).  Its reduce
+    partitions, read in exchange order (a write's file names follow it),
+    are in ``schema.TRIPLE_ORDER`` unless canonicalize's hash plan ran;
+    ``ordered=True`` withholds the source size hint, so it never takes
+    the hash plan (a write needs the order)."""
     from ..stages.shuffle import source_size_hint
 
     if alias_rows is None:
@@ -59,7 +62,7 @@ def kg_triples(pages, alias_rows=None, *, metrics_actor=None,
     raw = extract_stage(pages)
     linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
-    return canonicalize_stage(ops, ordered=ordered, size_hint_bytes=size_hint)
+    return canonicalize_stage(ops, size_hint_bytes=size_hint)
 
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,

@@ -75,8 +75,9 @@ TRIPLE_KEY = ("subj", "pred", "obj", "lang", "datatype", "obj_type")
 
 # The written order of the triple tables (the reference sorts its output
 # the same way, get_updates.py:1171-1176).  Every dedup key contains these
-# columns, so canonicalize's one range sort on them co-locates each key and
-# yields the output order in the same pass.
+# columns, so canonicalize's one range sort on their order words (a
+# fixed-width numeric prefix of them, canonicalize.order_words) co-locates
+# each key and yields the output order in the same pass.
 TRIPLE_ORDER = ("pred", "subj", "obj")
 
 # ops table (SURVEY.md §1.2): one triple per row plus its op ('INSERT' |

@@ -50,30 +50,46 @@ def is_complete(out_dir: str) -> bool:
 
 
 def _stage_summary(ds) -> list[dict]:
-    """One {stage, tasks, wall_sec, rows_out, bytes_out} record per executed
-    operator of the write, in plan order, an exchange's sub-operators
-    (SortMap, SortReduce) included.  ``wall_sec`` is the operator's own
-    first-start to last-end span, not the whole dataset's time that
-    ``ds.stats()`` prints for an AllToAll stage.  ``rows_out`` and
-    ``bytes_out`` sum the operator's output blocks: SortReduce's
-    ``rows_out`` against the manifest's ``rows`` is the exchange's dedup
-    yield.  A ``...->Write`` record counts the rows of Write's own stat
-    table (one per write task), not triples."""
+    """One {stage, tasks, blocks_out, wall_sec, cpu_sec, udf_sec, rows_out,
+    bytes_out} record per executed operator of the write, in plan order,
+    an exchange's sub-operators (SortMap, SortReduce) included.
+    ``wall_sec`` is the operator's own first-start to last-end span, not
+    the whole dataset's time that ``ds.stats()`` prints for an AllToAll
+    stage; ``cpu_sec`` and ``udf_sec`` sum its tasks (``udf_sec`` is Ray's
+    wall time inside UDF calls, counted once per fused UDF around the
+    ones it pulls from, so a fused operator's can exceed its
+    ``cpu_sec``).  ``tasks`` is None
+    for a sub-operator: Ray keeps one task record for the whole AllToAll
+    operator, so its width shows in ``blocks_out`` (the count of the
+    operator's block stats).  ``rows_out`` and ``bytes_out`` sum the
+    operator's output blocks: SortReduce's ``rows_out`` against the
+    manifest's ``rows`` is the exchange's dedup yield.  A ``...->Write``
+    record counts the rows of Write's own stat table (one per write task),
+    not triples."""
     out: list[dict] = []
 
-    def walk(summary) -> None:
-        for parent in summary.parents:
-            walk(parent)
-        for op in summary.operators_stats:
+    def total(stat) -> float | None:
+        return None if stat is None else round(stat["sum"], 3)
+
+    def walk(summary, stats) -> None:
+        for parent, parent_stats in zip(summary.parents, stats.parents):
+            walk(parent, parent_stats)
+        for op, blocks in zip(summary.operators_stats,
+                              stats.metadata.values()):
             out.append({
                 "stage": op.operator_name,
-                "tasks": (op.task_rows or {}).get("count"),
+                "tasks": (None if op.is_sub_operator
+                          else (op.task_rows or {}).get("count")),
+                "blocks_out": len(blocks),
                 "wall_sec": round(op.time_total_s, 3),
+                "cpu_sec": total(op.cpu_time),
+                "udf_sec": total(op.udf_time),
                 "rows_out": (op.output_num_rows or {}).get("sum"),
                 "bytes_out": (op.output_size_bytes or {}).get("sum"),
             })
 
-    walk(ds._write_ds._get_stats_summary())
+    stats = ds._write_ds._plan.stats()
+    walk(stats.to_summary(), stats)
     return out
 
 
@@ -88,8 +104,8 @@ def materialize_stage(
 ):
     """Write, manifest.  Returns the manifest dict.
 
-    ``ds`` must already be in ``sort_key`` order, as
-    ``canonicalize_stage(ordered=True)`` guarantees: its blocks are
+    ``ds`` must already be in ``sort_key`` order, as canonicalize's sort
+    plan (``kg_triples(..., ordered=True)``) guarantees: its blocks are
     written in order, one file name after another, and ``sort_key`` is
     only recorded in the manifest.
 

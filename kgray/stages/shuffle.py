@@ -19,14 +19,17 @@ always share a bucket, so any per-key reduction computed inside ``fn`` is
 globally correct.
 
 One plan, one exception.  Every exchange runs the sort plan, a range
-sort on the caller's key (``__bucket`` for the bucket callers,
-``schema.TRIPLE_ORDER`` for an ordered canonicalize, its written order),
-except an unordered ``canonicalize_stage``, the only caller that passes a
-size hint to ``exchange_map``: it takes Ray's hash-shuffle plan at
-``_HASH_MIN_BYTES`` (512 MiB) or more of source input on a cluster of
-``_HASH_MIN_CPUS`` (4) or more CPUs, and the sort plan otherwise.  Hash
-won only at corpus scale (``bench.py --scaling``, one exchange per side,
-160k pages at 32 CPUs: 382 s vs 528 s); at small inputs its
+sort on the caller's numeric key (``__bucket`` for the bucket callers,
+canonicalize's four uint64 order words, a prefix of its written order),
+except a ``canonicalize_stage`` given a size hint, the only caller that
+passes one to ``exchange_map``: it takes Ray's hash-shuffle plan on
+``__bucket`` at ``_HASH_MIN_BYTES`` (512 MiB) or more of source input on
+a cluster of ``_HASH_MIN_CPUS`` (4) or more CPUs, and the sort plan
+otherwise.  No exchange range-sorts on a string column: Ray 2.49.2's
+range partition converts a block's key columns to numpy once per bound,
+which costs rows x input blocks on strings (stages/canonicalize.py).
+Hash won only at corpus scale (``bench.py --scaling``, one exchange per
+side, 160k pages at 32 CPUs: 382 s vs 528 s); at small inputs its
 aggregator-pool spawn loses (sf0.1 headline 77.7 s vs 55.0 s) and at 2
 CPUs it hangs (BASELINE.md "Exchange selection").
 
@@ -76,7 +79,7 @@ os.environ.setdefault("POLARS_MAX_THREADS", "1")
 import polars as _pl  # noqa: E402
 
 BUCKET_COL = "__bucket"
-# bucket count of every bucket exchange (unordered canonicalize and
+# bucket count of every bucket exchange (canonicalize's hash plan and
 # bucket_groupby alike); see the module docstring for why it must dominate
 # partition counts
 NUM_BUCKETS = 4096
@@ -205,8 +208,8 @@ def exchange_map(
     """Co-locate equal ``key`` values and run ``per_partition`` exactly
     once over each co-located partition (an Arrow table, ``key`` columns
     still attached).  The plan is ``exchange_mode(size_hint_bytes)``; only
-    an unordered canonicalize passes a hint, so every other exchange is the
-    sort plan.
+    canonicalize passes a hint, so every other exchange is the sort
+    plan.
 
     sort (the default): ``sort(key)``, partitions in ascending ``key``
     order.  Ray's sort places every key value wholly inside one merged

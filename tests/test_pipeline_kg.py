@@ -63,7 +63,7 @@ def test_materialize_and_resume(ray_session, small_corpus, tmp_path):
     fused = [s["stage"] for s in m1["stages"] if "link_batch" in s["stage"]]
     assert len(fused) == 1, m1["stages"]
     assert "extract_batch" in fused[0] and "assemble_batch" in fused[0]
-    assert fused[0].endswith("MapBatches(local_dedup)")
+    assert fused[0].endswith("MapBatches(combine)")
     # resume: second run with an existing valid manifest skips the write
     m2 = run_kg_pipeline(small_corpus, str(out))
     assert m2 == m1
@@ -93,7 +93,7 @@ def test_manifest_records_each_exchange_operator(ray_session, small_corpus,
     names = [s["stage"] for s in m["stages"]]
     assert names.count("SortMap") == names.count("SortReduce") == 1, names
     assert names[-3:] == ["SortMap", "SortReduce",
-                          "MapBatches(local_dedup)->Write"], names
+                          "MapBatches(per_partition)->Write"], names
     assert all(0 <= s["wall_sec"] <= m["write_sec"] for s in m["stages"]), (
         m["stages"], m["write_sec"])
 
@@ -108,6 +108,43 @@ def test_manifest_stage_rows_show_the_exchange_yield(ray_session,
     reduce = next(s for s in m["stages"] if s["stage"] == "SortReduce")
     assert fused["rows_out"] == reduce["rows_out"] >= m["rows"] > 0
     assert all(s["bytes_out"] > 0 for s in m["stages"]), m["stages"]
+
+
+def test_manifest_stage_ledger(ray_session, small_corpus, tmp_path):
+    """Each stage record carries its CPU and UDF seconds and its output
+    block count from Ray's block stats.  Ray keeps one task record for a
+    whole AllToAll operator, so SortMap and SortReduce record no task
+    count; the exchange's width shows as SortReduce's blocks, one per
+    block entering the sort."""
+    m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
+    stages = {s["stage"]: s for s in m["stages"]}
+    fused = next(s for s in m["stages"] if "extract_batch" in s["stage"])
+    assert stages["SortMap"]["tasks"] is None
+    assert stages["SortReduce"]["tasks"] is None
+    assert stages["SortReduce"]["blocks_out"] == fused["blocks_out"] > 1
+    assert fused["tasks"] >= 1, m["stages"]
+    assert all(s["cpu_sec"] >= 0 and s["udf_sec"] >= 0
+               for s in m["stages"]), m["stages"]
+
+
+def test_lazy_and_write_paths_run_one_plan(ray_session, small_corpus,
+                                           tmp_path):
+    """A lazy ``kg_triples(...)`` below the hash threshold runs the
+    write's plan: its output carries neither exchange key, and its blocks,
+    read in exchange order, are the written rows in the written order."""
+    from kgray.stages.canonicalize import ORDER_COLS
+    from kgray.stages.shuffle import BUCKET_COL
+
+    m = run_kg_pipeline(small_corpus, str(tmp_path / "triples"))
+    written = pa.concat_tables(
+        pq.read_table(str(tmp_path / "triples" / f)) for f in m["files"])
+    ds = kg_triples(read_pages(small_corpus))
+    ds.context.execution_options.preserve_order = True
+    blocks = ray_session.get(ds.materialize().to_arrow_refs())
+    assert len(blocks) > 1
+    names = blocks[0].column_names
+    assert BUCKET_COL not in names and not set(ORDER_COLS) & set(names)
+    assert pa.concat_tables(blocks).equals(written)
 
 
 def test_files_concatenate_in_key_order(ray_session, small_corpus, tmp_path,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from kgray.kernels.htmltext import extract_text
 from kgray.kernels.ids import statement_id, time_node_id
-from kgray.stages.canonicalize import KEY_COLS, KEY_ORDER, LINEAGE_COLS, local_dedup
+from kgray.stages.canonicalize import (KEY_COLS, KEY_ORDER, LINEAGE_COLS,
+                                       local_dedup, order_words)
 
 # text that may contain markup fragments, entities, broken tags
 _html_text = st.text(
@@ -94,6 +95,49 @@ def test_local_dedup_idempotent_and_exact(rows):
     for i in range(len(out)):
         k = tuple(out[c][i].as_py() for c in KEY_COLS)
         assert tuple(out[c][i].as_py() for c in LINEAGE_COLS) == by_key[k]
+
+
+# order-word values: any text (NUL, empty, astral), nulls, and values
+# that share their first 32 bytes, so the words alone cannot tell them
+# apart
+_order_value = st.one_of(
+    st.none(),
+    st.builds(
+        lambda head, tail: head + tail,
+        st.sampled_from(["", "p", "p\x00", "x" * 31, "\x00" * 17, "é" * 16,
+                         "𝄞" * 8]),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=12),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_order_value, _order_value, _order_value),
+                min_size=1, max_size=24))
+def test_order_words_follow_triple_order(triples):
+    """Canonicalize's range key: whenever one (pred, subj, obj) sorts
+    below another by code point, nulls last, its order words compare <=
+    (as a tuple of uint64), and equal triples get equal words, whatever
+    the table's chunk layout."""
+    table = pa.table({c: pa.array([t[i] for t in triples], pa.string())
+                      for i, c in enumerate(("pred", "subj", "obj"))})
+    words = [tuple(int(w) for w in row) for row in order_words(table)]
+    assert len(words) == len(triples)
+    # the same rows as two sliced chunks (non-zero array offsets)
+    half = len(table) // 2
+    chunked = pa.concat_tables([table.slice(0, half), table.slice(half)])
+    assert [tuple(int(w) for w in row) for row in order_words(chunked)] == words
+
+    def rank(t):
+        return [(v is None, v or "") for v in t]
+
+    for a, wa in zip(triples, words):
+        for b, wb in zip(triples, words):
+            if a == b:
+                assert wa == wb, (a, b)
+            elif rank(a) < rank(b):
+                assert wa <= wb, (a, b, wa, wb)
 
 
 @settings(max_examples=100, deadline=None)

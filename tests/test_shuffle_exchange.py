@@ -3,8 +3,7 @@ reach the per-partition fn EXACTLY ONCE, even when a single key's rows are
 far larger than ``target_max_block_size``.
 
 Both physical plans are pinned, each selected through ``exchange_mode``
-by the size hint an unordered canonicalize passes (the only exchange that
-chooses):
+by the size hint canonicalize passes (the only exchange that chooses):
 
 * hash (size hint >= ``_HASH_MIN_BYTES`` on >= 4 CPUs): repartition-by-key
   finalization must emit one block per partition — if a future Ray splits
@@ -13,16 +12,18 @@ chooses):
   duplicate triples.
 * sort (smaller or no size hint, and every other caller): relies on
   merge_sorted_blocks returning a single merged block per reduce partition
-  in the pinned ray 2.49.2, on an int bucket key and on string keys alike.
+  in the pinned ray 2.49.2, on an int bucket key and on canonicalize's
+  four uint64 order words alike.
 
 The tests force a pathological ``target_max_block_size`` (64 KiB) with
 multi-block-sized keys, so any partition-splitting behavior change in Ray
 is caught loudly here rather than as silent duplicates downstream.
 
-An ordered canonicalize sorts on three string columns and writes its
-partitions in that order, so its exactly-once and order contracts are
-pinned here too, with non-ASCII keys; so is the scheduling rule
-``exchange_map`` sets for each plan.
+Canonicalize's sort plan range-sorts on the order words of three string
+columns and writes its partitions in that order, so its exactly-once and
+order contracts are pinned here too, with non-ASCII keys, NUL bytes and
+shared 32-byte prefixes; so is the scheduling rule ``exchange_map`` sets
+for each plan.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _run_exchange(ray, key: str) -> list[dict]:
     from kgray.stages.shuffle import BUCKET_COL, exchange_map
 
     n, num_keys = 40_000, 8
-    cols = ["s", "t"] if key == "strings" else [BUCKET_COL]
+    cols = [f"w{i}" for i in range(4)] if key == "words" else [BUCKET_COL]
     rng = np.random.default_rng(7)
     t = pa.table(
         {
@@ -71,9 +72,15 @@ def _run_exchange(ray, key: str) -> list[dict]:
 
     def tag(b: pa.Table) -> pa.Table:
         k = np.asarray(b["k"]) % num_keys
-        return (b.append_column(BUCKET_COL, pa.array(k.astype(np.int32)))
-                .append_column("s", pa.array([f"s{v % 2}" for v in k]))
-                .append_column("t", pa.array([f"t{v // 2}" for v in k])))
+        b = b.append_column(BUCKET_COL, pa.array(k.astype(np.int32)))
+        # four uint64 words, the leading ones shared between keys and the
+        # last at the top of the range, as canonicalize's order words are
+        words = [np.full(len(k), 2**63, np.uint64), (k % 2).astype(np.uint64),
+                 (k // 2).astype(np.uint64) << np.uint64(62),
+                 np.uint64(2**64 - 1) - k.astype(np.uint64)]
+        for c, w in zip(("w0", "w1", "w2", "w3"), words):
+            b = b.append_column(c, pa.array(w))
+        return b
 
     def per_partition(part: pa.Table) -> pa.Table:
         keys = set(zip(*(part[c].to_pylist() for c in cols)))
@@ -92,11 +99,11 @@ def _run_exchange(ray, key: str) -> list[dict]:
                         size_hint_bytes=_size_hint(key)).take_all()
 
 
-@pytest.mark.parametrize("key", ["hash", "sort", "strings"])
+@pytest.mark.parametrize("key", ["hash", "sort", "words"])
 def test_bucket_reaches_fn_exactly_once(ray_session, key):
     """``hash``/``sort``: the int ``__bucket`` key through either plan;
-    ``strings``: a two-column string key through the sort plan, the shape
-    an ordered canonicalize sorts on."""
+    ``words``: a four-column uint64 key through the sort plan, the shape
+    of canonicalize's order words."""
     out = _run_exchange(ray_session, key)
     seen: collections.Counter = collections.Counter()
     total_rows = 0
@@ -112,9 +119,11 @@ def test_bucket_reaches_fn_exactly_once(ray_session, key):
 
 @pytest.mark.parametrize("mode", ["hash", "sort"])
 def test_canonicalize_rows_mode_independent(ray_session, mode):
-    """The one exchange that still chooses its plan: an unordered
-    canonicalize yields the same row set through either exchange, equal to
-    the single-batch dedup of the same table."""
+    """The one exchange that still chooses its plan: canonicalize yields
+    the same row set through either exchange, equal to the single-batch
+    dedup of the same table; the hash plan exchanges on ``__bucket`` by
+    repartition, the sort plan on the order words by a range sort, and
+    neither leaves its key columns in the output."""
     from kgray.fixtures import gen_pages_table, raw_ops_table
     from kgray.stages.canonicalize import canonicalize_stage, local_dedup
 
@@ -126,18 +135,22 @@ def test_canonicalize_rows_mode_independent(ray_session, mode):
 
     expected = rows(local_dedup(raw).to_pylist())
     assert sum(expected.values()) < len(raw)
-    out = canonicalize_stage(ray_session.data.from_arrow(raw), ordered=False,
+    out = canonicalize_stage(ray_session.data.from_arrow(raw),
                              size_hint_bytes=_size_hint(mode))
-    assert rows(out.take_all()) == expected
+    plan = out._logical_plan.dag.dag_str
+    assert ("Repartition" in plan) == (mode == "hash")
+    assert ("Sort" in plan) == (mode == "sort")
+    records = out.take_all()
+    assert rows(records) == expected
+    assert set(records[0]) == set(raw.column_names)
 
 
 def test_canonicalize_rows_exactly_once(ray_session):
-    """An ordered canonicalize yields exactly the single-batch dedup of
-    its input,
-    row for row in key order: on a small table, and on a 6x-duplicated
-    one spread over 40 blocks under a 64 KiB block-size target, where
-    every key's copies arrive in many blocks and the reduce partitions
-    are many blocks large."""
+    """Canonicalize's sort plan yields exactly the single-batch dedup of
+    its input, row for row in key order: on a small table, and on a
+    6x-duplicated one spread over 40 blocks under a 64 KiB block-size
+    target, where every key's copies arrive in many blocks and the reduce
+    partitions are many blocks large."""
     from kgray.fixtures import gen_pages_table, raw_ops_table
     from kgray.stages.canonicalize import canonicalize_stage, local_dedup
 
@@ -156,26 +169,38 @@ def test_canonicalize_rows_exactly_once(ray_session):
 
 
 def test_canonicalize_orders_keys_by_code_point(ray_session):
-    """Ray places the range bounds with Python string comparisons and
-    ``local_dedup`` sorts each partition with polars: both must order by
-    code point, or a partition's rows would interleave with its
-    neighbours'.  U+FB01 sorts below U+1D11E by code point but above it
-    in UTF-16, so the two orders are told apart."""
+    """The range bounds fall on the order words and ``local_dedup`` sorts
+    each partition with polars: both must order by code point, or a
+    partition's rows would interleave with its neighbours'.  U+FB01 sorts
+    below U+1D11E by code point but above it in UTF-16, so the two orders
+    are told apart.  ``pred``/``subj`` values hold NUL inside the first
+    32 bytes, are prefixes of one another ("p" < "p\\x00" < "pa"), and
+    share 32-byte prefixes, so a separator or escaping bug in the order
+    words misorders the output; some objects are null and sort last."""
     from kgray.schema import OPS
     from kgray.stages.canonicalize import KEY_ORDER, canonicalize_stage
 
     words = ["plain", "café", "Ωmega", "日本", "ﬁn", "𝄞clef", "Zeta", "émile"]
+    long = "L" * 29
+    preds = words + ["p", "p\x00", "p\x00a", "p\x00\x00", "p\x01", "pa",
+                     long, long + "\x00", long + "\x00b", long + "a\x00"]
+    subjs = ["a", "zz", "\x00", "b\x00", "s" * 40, "s" * 40 + "\x00"]
     rows = [
-        {"subj": f"wd:Q{i % 5}{words[i % 7]}", "pred": words[i % 8],
-         "obj": words[(i * 3) % 8] + str(i % 4), "obj_type": "literal",
+        {"subj": (f"wd:Q{i % 5}{words[i % 7]}" if i % 4
+                  else subjs[i // 4 % 6]),
+         "pred": preds[i % 18],
+         "obj": None if i % 37 == 0 else words[(i * 3) % 8] + str(i % 4),
+         "obj_type": "literal",
          "lang": None if i % 3 else "ja", "datatype": "",
          "src_url": f"u{i % 2}",
          "warc_ts": dt.datetime(2024, 1, 1) + dt.timedelta(seconds=i % 3),
          "op": ("INSERT", "DELETE")[i % 2]}
-        for i in range(2400)
+        for i in range(4800)
     ]
     t = pa.Table.from_pylist(rows, OPS)
-    out = canonicalize_stage(ray_session.data.from_arrow(t).repartition(12))
+    out = canonicalize_stage(ray_session.data.from_arrow(t).repartition(24))
+    # read the 24 partitions in exchange order, not completion order
+    out.context.execution_options.preserve_order = True
     got = [tuple(r[c] for c in KEY_ORDER) for r in out.take_all()]
     keys = {tuple(r[c] for c in KEY_ORDER) for r in rows}
     assert len(got) == len(keys) and set(got) == keys
@@ -194,6 +219,9 @@ def _reservation_case(ray, case: str, small_corpus):
 
     if case == "kg_triples":
         return kg_triples(read_pages(small_corpus))
+    if case == "canonicalize-ordered":
+        # a write's path: a hash-sized source, which ordered=True withholds
+        return kg_triples(read_pages(small_corpus), ordered=True)
     if case == "diff_snapshots":
         snap = pa.Table.from_pylist([dict.fromkeys(SNAPSHOT.names, "x")],
                                     schema=SNAPSHOT)
@@ -203,11 +231,8 @@ def _reservation_case(ray, case: str, small_corpus):
         return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
                               ["k"], lambda t: t)
     raw = ray.data.from_arrow(raw_ops_table(gen_pages_table(4)))
-    mode = case.removeprefix("canonicalize-")
-    if mode == "ordered":
-        return canonicalize_stage(raw)
-    return canonicalize_stage(raw, ordered=False,
-                              size_hint_bytes=_size_hint(mode))
+    return canonicalize_stage(
+        raw, size_hint_bytes=_size_hint(case.removeprefix("canonicalize-")))
 
 
 @pytest.mark.parametrize("case, enabled", [
@@ -223,12 +248,17 @@ def test_sort_plan_lifts_the_per_operator_reservation(
     """``exchange_map`` turns Ray Data's per-operator CPU reservation off
     on the Dataset's own context under the sort plan, for every caller (at
     2 CPUs it held the producer of a sort to one task at a time); the hash
-    plan keeps it, and the process-global context is never touched."""
+    plan keeps it, and the process-global context is never touched.
+    ``canonicalize-ordered`` is ``kg_triples(..., ordered=True)`` over a
+    source whose size hint would select the hash plan: it never does."""
     from ray.data import DataContext
 
     from kgray.stages import shuffle
 
     monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
+    if case == "canonicalize-ordered":
+        monkeypatch.setattr(shuffle, "source_size_hint",
+                            lambda ds: shuffle._HASH_MIN_BYTES)
     ds = _reservation_case(ray_session, case, small_corpus)
     assert ds.context.op_resource_reservation_enabled is enabled
     assert DataContext.get_current().op_resource_reservation_enabled is True
