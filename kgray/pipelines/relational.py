@@ -27,7 +27,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.joins import broadcast_join, hash_anti_join, hash_semi_join
+from ..stages.diff import set_diff
+from ..stages.joins import (JOIN_PARTITIONS, broadcast_join, hash_anti_join,
+                            hash_semi_join)
+from ..stages.shuffle import bucket_aggregate, bucket_groupby
 
 # -- thresholds shared by the Ray pipelines and the SQL oracles -------------
 REGEX_PATTERN = "spark"
@@ -235,7 +238,7 @@ def hash_join_agg(sf_dir: str):
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = orders.join(
-        cust, join_type="inner", num_partitions=8,  # sized to testdata scale
+        cust, join_type="inner", num_partitions=JOIN_PARTITIONS,
         on=("o_custkey",), right_on=("c_custkey",),
     )
     out = joined.groupby("c_mktsegment").aggregate(
@@ -272,21 +275,10 @@ def semi_join(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def distinct_pairs(sf_dir: str):
-    from ray.data.aggregate import Count
-
+    # per-block Arrow distinct, then the bucket exchange's merge (Ray's
+    # groupby would accumulate per row in Python)
     docs = read_table(sf_dir, "documents", ["lang", "source"])
-
-    def local(b: pa.Table) -> pa.Table:
-        return b.group_by(["lang", "source"]).aggregate([])
-
-    # local combiner then ONE Arrow-native hash aggregate (a map_groups here
-    # would pay one Python call per distinct key — pathological at scale)
-    out = (
-        docs.map_batches(local, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(Count(alias_name="__n"))
-    )
-    return out.map_batches(lambda b: b.drop_columns(["__n"]), batch_format="pyarrow")
+    return bucket_aggregate(docs, ["lang", "source"], [])
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,8 @@ def scalar_funcs(sf_dir: str):
 def diff_ops(sf_dir: str):
     """old = docs with doc_id % 3 != 0, new = docs with doc_id % 2 != 0;
     emits (doc_id, op) where op = INSERT (new-only) / DELETE (old-only).
-    One union + one groupby — the distributed EXCEPT of SURVEY.md §2.4."""
+    The snapshot diff's ``set_diff`` — the distributed EXCEPT of SURVEY.md
+    §2.4."""
     docs = read_table(sf_dir, "documents", ["doc_id"])
 
     def mod_filter(m: int):
@@ -402,35 +395,7 @@ def diff_ops(sf_dir: str):
 
     old = docs.map_batches(mod_filter(3), batch_format="pyarrow")
     new = docs.map_batches(mod_filter(2), batch_format="pyarrow")
-
-    from ray.data.aggregate import Max, Min
-
-    def tag(side: int):
-        def fn(b: pa.Table) -> pa.Table:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": b["doc_id"],
-                    "side": pa.array([side] * len(b), pa.int8()),
-                }
-            )
-        return fn
-
-    tagged = old.map_batches(tag(1), batch_format="pyarrow").union(
-        new.map_batches(tag(2), batch_format="pyarrow")
-    )
-    # one Arrow-native hash aggregate; rows present on both sides have
-    # min<max and are dropped in a vectorized projection (no per-key Python)
-    agg = tagged.groupby("doc_id").aggregate(
-        Min("side", alias_name="side_min"), Max("side", alias_name="side_max")
-    )
-
-    def project(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.equal(b["side_min"], b["side_max"]))
-        op = pc.if_else(pc.equal(b["side_min"], 2),
-                        pa.scalar("INSERT"), pa.scalar("DELETE"))
-        return b.drop_columns(["side_min", "side_max"]).append_column("op", op)
-
-    return agg.map_batches(project, batch_format="pyarrow")
+    return set_diff(old, new, ("doc_id",))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +457,6 @@ def sessionize(sf_dir: str):
     previous event exceeds SESSION_GAP_MIN minutes."""
     import numpy as np
 
-    from ..stages.shuffle import bucket_groupby
-
     ev = read_table(sf_dir, "events", ["user_id", "ts"])
     gap_us = SESSION_GAP_MIN * 60 * 1_000_000
 
@@ -553,8 +516,6 @@ def asof_join_events(sf_dir: str):
     each event row gains the epoch-us timestamp of the user's most recent
     signup at-or-before it (null when none yet)."""
     import numpy as np
-
-    from ..stages.shuffle import bucket_groupby
 
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -630,8 +591,6 @@ RANGE_STATE_TYPE = "error"
 
 def range_join_events(sf_dir: str):
     import numpy as np
-
-    from ..stages.shuffle import bucket_groupby
 
     ev = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
 

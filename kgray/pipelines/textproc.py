@@ -149,42 +149,26 @@ def _md5_col(values: list[str]) -> pa.Array:
 
 
 # ---------------------------------------------------------------------------
-# exact + normalized dedup: local combiner -> one hash exchange -> per-group
-# first (the distributed "set semantics" of SURVEY.md §2.7 applied to docs)
+# exact + normalized dedup: local combiner -> one hash exchange -> per-hash
+# merge (the distributed "set semantics" of SURVEY.md §2.7 applied to docs)
 # ---------------------------------------------------------------------------
 
 def _dedup_by_hash(docs, hash_fn):
-    from ..stages.shuffle import bucket_groupby
+    """Per text hash: the min doc_id and the duplicate count, aggregated in
+    two phases on the bucket exchange (key cardinality = #distinct texts,
+    so not Ray's per-row aggregate path; stages/shuffle.py)."""
+    from ..stages.shuffle import bucket_aggregate
 
-    def local(b: pa.Table) -> pa.Table:
-        """Combiner: hash + per-batch partial (min doc_id, count) per hash."""
-        t = pa.Table.from_pydict(
-            {
-                "text_hash": hash_fn(b),
-                "keep_id": b["doc_id"],
-                "dup_cnt": pa.array([1] * len(b), pa.int64()),
-            }
-        )
-        return (
-            t.group_by("text_hash")
-            .aggregate([("keep_id", "min"), ("dup_cnt", "sum")])
-            .rename_columns(["text_hash", "keep_id", "dup_cnt"])
-        )
+    def keyed(b: pa.Table) -> pa.Table:
+        return pa.table({"text_hash": hash_fn(b), "keep_id": b["doc_id"],
+                         "dup_cnt": pa.array([1] * len(b), pa.int64())})
 
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        # Arrow-native per-bucket reduction: key cardinality = #distinct
-        # texts, so the hash-bucket exchange (stages/shuffle.py), not Ray's
-        # per-row aggregate path
-        return (
-            t.group_by("text_hash", use_threads=False)
-            .aggregate([("keep_id", "min"), ("dup_cnt", "sum")])
-            .rename_columns(["text_hash", "keep_id", "dup_cnt"])
-        )
-
-    return bucket_groupby(
-        docs.map_batches(local, batch_format="pyarrow"),
-        ["text_hash"], reduce_bucket,
-    )
+    return bucket_aggregate(
+        docs.map_batches(keyed, batch_format="pyarrow"),
+        ["text_hash"], [("keep_id", "min"), ("dup_cnt", "sum")],
+    ).map_batches(
+        lambda t: t.rename_columns(["text_hash", "keep_id", "dup_cnt"]),
+        batch_format="pyarrow")
 
 
 def dedup_exact(sf_dir: str):

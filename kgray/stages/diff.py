@@ -4,12 +4,12 @@
 The reference computes ``g_new - g_old`` / ``g_old - g_new`` with rdflib set
 difference in memory (ttl_compare.py:168-183).  Distributed, that is a
 hash anti-join in both directions, expressed as ONE exchange with no
-per-group Python:
+per-group Python (``set_diff``, which ``relational.diff_ops`` shares):
 
     union(old tagged side=1, new tagged side=2)
-      -> per-batch combiner: collapse to one (key cols, side) row per batch
-      -> hash-bucket exchange (stages/shuffle.py) -> per-bucket Arrow
-         group_by min/max of side
+      -> shuffle.bucket_aggregate(keys, min/max of side): a per-block Arrow
+         group_by combiner, the bucket exchange, the same group_by per
+         partition as the merge
       -> vectorized projection: min==max==2 -> INSERT (new only),
          min==max==1 -> DELETE (old only), min<max -> unchanged (dropped)
 
@@ -50,47 +50,46 @@ def filter_triples(batch: pa.Table) -> pa.Table:
     return batch.filter(keep)
 
 
-def _tag_side(side: int):
-    def fn(batch: pa.Table) -> pa.Table:
-        batch = filter_triples(batch)
-        # local combiner: one row per key per batch, constant side column
-        t = (
-            batch.select(list(KEY_COLS))
-            .group_by(list(KEY_COLS), use_threads=False)
-            .aggregate([])
-        )
-        return t.append_column(
-            "side", pa.repeat(pa.scalar(side, pa.int8()), len(t)))
+def set_diff(old, new, keys):
+    """Two-sided set difference on ``keys``: each side tagged with an int8
+    ``side`` (old 1, new 2), the sides unioned, and ``bucket_aggregate``
+    takes min and max of ``side`` per key.  Output columns are ``keys``
+    then ``op``, one row per key found on one side only (min == max):
+    INSERT (2) or DELETE (1); keys on both sides drop, and duplicates
+    within a side collapse.  ``old=None`` makes every key an INSERT."""
+    from .shuffle import bucket_aggregate
 
-    return fn
+    keys = list(keys)
+
+    def tag(side: int):
+        def fn(batch: pa.Table) -> pa.Table:
+            return batch.select(keys).append_column(
+                "side", pa.repeat(pa.scalar(side, pa.int8()), len(batch)))
+        return fn
+
+    tagged = new.map_batches(tag(2), batch_format="pyarrow")
+    if old is not None:
+        tagged = old.map_batches(tag(1), batch_format="pyarrow").union(tagged)
+
+    def project(g: pa.Table) -> pa.Table:
+        g = g.filter(pc.equal(g["side_min"], g["side_max"]))
+        op = pc.if_else(pc.equal(g["side_min"], 2),
+                        pa.scalar("INSERT"), pa.scalar("DELETE"))
+        return g.select(keys).append_column("op", op)
+
+    return bucket_aggregate(tagged, keys, [("side", "min"), ("side", "max")]
+                            ).map_batches(project, batch_format="pyarrow")
 
 
 def diff_snapshots(old, new):
-    """old/new schema.SNAPSHOT Datasets (the side tag is added here as
-    int8) -> ops Dataset with columns (``KEY_COLS``..., op), which
-    ``serialize_stage`` renders as-is.
+    """old/new schema.SNAPSHOT Datasets -> ops Dataset with columns
+    (``KEY_COLS``..., op), which ``serialize_stage`` renders as-is: the
+    M17 filters on each side, then ``set_diff`` on ``KEY_COLS``.
 
     ``old`` may be None (no prior snapshot -> pure INSERTs).
     """
-    from .shuffle import bucket_groupby
+    def filtered(ds):
+        return ds.map_batches(filter_triples, batch_format="pyarrow")
 
-    if old is None:
-        tagged = new.map_batches(_tag_side(2), batch_format="pyarrow")
-    else:
-        tagged = old.map_batches(_tag_side(1), batch_format="pyarrow").union(
-            new.map_batches(_tag_side(2), batch_format="pyarrow")
-        )
-
-    def reduce_bucket(t: pa.Table) -> pa.Table:
-        g = (
-            t.group_by(list(KEY_COLS), use_threads=False)
-            .aggregate([("side", "min"), ("side", "max")])
-            .rename_columns(list(KEY_COLS) + ["side_min", "side_max"])
-        )
-        g = g.filter(pc.equal(g["side_min"], g["side_max"]))
-        op = pc.if_else(
-            pc.equal(g["side_min"], 2), pa.scalar("INSERT"), pa.scalar("DELETE")
-        )
-        return g.drop_columns(["side_min", "side_max"]).append_column("op", op)
-
-    return bucket_groupby(tagged, KEY_COLS, reduce_bucket)
+    return set_diff(None if old is None else filtered(old), filtered(new),
+                    KEY_COLS)

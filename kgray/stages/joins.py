@@ -12,7 +12,8 @@ two scale-shaped join families:
 * ``hash_semi_join`` / ``hash_anti_join`` — big-big existence joins on
   Ray Data's native hash-shuffle join, with the right side first reduced to
   DISTINCT keys by a per-batch combiner so only unique keys pay exchange
-  cost (the diff stage in stages/diff.py shares this physical shape).
+  cost.  (The snapshot diff is not a join: stages/diff.py runs the bucket
+  exchange of stages/shuffle.py.)
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from typing import Sequence
 
 import pyarrow as pa
 import ray
+
+# Reduce width of every native hash-shuffle join.  Small for test-scale
+# tables (a 32-way exchange of 100k rows is per-partition overhead, measured
+# 4x slower in the bench); at cluster scale it should follow data volume /
+# target partition bytes (several x cluster cores).
+JOIN_PARTITIONS = 8
 
 
 def _materialize_small(dim, columns: Sequence[str]) -> pa.Table:
@@ -95,18 +102,13 @@ def distinct_keys(ds, key: str):
     return ds.map_batches(local, batch_format="pyarrow")
 
 
-def hash_semi_join(left, right, *, on: str, num_partitions: int = 8):
-    """Rows of ``left`` whose key appears in ``right`` (one hash exchange).
-
-    ``num_partitions`` defaults small for test-scale tables (a 32-way
-    exchange of 100k rows is per-partition overhead, measured 4x slower in
-    the bench); at cluster scale pass a value sized to data volume /
-    target partition bytes (≈ several × cluster cores)."""
+def hash_semi_join(left, right, *, on: str):
+    """Rows of ``left`` whose key appears in ``right`` (one hash exchange)."""
     return left.join(distinct_keys(right, on), join_type="left_semi",
-                     num_partitions=num_partitions, on=(on,))
+                     num_partitions=JOIN_PARTITIONS, on=(on,))
 
 
-def hash_anti_join(left, right, *, on: str, num_partitions: int = 8):
+def hash_anti_join(left, right, *, on: str):
     """Rows of ``left`` whose key does NOT appear in ``right``."""
     return left.join(distinct_keys(right, on), join_type="left_anti",
-                     num_partitions=num_partitions, on=(on,))
+                     num_partitions=JOIN_PARTITIONS, on=(on,))

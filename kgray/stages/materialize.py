@@ -99,7 +99,6 @@ def materialize_stage(
     *,
     sort_key=TRIPLE_ORDER,
     inputs: list[str] | None = None,
-    extra_metrics: dict | None = None,
     metrics_actor=None,
 ):
     """Write, manifest.  Returns the manifest dict.
@@ -135,7 +134,7 @@ def materialize_stage(
                  for p in files}
     file_bytes = {p: os.path.getsize(os.path.join(out_dir, p)) for p in files}
     rows = sum(file_rows.values())
-    metrics = dict(extra_metrics or {})
+    metrics = {}
     if metrics_actor is not None:
         # stage-side counters (e.g. the linker's mention counts — invisible
         # in the output), popped from the run's ``metrics.RunCounters``; the

@@ -16,7 +16,9 @@ both pathological when the key cardinality approaches the row count
 Arrow table and does its grouped work with Arrow-native kernels
 (``Table.group_by``), so the per-key cost is C, not Python.  Same-key rows
 always share a bucket, so any per-key reduction computed inside ``fn`` is
-globally correct.
+globally correct.  ``bucket_aggregate`` is the two-phase aggregate on it:
+an Arrow ``group_by`` per block as the combiner, the same functions again
+per partition as the merge (the snapshot diff, exact dedup, distinct).
 
 One plan, one exception.  Every exchange runs the sort plan, a range
 sort on the caller's numeric key (``__bucket`` for the bucket callers,
@@ -25,9 +27,12 @@ except a ``canonicalize_stage`` given a size hint, the only caller that
 passes one to ``exchange_map``: it takes Ray's hash-shuffle plan on
 ``__bucket`` at ``_HASH_MIN_BYTES`` (512 MiB) or more of source input on
 a cluster of ``_HASH_MIN_CPUS`` (4) or more CPUs, and the sort plan
-otherwise.  No exchange range-sorts on a string column: Ray 2.49.2's
-range partition converts a block's key columns to numpy once per bound,
-which costs rows x input blocks on strings (stages/canonicalize.py).
+otherwise.  One exchange alone range-sorts on a string column, a plain
+``Dataset.sort`` outside ``exchange_map``: ``views.kg_changelog`` sorts
+its output on ``(warc_ts_us, command)``, ``command`` a string, and pays
+what that costs: Ray 2.49.2's range partition converts a block's key
+columns to numpy once per bound, which costs rows x input blocks on
+strings (stages/canonicalize.py).
 Hash won only at corpus scale (``bench.py --scaling``, one exchange per
 side, 160k pages at 32 CPUs: 382 s vs 528 s); at small inputs its
 aggregator-pool spawn loses (sf0.1 headline 77.7 s vs 55.0 s) and at 2
@@ -287,3 +292,27 @@ def bucket_groupby(
     if spread:
         tagged = tagged.repartition(default_exchange_partitions())
     return exchange_map(tagged, per_partition)
+
+
+def bucket_aggregate(ds, keys: Sequence[str], aggs: Sequence[tuple[str, str]]):
+    """Two-phase grouped aggregate for a key whose cardinality may approach
+    the row count: Arrow ``group_by(keys).aggregate(aggs)`` once per block
+    (the combiner), then ``bucket_groupby`` on ``keys`` merges the partial
+    columns ``{col}_{fn}`` with the same ``fn`` once per partition.
+
+    Output columns are ``keys`` then ``{col}_{fn}`` per ``(col, fn)`` of
+    ``aggs``; with no ``aggs`` it is the distinct ``keys``.  Every ``fn``
+    must merge its own partials (min, max, sum)."""
+    keys, aggs = list(keys), list(aggs)
+    partials = [f"{col}_{fn}" for col, fn in aggs]
+
+    def combine(batch: pa.Table) -> pa.Table:
+        return batch.group_by(keys, use_threads=False).aggregate(aggs)
+
+    def merge(part: pa.Table) -> pa.Table:
+        return (part.group_by(keys, use_threads=False)
+                .aggregate([(p, fn) for p, (_, fn) in zip(partials, aggs)])
+                .rename_columns(keys + partials))
+
+    return bucket_groupby(ds.map_batches(combine, batch_format="pyarrow"),
+                          keys, merge)

@@ -51,6 +51,7 @@ def run_job(paths: list[str], out_root: str, shards_per_partition: int) -> dict:
     manifests up into one job summary (pure function of an existing Ray
     session — callable from tests)."""
     from kgray.pipelines.kg import run_kg_pipeline_partitioned
+    from kgray.stages.metrics import link_metrics
 
     manifests = run_kg_pipeline_partitioned(
         paths, out_root, shards_per_partition=shards_per_partition)
@@ -66,10 +67,9 @@ def run_job(paths: list[str], out_root: str, shards_per_partition: int) -> dict:
     rows = sum(m.get("rows", 0) for m in parts)
     docs = docs_of(parts)
     wall = sum(m.get("write_sec") or 0.0 for m in fresh)
-    blocks = sum(((m.get("metrics") or {}).get("link") or {})
-                 .get("mention_blocks") or 0 for m in parts)
-    linked = sum(((m.get("metrics") or {}).get("link") or {})
-                 .get("mentions_linked") or 0 for m in parts)
+    link = {k: sum(((m.get("metrics") or {}).get("link") or {}).get(k) or 0
+                   for m in parts)
+            for k in ("mention_blocks", "mentions_linked")}
     return {
         "out_root": out_root,
         "partitions": len(parts),
@@ -78,8 +78,7 @@ def run_job(paths: list[str], out_root: str, shards_per_partition: int) -> dict:
         "docs": docs,
         "docs_per_sec": round(docs_of(fresh) / wall, 2) if wall > 0 else None,
         "triples_per_doc": round(rows / docs, 2) if docs else None,
-        "link": {"mention_blocks": blocks, "mentions_linked": linked,
-                 "mentions_per_block": round(linked / blocks, 4) if blocks else None},
+        "link": link_metrics(link),
     }
 
 

@@ -55,6 +55,23 @@ def test_diff_no_prior_snapshot_is_pure_inserts(ray_session):
     assert {op for op, *_ in got} == {"INSERT"}
     assert len(got) == 2
 
+    # set_diff on a non-triple key: duplicates within a side collapse to
+    # one row, and a key on both sides drops however often it repeats
+    from kgray.stages.diff import set_diff
+
+    def ids(*xs):
+        return rd.from_arrow(pa.table({"doc_id": pa.array(xs, pa.int64()),
+                                       "pad": [str(x) for x in xs]}))
+
+    out = set_diff(None, ids(1, 1, 2, 2, 2), ("doc_id",))
+    assert sorted((r["doc_id"], r["op"]) for r in out.take_all()) == [
+        (1, "INSERT"), (2, "INSERT")]
+    out = set_diff(ids(1, 1, 3, 3), ids(2, 2, 3), ("doc_id",))
+    rows = out.take_all()
+    assert sorted((r["doc_id"], r["op"]) for r in rows) == [
+        (1, "DELETE"), (2, "INSERT")]
+    assert list(rows[0]) == ["doc_id", "op"]
+
 
 def test_diff_filters_owl_foreign_and_wdp(ray_session):
     import ray.data as rd

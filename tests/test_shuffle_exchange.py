@@ -168,6 +168,40 @@ def test_canonicalize_rows_exactly_once(ray_session):
     assert pa.Table.from_pylist(out.take_all(), raw.schema).equals(expected)
 
 
+def test_bucket_aggregate_matches_one_pass_group_by(ray_session):
+    """``bucket_aggregate``'s combiner runs on 40 blocks under a 64 KiB
+    block-size target, so every key's partials arrive from many blocks;
+    min, max, sum and the no-aggregate distinct must equal one Arrow
+    ``group_by`` over the whole table."""
+    from kgray.stages.shuffle import bucket_aggregate
+
+    n = 40_000
+    rng = np.random.default_rng(11)
+    t = pa.table({
+        "k": rng.integers(0, 3000, n),
+        "s": pa.array([f"s{i % 7}" for i in range(n)]),
+        "v": rng.integers(-10**6, 10**6, n),
+        "pad": pa.array([f"pad-{i % 997}" * 8 for i in range(n)]),
+    })
+    keys = ["k", "s"]
+    ds = ray_session.data.from_arrow(t).repartition(40)
+    # per-dataset context copy: pathological block-size target, this test only
+    ds.context.target_max_block_size = 64 * 1024
+
+    def ordered(table: pa.Table) -> pa.Table:
+        return table.sort_by([(k, "ascending") for k in keys])
+
+    aggs = [("v", "min"), ("v", "max"), ("v", "sum")]
+    got = pa.Table.from_pylist(bucket_aggregate(ds, keys, aggs).take_all())
+    want = t.group_by(keys).aggregate(aggs)
+    assert got.column_names == ["k", "s", "v_min", "v_max", "v_sum"]
+    assert ordered(got).equals(ordered(want.select(got.column_names)))
+
+    got = pa.Table.from_pylist(bucket_aggregate(ds, keys, []).take_all())
+    assert got.column_names == keys
+    assert ordered(got).equals(ordered(t.group_by(keys).aggregate([])))
+
+
 def test_canonicalize_orders_keys_by_code_point(ray_session):
     """The range bounds fall on the order words and ``local_dedup`` sorts
     each partition with polars: both must order by code point, or a
