@@ -124,6 +124,7 @@ def _kg_diff(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
+    from kgray.pipelines.views import ENTITY_PAT, REV_PAT
     from kgray.stages.diff import diff_snapshots
 
     # One pipeline run feeds both sides via parquet, NOT .materialize():
@@ -140,14 +141,9 @@ def _kg_diff(sf_dir: str):
 
     def to_snapshot(b: pa.Table) -> pa.Table:
         ent = pc.replace_substring_regex(
-            b["src_url"], pattern=r"^.*/wiki/(Q\d+)\?.*$", replacement=r"\1"
-        )
-        rev = pc.cast(
-            pc.replace_substring_regex(
-                b["src_url"], pattern=r"^.*rev=(\d+)$", replacement=r"\1"
-            ),
-            pa.int64(),
-        )
+            b["src_url"], pattern=ENTITY_PAT, replacement=r"\1")
+        rev = pc.cast(pc.replace_substring_regex(
+            b["src_url"], pattern=REV_PAT, replacement=r"\1"), pa.int64())
         return pa.Table.from_pydict(
             {
                 "entity": ent,

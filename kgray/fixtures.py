@@ -391,6 +391,7 @@ def write_ttl_corpus(corpus_dir: str, n: int) -> tuple[str, str]:
     import pyarrow.parquet as pq
 
     from .kernels.ttl import serialize_ttl
+    from .pipelines.views import ENTITY_PAT
 
     out_dir = os.path.join(corpus_dir, TTL_DIRNAME)
     docs_path = os.path.join(out_dir, "ttl_docs.parquet")
@@ -406,8 +407,7 @@ def write_ttl_corpus(corpus_dir: str, n: int) -> tuple[str, str]:
     cols = key_cols[1:] + ["src_url"]
     raw = pa.concat_tables([pq.read_table(f, columns=cols) for f in raw_files])
     ent = pc.replace_substring_regex(
-        raw["src_url"], pattern=r"^.*/wiki/(Q\d+)\?.*$", replacement=r"\1"
-    )
+        raw["src_url"], pattern=ENTITY_PAT, replacement=r"\1")
     distinct = (
         raw.drop_columns(["src_url"])
         .append_column("entity", ent)

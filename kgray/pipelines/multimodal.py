@@ -11,7 +11,9 @@ The container has no image/audio codecs, so the real decode is STUBBED:
 engine's own deterministic synthetic format (magic ``KGIM``), which the
 fixture generator emits.  The Ray-side plumbing — schema, broadcast of
 actor config, batch sizing, actor signature, output layout — is real and
-tested (tests/test_multimodal.py).
+tested (tests/test_multimodal.py).  Each actor runs its per-item decode
+through ``schema.fan_out``: only ``payload`` becomes Python objects, and
+``media_id`` goes out by row index into one of the four output schemas.
 """
 
 from __future__ import annotations
@@ -24,8 +26,21 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from ..schema import fan_out
+
 MAGIC = b"KGIM"
 HIST_BINS = 16
+RESIZE_TARGET = 8  # resize: each side strided down to about this many pixels
+FRAME_STRIDE = 4   # frame sampling: every 4th frame
+
+# Ray batch sizes of the actor stages: small, because payload bytes, not
+# row counts, dominate batch heap, so batch x concurrency stays bounded
+# regardless of item size (the 100-TB sizing rule from SURVEY.md §4).  A
+# video row is ~n_frames x an image row.
+IMAGE_BATCH = 64
+FRAME_BATCH = 16
+AUDIO_BATCH = 64
+_CONCURRENCY = (1, 4)
 
 # synthetic media corpus sizes per testdata scale tag (image table and the
 # smaller video/audio tables); shared with kgray.expected's oracle writers
@@ -88,57 +103,70 @@ def decode_image(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload[12:12 + w * h], dtype=np.uint8).reshape(h, w)
 
 
-class MediaFeatureActor:
+FEATURES = pa.schema([
+    ("media_id", pa.int64()), ("byte_len", pa.int64()), ("sha1", pa.string()),
+    ("mean_px", pa.float64()), ("hist", pa.list_(pa.int64())),
+])
+RESIZED = pa.schema([
+    ("media_id", pa.int64()), ("payload", pa.binary()),
+    ("width", pa.int32()), ("height", pa.int32()),
+])
+FRAMES = pa.schema([
+    ("media_id", pa.int64()), ("frame_idx", pa.int32()), ("payload", pa.binary()),
+])
+AUDIO_FEATURES = pa.schema([
+    ("media_id", pa.int64()), ("n_samples", pa.int64()), ("rms", pa.float64()),
+    ("zero_crossings", pa.int64()),
+])
+
+
+class _PayloadActor:
+    """An actor over (media_id, payload) batches: ``rows(payload)`` gives
+    one item's output rows (the ``schema`` columns after ``media_id``),
+    run through ``schema.fan_out``, which carries ``media_id`` by index."""
+
+    schema: pa.Schema
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return fan_out(batch, self.rows, reads=("payload",),
+                       carry={"media_id": "media_id"}, schema=self.schema)
+
+
+def _actor_stage(ds, actor, batch_size: int):
+    """An actor-pool ``map_batches`` of ``actor`` over ``ds``."""
+    return ds.map_batches(actor, batch_format="pyarrow", batch_size=batch_size,
+                          concurrency=_CONCURRENCY, num_cpus=1)
+
+
+def _image_ds(sf_dir: str):
+    tag = os.path.basename(os.path.normpath(sf_dir))
+    n = MEDIA_N.get(tag, 128)
+    paths = write_media_corpus(f"/tmp/kgray_media/{tag}-{n}", n)
+    return rd.read_parquet(paths, columns=["media_id", "payload"])
+
+
+class MediaFeatureActor(_PayloadActor):
     """Actor-pool feature extractor: decode + histogram + checksum.
 
     ``__init__`` is where a real model/codec would load once per actor;
     here it just precomputes the histogram bin edges (the point is the
     lifecycle, not the math)."""
 
-    def __init__(self, hist_bins: int = HIST_BINS):
-        self.bins = np.linspace(0, 256, hist_bins + 1)
+    schema = FEATURES
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        payloads = batch["payload"].to_pylist()
-        out = {
-            "media_id": ids,
-            "byte_len": [len(p) for p in payloads],
-            "sha1": [hashlib.sha1(p).hexdigest() for p in payloads],
-            "mean_px": [],
-            "hist": [],
-        }
-        for p in payloads:
-            img = decode_image(p)
-            out["mean_px"].append(round(float(img.mean()), 4))
-            h, _ = np.histogram(img, bins=self.bins)
-            out["hist"].append(h.astype(np.int64).tolist())
-        return pa.Table.from_pydict(
-            {
-                "media_id": pa.array(out["media_id"], pa.int64()),
-                "byte_len": pa.array(out["byte_len"], pa.int64()),
-                "sha1": pa.array(out["sha1"], pa.string()),
-                "mean_px": pa.array(out["mean_px"], pa.float64()),
-                "hist": pa.array(out["hist"], pa.list_(pa.int64())),
-            }
-        )
+    def __init__(self):
+        self.bins = np.linspace(0, 256, HIST_BINS + 1)
+
+    def rows(self, p: bytes) -> list[tuple]:
+        img = decode_image(p)
+        h, _ = np.histogram(img, bins=self.bins)
+        return [(len(p), hashlib.sha1(p).hexdigest(), round(float(img.mean()), 4),
+                 h.astype(np.int64).tolist())]
 
 
-def media_features(sf_dir: str, *, concurrency=(1, 4), batch_size: int = 64):
-    """media table -> per-item features.  Small ``batch_size``: payload bytes
-    dominate heap, so batch × concurrency stays bounded regardless of image
-    size (the 100-TB sizing rule from SURVEY.md §4)."""
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    n = MEDIA_N.get(tag, 128)
-    paths = write_media_corpus(f"/tmp/kgray_media/{tag}-{n}", n)
-    ds = rd.read_parquet(paths, columns=["media_id", "payload"])
-    return ds.map_batches(
-        MediaFeatureActor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def media_features(sf_dir: str):
+    """media table -> per-item features (schema ``FEATURES``)."""
+    return _actor_stage(_image_ds(sf_dir), MediaFeatureActor, IMAGE_BATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -165,91 +193,56 @@ def synth_audio(media_id: int, n_samples: int) -> bytes:
     return AUDIO_MAGIC + struct.pack("<I", n_samples) + wave.tobytes()
 
 
-class MediaResizeActor:
+class MediaResizeActor(_PayloadActor):
     """Actor-pool image resize: decode -> strided nearest-neighbor
     downsample -> re-encode.  Output stays an opaque payload column, so
     resize stages compose (resize -> features) without schema changes."""
 
-    def __init__(self, target: int = 8):
-        self.target = target
+    schema = RESIZED
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        out_payload, out_w, out_h = [], [], []
-        for p in batch["payload"].to_pylist():
-            img = decode_image(p)
-            sy = max(1, img.shape[0] // self.target)
-            sx = max(1, img.shape[1] // self.target)
-            small = np.ascontiguousarray(img[::sy, ::sx])
-            h, w = small.shape
-            out_payload.append(MAGIC + struct.pack("<II", w, h) + small.tobytes())
-            out_w.append(w)
-            out_h.append(h)
-        return pa.Table.from_pydict(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "payload": pa.array(out_payload, pa.binary()),
-                "width": pa.array(out_w, pa.int32()),
-                "height": pa.array(out_h, pa.int32()),
-            }
-        )
+    @staticmethod
+    def rows(p: bytes) -> list[tuple]:
+        img = decode_image(p)
+        sy = max(1, img.shape[0] // RESIZE_TARGET)
+        sx = max(1, img.shape[1] // RESIZE_TARGET)
+        small = np.ascontiguousarray(img[::sy, ::sx])
+        h, w = small.shape
+        return [(MAGIC + struct.pack("<II", w, h) + small.tobytes(), w, h)]
 
 
-class FrameSampleActor:
+class FrameSampleActor(_PayloadActor):
     """Video -> sampled frame rows (1 -> n_frames/stride fan-out), each
     frame re-encoded as a standalone KGIM payload so downstream image
     stages (resize/features) consume it unchanged."""
 
-    def __init__(self, stride: int = 4):
-        self.stride = stride
+    schema = FRAMES
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frame_idx, payloads = [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(),
-                          batch["payload"].to_pylist()):
-            if p[:4] != VIDEO_MAGIC:
-                raise NotImplementedError(
-                    "real video codecs unavailable; only synthetic KGVD decodes")
-            w, h, n = struct.unpack("<III", p[4:16])
-            plane = np.frombuffer(p[16:16 + n * w * h], dtype=np.uint8)
-            for f in range(0, n, self.stride):
-                frame = plane[f * w * h:(f + 1) * w * h]
-                ids.append(mid)
-                frame_idx.append(f)
-                payloads.append(MAGIC + struct.pack("<II", w, h) + frame.tobytes())
-        return pa.Table.from_pydict(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(frame_idx, pa.int32()),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
+    @staticmethod
+    def rows(p: bytes) -> list[tuple]:
+        if p[:4] != VIDEO_MAGIC:
+            raise NotImplementedError(
+                "real video codecs unavailable; only synthetic KGVD decodes")
+        w, h, n = struct.unpack("<III", p[4:16])
+        plane = np.frombuffer(p[16:16 + n * w * h], dtype=np.uint8)
+        return [(f, MAGIC + struct.pack("<II", w, h)
+                 + plane[f * w * h:(f + 1) * w * h].tobytes())
+                for f in range(0, n, FRAME_STRIDE)]
 
 
-class AudioFeatureActor:
+class AudioFeatureActor(_PayloadActor):
     """Audio -> (rms, zero-crossing count, n_samples); decode per actor."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, rms, zcr, ns = [], [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(),
-                          batch["payload"].to_pylist()):
-            if p[:4] != AUDIO_MAGIC:
-                raise NotImplementedError(
-                    "real audio codecs unavailable; only synthetic KGAU decodes")
-            (n,) = struct.unpack("<I", p[4:8])
-            wave = np.frombuffer(p[8:8 + 2 * n], dtype=np.int16).astype(np.float64)
-            ids.append(mid)
-            ns.append(n)
-            rms.append(round(float(np.sqrt(np.mean(wave ** 2))), 4))
-            zcr.append(int(np.count_nonzero(np.diff(np.signbit(wave)))))
-        return pa.Table.from_pydict(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "n_samples": pa.array(ns, pa.int64()),
-                "rms": pa.array(rms, pa.float64()),
-                "zero_crossings": pa.array(zcr, pa.int64()),
-            }
-        )
+    schema = AUDIO_FEATURES
+
+    @staticmethod
+    def rows(p: bytes) -> list[tuple]:
+        if p[:4] != AUDIO_MAGIC:
+            raise NotImplementedError(
+                "real audio codecs unavailable; only synthetic KGAU decodes")
+        (n,) = struct.unpack("<I", p[4:8])
+        wave = np.frombuffer(p[8:8 + 2 * n], dtype=np.int16).astype(np.float64)
+        return [(n, round(float(np.sqrt(np.mean(wave ** 2))), 4),
+                 int(np.count_nonzero(np.diff(np.signbit(wave)))))]
 
 
 def _media_ds(sf_dir: str, kind: str, synth, meta) -> "rd.Dataset":
@@ -267,34 +260,23 @@ def _media_ds(sf_dir: str, kind: str, synth, meta) -> "rd.Dataset":
     return rd.read_parquet(path, columns=["media_id", "payload"])
 
 
-def media_resize(sf_dir: str, *, concurrency=(1, 4), batch_size: int = 64):
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    n = MEDIA_N.get(tag, 128)
-    paths = write_media_corpus(f"/tmp/kgray_media/{tag}-{n}", n)
-    ds = rd.read_parquet(paths, columns=["media_id", "payload"])
-    return ds.map_batches(MediaResizeActor, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          num_cpus=1)
+def media_resize(sf_dir: str):
+    return _actor_stage(_image_ds(sf_dir), MediaResizeActor, IMAGE_BATCH)
 
 
-def frame_sample(sf_dir: str, *, concurrency=(1, 4), batch_size: int = 16):
-    """Small batches: a video row is ~n_frames x an image row."""
+def frame_sample(sf_dir: str):
     ds = _media_ds(
         sf_dir, "video",
         lambda i: synth_video(i, 16 + (i % 4) * 4, 16, 8 + (i % 3) * 4),
         lambda i: dict(kind="video"),
     )
-    return ds.map_batches(FrameSampleActor, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          num_cpus=1)
+    return _actor_stage(ds, FrameSampleActor, FRAME_BATCH)
 
 
-def audio_features(sf_dir: str, *, concurrency=(1, 4), batch_size: int = 64):
+def audio_features(sf_dir: str):
     ds = _media_ds(
         sf_dir, "audio",
         lambda i: synth_audio(i, 4000 + (i % 7) * 500),
         lambda i: dict(kind="audio"),
     )
-    return ds.map_batches(AudioFeatureActor, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          num_cpus=1)
+    return _actor_stage(ds, AudioFeatureActor, AUDIO_BATCH)

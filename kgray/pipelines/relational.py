@@ -301,23 +301,27 @@ def union_agg(sf_dir: str):
 # A4 — salted two-phase aggregation (head-key skew mitigation, SURVEY.md §4)
 # ---------------------------------------------------------------------------
 
-def salted_groupby(sf_dir: str, *, salt_buckets: int = 8):
+# reducers a hot key's rows spread over in phase 1
+SALT_BUCKETS = 8
+
+
+def salted_groupby(sf_dir: str):
     from ray.data.aggregate import Sum
 
     ev = read_table(sf_dir, "events", ["user_id", "value"])
 
     def salt_partial(b: pa.Table) -> pa.Table:
         """Phase 1: salt the key, then a local combiner per (key, salt).
-        Hot keys split across ``salt_buckets`` reducers instead of one.
+        Hot keys split across ``SALT_BUCKETS`` reducers instead of one.
 
         The salt must be ROW-dependent, not key-derived: a key-derived salt
         sends every row of a hot key to the same reducer and the mitigation
         is a no-op.  Row position within the batch spreads a hot key evenly
-        across all ``salt_buckets`` reducers and needs no extra column."""
+        across all ``SALT_BUCKETS`` reducers and needs no extra column."""
         import numpy as np
 
         salt = pa.array(
-            (np.arange(len(b), dtype=np.int64) % salt_buckets).astype("int32")
+            (np.arange(len(b), dtype=np.int64) % SALT_BUCKETS).astype("int32")
         )
         t = pa.Table.from_pydict(
             {
@@ -341,7 +345,7 @@ def salted_groupby(sf_dir: str, *, salt_buckets: int = 8):
             Sum("sum_value", alias_name="sum_value"),
         )
     )
-    # Phase 2: unsalt — tiny input (≤ keys × salt_buckets rows).
+    # Phase 2: unsalt — tiny input (≤ keys × SALT_BUCKETS rows).
     out = phase1.groupby("user_id").aggregate(
         Sum("n_events", alias_name="n_events"),
         Sum("sum_value", alias_name="sum_value"),

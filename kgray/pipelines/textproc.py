@@ -1005,20 +1005,24 @@ def _fingerprint_col(text_col, window: int) -> pa.Array:
     return pa.array(out.tolist(), pa.string())
 
 
-def fingerprints(sf_dir: str, *, window: int = 4):
+# tokens per fingerprint window
+FP_WINDOW = 4
+
+
+def fingerprints(sf_dir: str):
     """Min-sampled rolling polynomial hash over token windows: a compact
     content fingerprint robust to local edits.  Deterministic; expected-
     table oracle (the oracle side shares the vectorized token hash and
     recomputes the window-min with an independent scalar loop).  Fully
     vectorized per batch — tokenize, token hash, and all window positions
-    evaluated in ``window`` numpy passes (see _fingerprint_col)."""
+    evaluated in ``FP_WINDOW`` numpy passes (see _fingerprint_col)."""
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def fn(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
             {
                 "doc_id": b["doc_id"],
-                "fingerprint": _fingerprint_col(b["text"], window),
+                "fingerprint": _fingerprint_col(b["text"], FP_WINDOW),
             }
         )
 

@@ -25,9 +25,10 @@ import pyarrow.compute as pc
 
 from ..stages.serialize import serialize_batch
 
-_ENTITY_PAT = r"^.*/wiki/(Q\d+)\?.*$"
-_REV_PAT = r"^.*rev=(\d+)$"
-_OLD_PAT = r"^.*old=(\d+)&.*$"
+# The src_url format: entity, old and new revision of a page's diff URL.
+ENTITY_PAT = r"^.*/wiki/(Q\d+)\?.*$"
+REV_PAT = r"^.*rev=(\d+)$"
+OLD_PAT = r"^.*old=(\d+)&.*$"
 
 
 def _command_rows(b: pa.Table) -> pa.Table:
@@ -36,11 +37,11 @@ def _command_rows(b: pa.Table) -> pa.Table:
     return pa.Table.from_pydict(
         {
             "entity": pc.replace_substring_regex(
-                b["src_url"], pattern=_ENTITY_PAT, replacement=r"\1"),
+                b["src_url"], pattern=ENTITY_PAT, replacement=r"\1"),
             "old_rev": pc.cast(pc.replace_substring_regex(
-                b["src_url"], pattern=_OLD_PAT, replacement=r"\1"), pa.int64()),
+                b["src_url"], pattern=OLD_PAT, replacement=r"\1"), pa.int64()),
             "rev": pc.cast(pc.replace_substring_regex(
-                b["src_url"], pattern=_REV_PAT, replacement=r"\1"), pa.int64()),
+                b["src_url"], pattern=REV_PAT, replacement=r"\1"), pa.int64()),
             "src_url": b["src_url"],
             "warc_ts_us": pc.cast(b["warc_ts"], pa.int64()),
             "op": b["op"],

@@ -3,10 +3,11 @@
 Stateless ``map_batches`` over Arrow batches; the per-page work is the
 pure ``kernels.htmltext`` parser (a regex tokenizer over the well-formed
 subset, stdlib html.parser for anything else — the reference's
-BeautifulSoup walk at get_updates.py:191-358, restated).  Only ``url``,
-``html`` and ``text`` become Python objects; each output row's ``url``
-and ``warc_ts`` are taken from its page by row index.  Emits one combined
-row stream (schema.RAW_CLAIMS) containing:
+BeautifulSoup walk at get_updates.py:191-358, restated), run per page
+through ``schema.fan_out``: only ``url``, ``html`` and ``text`` become
+Python objects, and each output row's ``url`` and ``warc_ts`` are taken
+from its page by row index.  Emits one combined row stream
+(schema.RAW_CLAIMS) containing:
 
   * label/desc/alias/claim/qualifier/reference/diff rows,
   * ``mention`` rows for exact href mentions (QID already known),
@@ -28,7 +29,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page
-from ..schema import RAW_CLAIMS, source_rows, str_list
+from ..schema import RAW_CLAIMS, fan_out
 
 
 # Pages per parse slice, taken inside ``extract_batch``: each page row fans
@@ -44,54 +45,37 @@ _ROW_FIELDS = RAW_CLAIMS.names[2:]
 
 def extract_batch(batch: pa.Table) -> pa.Table:
     """Raw-claim rows of every page in ``batch``, parsed ``_SLICE_PAGES``
-    pages at a time; the output is the slices' rows in page order."""
-    slices = batch.to_batches(max_chunksize=_SLICE_PAGES)
-    if not slices:
-        return RAW_CLAIMS.empty_table()
-    return pa.concat_tables([_extract_slice(b) for b in slices])
+    pages at a time; the output is the pages' rows in page order."""
+    if "text" not in batch.column_names:
+        batch = batch.append_column("text", pa.nulls(len(batch), pa.large_string()))
+    return fan_out(batch, _page_rows, reads=("url", "html", "text"),
+                   carry={"url": "url", "warc_ts": "warc_ts"},
+                   schema=RAW_CLAIMS, slice_rows=_SLICE_PAGES)
 
 
-def _extract_slice(batch: pa.RecordBatch) -> pa.Table:
-    """Raw-claim rows of one slice.  The parser reads ``url``, ``html``
-    and ``text`` as Python objects (one ``str_list`` pass per column);
-    ``url`` and ``warc_ts`` go OUT by row index instead (``source_rows``
-    of the per-page row counts, then one ``take`` per column), so no
-    per-row ``datetime`` is ever built."""
-    cols: dict[str, list] = {name: [] for name in _ROW_FIELDS}
-    counts: list[int] = []  # output rows per page
-    urls = str_list(batch["url"])
-    htmls = str_list(batch["html"])
-    texts = (str_list(batch["text"]) if "text" in batch.column_names
-             else [None] * len(urls))
+def _row(fields: dict) -> tuple:
+    return tuple([fields.get(k, "") for k in _ROW_FIELDS])
 
-    def emit(row):
-        for k in _ROW_FIELDS:
-            cols[k].append(row.get(k, ""))
 
-    for url, html, text in zip(urls, htmls, texts):
-        start = len(cols["kind"])
-        root = parse_html(html)  # ONE DOM for verify + structure parse
-        if text is not None and extract_text_from_root(root) != text:
-            raise ValueError(f"text extraction drift for url={url!r}")
-        parsed = parse_page(html, url, root=root)
-        ent = parsed["entity"]
-        for row in parsed["claims"]:
-            emit(row)
-        spans = []
-        for m in parsed["mentions"]:
-            emit(dict(entity=ent, kind="mention", value=m["qid_hint"]))
-            if m["span_start"] >= 0:
-                spans.append(f"{m['span_start']}:{m['span_end']}")
-        if parsed["body_text"]:
-            emit(dict(entity=ent, kind="mention_text",
-                      value=parsed["body_text"],
-                      parent_value=";".join(spans)))
-        counts.append(len(cols["kind"]) - start)
-    parents = source_rows(counts)
-    return pa.Table.from_pydict(
-        {"url": batch["url"].take(parents),
-         "warc_ts": batch["warc_ts"].take(parents), **cols},
-        schema=RAW_CLAIMS)
+def _page_rows(url, html, text) -> list[tuple]:
+    """The ``_ROW_FIELDS`` of one page's raw-claim rows."""
+    root = parse_html(html)  # ONE DOM for verify + structure parse
+    if text is not None and extract_text_from_root(root) != text:
+        raise ValueError(f"text extraction drift for url={url!r}")
+    parsed = parse_page(html, url, root=root)
+    ent = parsed["entity"]
+    rows = [_row(c) for c in parsed["claims"]]
+    spans = []
+    for m in parsed["mentions"]:
+        rows.append(_row({"entity": ent, "kind": "mention",
+                          "value": m["qid_hint"]}))
+        if m["span_start"] >= 0:
+            spans.append(f"{m['span_start']}:{m['span_end']}")
+    if parsed["body_text"]:
+        rows.append(_row({"entity": ent, "kind": "mention_text",
+                          "value": parsed["body_text"],
+                          "parent_value": ";".join(spans)}))
+    return rows
 
 
 def make_extract_fn(verify_text: bool = True):

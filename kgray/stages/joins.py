@@ -28,6 +28,9 @@ import ray
 # 4x slower in the bench); at cluster scale it should follow data volume /
 # target partition bytes (several x cluster cores).
 JOIN_PARTITIONS = 8
+# Probe batch rows and actor-pool size of every broadcast join.
+BROADCAST_BATCH = 65536
+BROADCAST_CONCURRENCY = (1, 8)
 
 
 def _materialize_small(dim, columns: Sequence[str]) -> pa.Table:
@@ -41,13 +44,10 @@ def _materialize_small(dim, columns: Sequence[str]) -> pa.Table:
 
 
 def broadcast_join(facts, dim, *, on: str, right_on: str | None = None,
-                   dim_cols: Sequence[str], how: str = "inner",
-                   batch_size: int = 65536, concurrency=(1, 8)):
-    """facts ⋈ small-dim via object-store broadcast (no shuffle).
-
-    ``dim`` may be a Dataset or a pyarrow Table; ``dim_cols`` are the dim
-    columns appended to each matching fact row.  ``how`` ∈ {'inner','left'}.
-    """
+                   dim_cols: Sequence[str]):
+    """facts ⋈ small-dim via object-store broadcast (no shuffle): an inner
+    join.  ``dim`` may be a Dataset or a pyarrow Table; ``dim_cols`` are the
+    dim columns appended to each matching fact row."""
     right_on = right_on or on
     dim_cols = list(dim_cols)
     dim_ref = ray.put(_materialize_small(dim, [right_on, *dim_cols]))
@@ -56,9 +56,8 @@ def broadcast_join(facts, dim, *, on: str, right_on: str | None = None,
         """Per-actor state: the dim table as Arrow (no Python dict).  The
         probe is fully vectorized — ``pc.index_in`` for the gather index,
         ``pc.is_valid`` for the inner-join mask, ``pc.take`` for the column
-        gather.  ``take`` with null indices yields typed nulls, so an
-        all-miss / zero-row batch keeps the dim columns' declared types and
-        every block has an identical schema."""
+        gather.  ``take`` keeps the dim columns' declared types, so an
+        all-miss / zero-row batch has the same schema as every other."""
 
         def __init__(self):
             import pyarrow.compute as pc
@@ -79,16 +78,16 @@ def broadcast_join(facts, dim, *, on: str, right_on: str | None = None,
             import pyarrow.compute as pc
 
             idx = pc.index_in(batch[on], value_set=self.key_col)
-            if how == "inner":
-                valid = pc.is_valid(idx)
-                batch = batch.filter(valid)
-                idx = idx.filter(valid)
+            valid = pc.is_valid(idx)
+            batch = batch.filter(valid)
+            idx = idx.filter(valid)
             for c in dim_cols:
                 batch = batch.append_column(c, pc.take(self.dim[c], idx))
             return batch
 
     return facts.map_batches(Probe, batch_format="pyarrow",
-                             batch_size=batch_size, concurrency=concurrency)
+                             batch_size=BROADCAST_BATCH,
+                             concurrency=BROADCAST_CONCURRENCY)
 
 
 def distinct_keys(ds, key: str):

@@ -7,7 +7,10 @@ each worker process builds its linker from it once, on first use.
 
 Consumes the combined raw-claim stream from the extract stage: rewrites each
 ``mention_text`` row into zero-or-more resolved ``mention`` rows and passes
-every other row through untouched.
+every other row through untouched.  The ``mention_text`` rows run through
+``schema.fan_out``: only their text and already-linked spans become Python
+objects, and each resolved row takes ``url``/``warc_ts``/``entity`` from
+its source row by index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from ..kernels.link import (
     compile_surface_pattern,
     detect_and_link,
 )
-from ..schema import RAW_CLAIMS, source_rows, str_list
+from ..schema import RAW_CLAIMS, fan_out
+
+# the columns a resolved mention takes from its mention_text row
+_LINEAGE = {"url": "url", "warc_ts": "warc_ts", "entity": "entity"}
 
 
 class LinkerActor:
@@ -43,33 +49,21 @@ class LinkerActor:
         if not pc.any(is_mention).as_py():
             return batch
         passthrough = batch.filter(pc.invert(is_mention))
-        mentions = batch.filter(is_mention)
-
-        # url/warc_ts/entity go out by row index; the matcher reads only
-        # the text and its already-linked spans
-        qids: list[str] = []
-        counts: list[int] = []
-        for text, pval in zip(str_list(mentions["value"]),
-                              str_list(mentions["parent_value"])):
-            spans = []
-            if pval:
-                for part in pval.split(";"):
-                    s, _, e = part.partition(":")
-                    spans.append((int(s), int(e)))
-            hits = detect_and_link(text, self.index, self.pattern, spans)
-            qids += [qid for _, qid, _, _ in hits]
-            counts.append(len(hits))
-        parents = source_rows(counts)
-        blank = [""] * len(qids)
-        linked = pa.Table.from_pydict(
-            {"url": mentions["url"].take(parents),
-             "warc_ts": mentions["warc_ts"].take(parents),
-             "entity": mentions["entity"].take(parents),
-             "kind": ["mention"] * len(qids), "prop": blank, "vtype": blank,
-             "value": qids, "lang": blank, "rank": blank,
-             "parent_prop": blank, "parent_value": blank, "op": blank},
-            schema=RAW_CLAIMS)
+        linked = fan_out(batch.filter(is_mention), self._mentions,
+                         reads=("value", "parent_value"), carry=_LINEAGE,
+                         schema=RAW_CLAIMS)
         return pa.concat_tables([passthrough.cast(RAW_CLAIMS), linked])
+
+    def _mentions(self, text, pval) -> list[tuple]:
+        """One resolved ``mention`` row per hit in one ``mention_text``."""
+        spans = []
+        if pval:
+            for part in pval.split(";"):
+                s, _, e = part.partition(":")
+                spans.append((int(s), int(e)))
+        hits = detect_and_link(text, self.index, self.pattern, spans)
+        return [("mention", "", "", qid, "", "", "", "", "")
+                for _, qid, _, _ in hits]
 
 
 # This process's linker under the id (not the ref: nothing stays pinned) of

@@ -3,9 +3,10 @@
 The reference reads whole-entity TTL revisions into rdflib graphs one HTTP
 response at a time (ttl_compare.py:150-183).  Distributed, a snapshot is a
 Dataset of (entity, ttl-text) rows; parsing is a stateless ``map_batches``
-over the pure ``kernels.ttl`` codec with ~1->hundreds row fan-out, exactly
-like the HTML extract stage — so TTL snapshots stream through the same
-downstream machinery (diff_snapshots, canonicalize, serialize) as pages.
+over the pure ``kernels.ttl`` codec with ~1->hundreds row fan-out, run per
+document through ``schema.fan_out`` exactly like the HTML extract stage —
+so TTL snapshots stream through the same downstream machinery
+(diff_snapshots, canonicalize, serialize) as pages.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernels.ttl import parse_ttl
-from ..schema import SNAPSHOT, source_rows, str_list
+from ..schema import SNAPSHOT, fan_out
 
 # Small because one TTL document fans out into hundreds of rows and dump
 # snapshots run to MBs per entity.
@@ -22,23 +23,13 @@ _BATCH_SIZE = 64
 
 def parse_ttl_batch(batch: pa.Table) -> pa.Table:
     """(entity, ttl) rows -> one schema.SNAPSHOT row per parsed triple;
-    ``entity`` goes out by row index (``source_rows`` of the per-document
-    triple counts)."""
-    cols: dict[str, list] = {name: [] for name in SNAPSHOT.names[1:]}
-    counts: list[int] = []
-    for text in str_list(batch["ttl"]):
-        parsed = parse_ttl(text or "")
-        for (s, p, o, ot, lg, dt) in parsed:
-            cols["subj"].append(s)
-            cols["pred"].append(p)
-            cols["obj"].append(o)
-            cols["obj_type"].append(ot)
-            cols["lang"].append(lg)
-            cols["datatype"].append(dt)
-        counts.append(len(parsed))
-    return pa.Table.from_pydict(
-        {"entity": batch["entity"].take(source_rows(counts)), **cols},
-        schema=SNAPSHOT)
+    ``entity`` goes out by row index."""
+    return fan_out(batch, _parse, reads=("ttl",), carry={"entity": "entity"},
+                   schema=SNAPSHOT)
+
+
+def _parse(text) -> list[tuple]:
+    return parse_ttl(text or "")
 
 
 def parse_ttl_stage(snapshots):

@@ -1,10 +1,11 @@
-"""The per-row Python boundary of the fused page operator.
+"""The per-row Python boundary: ``schema.fan_out``.
 
-Extract and assemble read string columns through ``schema.str_list`` and
-carry ``url``/``warc_ts`` out by row index (``schema.source_rows``);
-``Node.find`` stops at its first hit.  Each test here pins one of those
-against its plain row-wise statement: ``to_pylist()`` rows in, one dict
-per output row out.
+Extract, link, assemble and the TTL parse run their per-row kernels
+through ``fan_out``: string columns are read through ``schema.str_list``,
+and lineage columns (``url``/``warc_ts``/``entity``) go out by row index
+(``schema.source_rows``); ``Node.find`` stops at its first hit.  Each test
+here pins one of those against its plain row-wise statement:
+``to_pylist()`` rows in, one dict per output row out.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ from kgray.kernels.assemble import raw_claim_to_triples
 from kgray.kernels.htmltext import (
     _FastPathBail, _parse_html_fast, extract_text, parse_html, parse_page,
 )
-from kgray.schema import OPS, PAGES, RAW_CLAIMS, source_rows, str_list
+from kgray.kernels.link import detect_and_link
+from kgray.kernels.ttl import parse_ttl, serialize_ttl
+from kgray.schema import (
+    OPS, PAGES, RAW_CLAIMS, SNAPSHOT, source_rows, str_list,
+)
 from kgray.stages.assemble import assemble_batch
 from kgray.stages.extract import extract_batch
 from kgray.stages.link import LinkerActor
+from kgray.stages.ttl import parse_ttl_batch
 
 
 class TestStrList:
@@ -110,6 +116,48 @@ def _extract_rowwise(pages: pa.Table) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=RAW_CLAIMS)
 
 
+def _link_rowwise(raw: pa.Table, linker: LinkerActor) -> pa.Table:
+    """``LinkerActor`` restated one raw-claim dict at a time: every other
+    row passes through, then each ``mention_text`` row's resolved mentions
+    follow, in row order."""
+    kept, linked = [], []
+    for row in raw.to_pylist():
+        if row["kind"] != "mention_text":
+            kept.append(row)
+            continue
+        spans = [tuple(int(x) for x in part.split(":"))
+                 for part in row["parent_value"].split(";") if part]
+        for _, qid, _, _ in detect_and_link(row["value"], linker.index,
+                                            linker.pattern, spans):
+            linked.append({**dict.fromkeys(RAW_CLAIMS.names, ""),
+                           "url": row["url"], "warc_ts": row["warc_ts"],
+                           "entity": row["entity"], "kind": "mention",
+                           "value": qid})
+    return pa.Table.from_pylist(kept + linked, schema=RAW_CLAIMS)
+
+
+def _ttl_docs(ops: pa.Table) -> pa.Table:
+    """One Turtle document per source page of ``ops``, then an empty one
+    (a document that parses to no triples)."""
+    docs: dict[str, list] = {}
+    for row in ops.to_pylist():
+        docs.setdefault(row["src_url"], []).append(tuple(
+            row[c] for c in ("subj", "pred", "obj", "obj_type", "lang",
+                             "datatype")))
+    return pa.table({
+        "entity": [f"Q{i}" for i in range(len(docs))] + ["Q0"],
+        "ttl": [serialize_ttl(sorted(set(t))) for t in docs.values()] + [""],
+    })
+
+
+def _parse_ttl_rowwise(docs: pa.Table) -> pa.Table:
+    """``parse_ttl_batch`` restated one document dict at a time."""
+    return pa.Table.from_pylist(
+        [{"entity": doc["entity"], **dict(zip(SNAPSHOT.names[1:], t))}
+         for doc in docs.to_pylist() for t in parse_ttl(doc["ttl"])],
+        schema=SNAPSHOT)
+
+
 def _assemble_rowwise(raw: pa.Table) -> pa.Table:
     """``assemble_batch`` restated one raw-claim dict at a time."""
     names = ("subj", "pred", "obj", "obj_type", "lang", "datatype", "op")
@@ -136,9 +184,17 @@ def _null_text(pages: pa.Table, i: int) -> pa.Table:
 def test_extract_and_assemble_equal_rowwise(pages):
     raw = extract_batch(pages)
     assert raw.equals(_extract_rowwise(pages))
+    linker = LinkerActor(aliases_table().to_pylist())
+    linked = linker(raw)
+    assert linked.equals(_link_rowwise(raw, linker))
     # the linked stream carries resolved mention rows into assemble too
-    linked = LinkerActor(aliases_table().to_pylist())(raw)
-    assert assemble_batch(linked).equals(_assemble_rowwise(linked))
+    ops = assemble_batch(linked)
+    assert ops.equals(_assemble_rowwise(linked))
+    # the page's triples as Turtle documents, plus one with no triples
+    docs = _ttl_docs(ops)
+    snap = parse_ttl_batch(docs)
+    assert snap.equals(_parse_ttl_rowwise(docs))
+    assert len(docs) == 1 or len(snap) > len(docs)
 
 
 def test_assemble_restores_gc_state():
