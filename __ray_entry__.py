@@ -187,9 +187,11 @@ def _sha1_payload(ds, extra_drop=()):
 
     import pyarrow as pa
 
+    from kgray.schema import str_list
+
     def stable(b: pa.Table) -> pa.Table:
         sha = pa.array(
-            [hashlib.sha1(p).hexdigest() for p in b["payload"].to_pylist()],
+            [hashlib.sha1(p).hexdigest() for p in str_list(b["payload"])],
             pa.string(),
         )
         i = b.column_names.index("payload")
@@ -204,16 +206,14 @@ def _media_features(sf_dir: str):
     hash; the library API (pipelines.multimodal.media_features) keeps the
     typed list column."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     from kgray.pipelines.multimodal import media_features
 
     _ensure_expected(sf_dir)
 
     def stable(b: pa.Table) -> pa.Table:
-        csv = pa.array(
-            [",".join(str(v) for v in h) for h in b["hist"].to_pylist()],
-            pa.string(),
-        )
+        csv = pc.binary_join(b["hist"].cast(pa.list_(pa.string())), ",")
         i = b.column_names.index("hist")
         return b.remove_column(i).add_column(i, "hist_csv", csv)
 

@@ -1,11 +1,10 @@
-"""RDF/SPARQL scalar kernels (SURVEY.md §2.8, M13-M18, M21).
+"""RDF/SPARQL scalar kernels (SURVEY.md §2.8, M14-M18, M21).
 
 Re-states the reference's serialization semantics from scratch:
   - prefix table               (reference: get_updates.py:28-93, ttl_compare.py:101-129)
   - object formatter           (reference: ttl_compare.py:243-284)
   - quote escaping             (reference: ttl_compare.py:259)
   - xsd compaction, +00:00->Z  (reference: ttl_compare.py:263-266)
-  - BCE date encode/decode     (reference: ttl_compare.py:345-369)
   - camel-caser                (reference: get_updates.py:951-958)
   - lang normalization _->-    (reference: get_updates.py:474)
   - https->http normalization  (reference: get_updates.py:503)
@@ -58,7 +57,6 @@ PREFIX_HEADER = "\n".join(
     f"PREFIX {p}: <{u}>" for u, p in sorted(PREFIXES.items(), key=lambda kv: kv[1])
 )
 
-_BCE_RE = re.compile(r'"(-\d{4,}-\d{2}-\d{2}T[0-9:.]+Z?)"')
 _WS_RE = re.compile(r"\s+")
 
 
@@ -99,17 +97,6 @@ def has_prefix(token: str) -> bool:
 def fix_tz(ts: str) -> str:
     """``+00:00`` suffix -> ``Z`` (reference: ttl_compare.py:266)."""
     return ts.replace("+00:00", "Z")
-
-
-def encode_bce(ttl_text: str) -> str:
-    """Rewrite negative-year dateTime literals to a BCE_ sentinel so naive
-    datetime parsers survive them (reference: ttl_compare.py:345-369)."""
-    return _BCE_RE.sub(lambda m: f'"BCE_{m.group(1)[1:]}"', ttl_text)
-
-
-def decode_bce(s: str) -> str:
-    """Inverse of :func:`encode_bce` for a single literal value."""
-    return "-" + s[len("BCE_"):] if s.startswith("BCE_") else s
 
 
 def format_object(obj: str, obj_type: str, lang: str | None, datatype: str | None) -> str:

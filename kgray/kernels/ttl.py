@@ -3,56 +3,127 @@
 The reference ingests dump-flavor TTL snapshots with rdflib
 (ttl_compare.py:168-178) after a BCE-date preprocess (ttl_compare.py:345-369)
 because naive ISO parsers reject negative years.  This module restates the
-subset of Turtle those dumps actually use, from scratch, as a pure kernel
-suitable for per-row use inside ``map_batches``:
+subset of Turtle those dumps actually use, from scratch, as one columnar
+parse over a whole batch of documents (``parse_ttl_docs``);
+``parse_ttl`` is its one-document call.
 
-  * ``@prefix`` declarations and ``#`` comments
-  * ``<iri>`` / prefixed-name / ``_:blank`` terms, ``a`` for rdf:type
-  * literals with ``\\``-escapes, ``@lang`` tags and ``^^datatype``
-  * ``;`` (same subject) and ``,`` (same predicate) continuations
-  * the BCE sentinel round-trip: input text is passed through
-    ``encode_bce`` so tokenization never sees a bare negative year, and
-    parsed literal values are restored with ``decode_bce`` (M13)
+Tokens.  One regex pass per batch (polars ``str.extract_all``) splits every
+document into tokens; at each position the first alternative that matches
+wins:
 
-Output rows use the engine's triples convention (kernels/rdf.py): subjects /
-predicates / datatypes prefix-compacted where a namespace is known, IRIs
-without a known prefix kept as ``<...>``, ``rdf:type`` stored expanded (the
-serializer renders it as ``a``).
+    literal   "…" with ``\\``-escapes, then ``@lang`` or ``^^datatype``
+    iri       <…>
+    comment   # to end of line (dropped)
+    @prefix
+    blank     _:name
+    pname     prefix:local
+    a         rdf:type
+    punct     . ; ,   ([ ] ( ) are unsupported and raise)
+    \\S+       anything else: always an error
 
-Unsupported Turtle (collections ``( )``, anonymous bnodes ``[ ]``, numeric /
-boolean shorthand literals) raises ``TTLParseError`` loudly — the reference's
-bare ``except: continue`` (ttl_compare.py:174-178) silently drops entities,
-which SURVEY.md §4 designs out.
+A token is read whole, so a ``#`` inside a literal or IRI is not a comment
+and a negative year in a literal (``"-0347-01-01T00:00:00Z"``) is just
+text: no sentinel rewrite is needed.
+
+Grammar.  A segment starts at the start of a document or right after
+``.``, ``;`` or ``,``.  A term's role is its offset inside its segment
+plus the shift of the punctuation that opened the segment (start and
+``.`` 0, ``;`` 1, ``,`` 2):
+
+    0 subject     iri | pname | blank
+    1 predicate   iri | pname | a
+    2 object      literal | iri | pname | blank | a
+
+so a segment opened by start or ``.`` holds 3 terms, by ``;`` 2 and by
+``,`` 1, and is closed by a punctuation token.  ``@prefix name: <iri> .`` may
+only open a statement.  A document that has tokens ends on ``.``.
+Subject and predicate carry forward to the ``;`` and ``,`` segments of
+their statement.  Each rule is a vectorized mask over the token column;
+a broken one raises ``TTLParseError`` naming the document's entity —
+the reference's bare ``except: continue`` (ttl_compare.py:174-178)
+silently drops entities, which SURVEY.md §4 designs out.  Unsupported
+Turtle (collections ``( )``, anonymous bnodes ``[ ]``, numeric / boolean
+shorthand literals, triple-quoted literals) raises the same way.
+
+Output rows use the engine's triples convention (kernels/rdf.py): full
+``<iri>`` terms compacted against the ``@prefix`` declarations before them
+(longest namespace first), then against the known namespaces, and kept as
+``<...>`` otherwise; prefixed names kept as written; ``rdf:type`` stored
+expanded (the serializer renders it as ``a``).  Only literals holding a
+``\\`` and full ``<iri>`` terms reach Python, one call each.
 """
 
 from __future__ import annotations
 
-import re
+import os
 
-from .rdf import PREFIX_TO_URI, compact_uri, decode_bce, encode_bce
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..schema import str_list
+from .rdf import PREFIX_TO_URI, compact_uri
+
+# single-threaded polars inside Ray workers (see stages/shuffle.py); the
+# env var binds only before the process's first polars import
+os.environ.setdefault("POLARS_MAX_THREADS", "1")
+import polars as pl  # noqa: E402
 
 
 class TTLParseError(ValueError):
     pass
 
 
-# one scanner for every token kind; literals first so quotes win
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<literal>"(?:[^"\\]|\\.)*"
-        (?:\^\^(?:<[^>]*>|[A-Za-z][\w.-]*:[\w.-]+)|@[A-Za-z][A-Za-z0-9-]*)?)
-  | (?P<iri><[^>]*>)
-  | (?P<prefix_decl>@prefix\b)
-  | (?P<blank>_:[A-Za-z0-9_.-]+)
-  | (?P<pname>[A-Za-z][\w.-]*:(?:[\w-]+(?:\.[\w-]+)*)?)
-  | (?P<kw_a>\ba\b)
-  | (?P<punct>[;,.\[\]()])
-    """,
-    re.X,
-)
+_LITERAL = (r'"(?:[^"\\]|\\.)*"'
+            r'(?:\^\^(?:<[^>]*>|[A-Za-z][\w.-]*:[\w.-]+)|@[A-Za-z][A-Za-z0-9-]*)?')
+_BLANK = r"_:[A-Za-z0-9_.-]+"
+_PNAME = r"[A-Za-z][\w.-]*:(?:[\w-]+(?:\.[\w-]+)*)?"
+# one token pattern, alternatives in priority order (module docstring)
+_TOKEN = "|".join((_LITERAL, r"<[^>]*>", r"#[^\n]*", r"@prefix\b", _BLANK,
+                   _PNAME, r"\ba\b", r"[;,.\[\]()]", r"\S+"))
+# a literal token's body, datatype and lang; no match: a \S+ token
+_LITERAL_PARTS = (r'^"(?P<body>(?:[^"\\]|\\.)*)"'
+                  r'(?:\^\^(?P<datatype><[^>]*>|[A-Za-z][\w.-]*:[\w.-]+)'
+                  r'|@(?P<lang>[A-Za-z][A-Za-z0-9-]*))?$')
+# a whole blank node or prefixed name; no match: a \S+ token
+_NAME = f"^(?:{_BLANK}|{_PNAME})$"
 
-_COMMENT_RE = re.compile(r'#[^\n]*')
-_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+# token kinds, read from the token's first byte and then checked
+LIT, IRI, PREFIX, PNAME, BLANK, A, DOT, SEMI, COMMA, COMMENT, BAD, GROUP = range(12)
+_FIRST = np.full(256, BAD, np.int8)
+_FIRST[ord('"')] = LIT
+_FIRST[ord("<")] = IRI
+_FIRST[ord("#")] = COMMENT
+_FIRST[ord("@")] = PREFIX
+_FIRST[ord("_")] = BLANK
+for _c in range(ord("A"), ord("Z") + 1):
+    _FIRST[_c] = _FIRST[_c + 32] = PNAME
+_FIRST[ord(".")], _FIRST[ord(";")], _FIRST[ord(",")] = DOT, SEMI, COMMA
+for _c in "[]()":
+    _FIRST[ord(_c)] = GROUP
+
+# role shift of the segment a punctuation token opens
+_SHIFT = np.zeros(12, np.int8)
+_SHIFT[SEMI], _SHIFT[COMMA] = 1, 2
+# slot of a term: 0-2 subject/predicate/object, 3-5 @prefix/name/iri of a
+# declaration, 6 a term past the end of its segment
+SUBJ, PRED, OBJ, DECL, DECL_NAME, DECL_IRI, EXTRA = range(7)
+_ALLOWED = np.zeros((7, 12), bool)
+_ALLOWED[SUBJ, [IRI, PNAME, BLANK]] = True
+_ALLOWED[PRED, [IRI, PNAME, A]] = True
+_ALLOWED[OBJ, [LIT, IRI, PNAME, BLANK, A]] = True
+_ALLOWED[DECL, PREFIX] = _ALLOWED[DECL_NAME, PNAME] = _ALLOWED[DECL_IRI, IRI] = True
+# what a misplaced term breaks, by slot and then by kind
+_SLOT_WHY = ("bad subject", "bad predicate", "bad object", "bad @prefix",
+             "bad @prefix name", "bad @prefix iri",
+             "unexpected term (missing ',', ';' or '.')")
+_KIND_WHY = {BAD: "unexpected input", GROUP: "unsupported Turtle construct",
+             PREFIX: "@prefix inside a statement"}
+# the grammar rules a token can break (0: none)
+_END, _CLOSE, _DECL_CLOSE, _TERM = 1, 2, 3, 4
+_RULE_WHY = {_END: "document does not end on '.'",
+             _CLOSE: "statement closed before its object",
+             _DECL_CLOSE: "@prefix not '.'-terminated"}
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
@@ -76,21 +147,6 @@ def _unescape(s: str) -> str:
     return "".join(out)
 
 
-_MASK_RE = re.compile(r'"(?:[^"\\]|\\.)*"|<[^>\s]*>')
-
-
-def _strip_comments(text: str) -> str:
-    """Drop #-comments outside string literals and IRIs (both masked first —
-    ``<...XMLSchema#>`` contains '#' and must not open a comment)."""
-    masked = _MASK_RE.sub(lambda m: "\x00" * len(m.group()), text)
-    out, last = [], 0
-    for m in _COMMENT_RE.finditer(masked):
-        out.append(text[last:m.start()])
-        last = m.end()
-    out.append(text[last:])
-    return "".join(out)
-
-
 def _compact_term(iri: str, prefixes: dict[str, str]) -> str:
     """<iri> body -> prefixed name when a namespace is known, else <iri>.
 
@@ -107,130 +163,152 @@ def _compact_term(iri: str, prefixes: dict[str, str]) -> str:
     return c if c != iri else f"<{iri}>"
 
 
-def parse_ttl(text: str) -> list[tuple[str, str, str, str, str, str]]:
-    """TTL text -> [(subj, pred, obj, obj_type, lang, datatype)].
+def _tokens(ttl) -> tuple[pa.Array, np.ndarray]:
+    """Every token of every document, comments included, in document
+    order, and the index of its document."""
+    listed = (pl.from_arrow(ttl).cast(pl.String).fill_null("")
+              .str.extract_all(_TOKEN).to_arrow())
+    return listed.flatten(), np.repeat(np.arange(len(listed)),
+                                       listed.value_lengths().to_numpy())
+
+
+def _kinds(toks: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's kind, and its last byte.  The first byte proposes a
+    kind and the token must then be whole: a ``\\S+`` token shares its
+    first byte with some valid kind, and reads BAD."""
+    _, offsets, data = toks.buffers()
+    offs = np.frombuffer(offsets, np.int64)[toks.offset:toks.offset + len(toks) + 1]
+    data = np.frombuffer(data, np.uint8)
+    first, last = data[offs[:-1]], data[offs[1:] - 1]  # tokens are never empty
+    kind = _FIRST[first]
+    kind[(kind == IRI) & (last != ord(">"))] = BAD
+    kind[(kind == PREFIX) & ~np.asarray(pc.equal(toks, "@prefix"))] = BAD
+    kind[(kind == PNAME) & (np.diff(offs) == 1) & (first == ord("a"))] = A
+    names = np.flatnonzero((kind == PNAME) | (kind == BLANK))
+    whole = pl.from_arrow(toks.take(names)).str.contains(_NAME).to_numpy()
+    kind[names[~whole]] = BAD
+    return kind, last
+
+
+def parse_ttl_docs(ttl, entity=None) -> pa.Table:
+    """Turtle documents (a string column; null reads as empty) -> one row
+    per triple: ``row``, the index of its document, then the string
+    columns subj, pred, obj, obj_type, lang, datatype (schema.SNAPSHOT's
+    after ``entity``), in document and then token order.
 
     ``obj_type`` is 'iri' or 'literal'; lang/datatype are '' when absent
-    (the flat-columns convention of schema.OPS).
-    """
-    if '"""' in text or "'''" in text:
-        raise TTLParseError("triple-quoted (long) literals are unsupported")
-    text = encode_bce(_strip_comments(text))
-    prefixes: dict[str, str] = {}  # doc-local @prefix decls, uri -> prefix
-    triples: list[tuple[str, str, str, str, str, str]] = []
+    (the flat-columns convention of schema.OPS).  A malformed document
+    raises ``TTLParseError`` naming ``entity[row]`` when ``entity`` is
+    given."""
+    toks, row = _tokens(ttl)
+    kind, last = _kinds(toks)
+    if (kind == COMMENT).any():
+        keep = kind != COMMENT
+        toks, row = toks.filter(pa.array(keep)), row[keep]
+        kind, last = kind[keep], last[keep]
+    lits = np.flatnonzero(kind == LIT)
+    parts = (pl.from_arrow(toks.take(lits)).str.extract_groups(_LITERAL_PARTS)
+             .struct.unnest())
+    kind[lits[parts["body"].is_null().to_numpy()]] = BAD
 
-    # statement state
-    subj = pred = None
-    expect = "subj"  # subj | pred | obj | prefix_name | prefix_iri | prefix_dot
-    decl_prefix = ""
+    # -- roles: segments, offsets and slots by scans over the token column
+    n = len(kind)
+    idx = np.arange(n)
+    punct = (kind == DOT) | (kind == SEMI) | (kind == COMMA)
+    doc_start = np.ones(n, bool)
+    doc_start[1:] = row[1:] != row[:-1]
+    seg_start = doc_start.copy()
+    seg_start[1:] |= punct[:-1]
+    heads = np.flatnonzero(seg_start)
+    seg = np.cumsum(seg_start) - 1
+    offset = idx - heads[seg]
+    shift = np.where(doc_start[heads], 0, _SHIFT[kind[heads - 1]])[seg]
+    decl = ((kind[heads] == PREFIX) & (shift[heads] == 0))[seg]
+    slot = np.where(decl, DECL + offset, offset + shift)
+    slot = np.minimum(np.where(~decl & (slot > OBJ), EXTRA, slot), EXTRA)
 
-    pos, n = 0, len(text)
-    while pos < n:
-        m = _TOKEN_RE.search(text, pos)
-        if m is None:
-            tail = text[pos:].strip()
-            if tail:
-                raise TTLParseError(f"unparseable tail: {tail[:60]!r}")
-            break
-        gap = text[pos:m.start()]
-        if gap.strip():
-            raise TTLParseError(f"unexpected input: {gap.strip()[:60]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tok = m.group()
+    # -- grammar: every rule one mask; the first broken token raises
+    rule = np.zeros(n, np.int8)
+    doc_end = np.ones(n, bool)
+    doc_end[:-1] = doc_start[1:]
+    rule[doc_end & (kind != DOT)] = _END
+    # a segment closes after 3 - shift terms, a declaration after 3 at '.'
+    rule[punct & ~decl & (offset + shift != 3)] = _CLOSE
+    rule[punct & decl & ((offset != 3) | (kind != DOT))] = _DECL_CLOSE
+    rule[~punct & ~_ALLOWED[slot, kind]] = _TERM
+    rule[(slot == DECL_NAME) & (last != ord(":"))] = _TERM
+    broken = np.flatnonzero(rule)
+    if len(broken):
+        i = int(broken[0])
+        why = (_RULE_WHY.get(rule[i]) or _KIND_WHY.get(kind[i])
+               or _SLOT_WHY[slot[i]])
+        who = "" if entity is None else f"entity {entity[int(row[i])].as_py()!r}: "
+        raise TTLParseError(f"{who}{why}: {toks[i].as_py()[:60]!r}")
 
-        if kind == "prefix_decl":
-            expect = "prefix_name"
-            continue
-        if expect == "prefix_name":
-            if kind != "pname" or not tok.endswith(":"):
-                raise TTLParseError(f"bad @prefix name: {tok!r}")
-            decl_prefix = tok[:-1]
-            expect = "prefix_iri"
-            continue
-        if expect == "prefix_iri":
-            if kind != "iri":
-                raise TTLParseError(f"bad @prefix iri: {tok!r}")
-            prefixes[tok[1:-1]] = decl_prefix
-            expect = "prefix_dot"
-            continue
-        if expect == "prefix_dot":
-            if tok != ".":
-                raise TTLParseError(f"@prefix not '.'-terminated: {tok!r}")
-            expect = "subj"
-            continue
+    # -- values: only literals with a '\' and full <iri> terms reach Python
+    objs = np.flatnonzero(slot == OBJ)
+    body = parts["body"]
+    escaped = np.flatnonzero(body.str.contains("\\", literal=True).to_numpy())
+    body = body.to_arrow()
+    if len(escaped):
+        body = pc.replace_with_mask(body, _mask(len(body), escaped), pa.array(
+            [_unescape(s) for s in str_list(body.take(escaped))], body.type))
+    vals = pc.replace_with_mask(toks, _mask(n, lits), body)
+    vals = pc.if_else(kind == A, "rdf:type", vals)
+    # every literal is an object: its lang and datatype go to its object row
+    at = _mask(len(objs), np.searchsorted(objs, lits))
+    lang, dt = (pc.replace_with_mask(pa.nulls(len(objs), body.type), at,
+                                     parts[c].to_arrow())
+                for c in ("lang", "datatype"))
+    iris = np.flatnonzero((kind == IRI) & (slot <= OBJ))
+    dt_iris = np.flatnonzero(pc.fill_null(pc.starts_with(dt, "<"), False))
+    if len(iris) or len(dt_iris):
+        full = _compact_iris(toks, row, slot, np.concatenate([iris, objs[dt_iris]]),
+                             pa.concat_arrays([toks.take(iris), dt.take(dt_iris)]))
+        vals = pc.replace_with_mask(vals, _mask(n, iris), full[:len(iris)])
+        dt = pc.replace_with_mask(dt, _mask(len(objs), dt_iris), full[len(iris):])
 
-        if kind == "punct":
-            if tok == ".":
-                if expect != "punct":
-                    raise TTLParseError("'.' before any object")
-                subj = pred = None
-                expect = "subj"
-            elif tok == ";":
-                if subj is None or expect != "punct":
-                    raise TTLParseError("';' outside a statement")
-                expect = "pred"
-            elif tok == ",":
-                if pred is None or expect != "punct":
-                    raise TTLParseError("',' outside an object list")
-                expect = "obj"
-            else:
-                raise TTLParseError(f"unsupported Turtle construct: {tok!r}")
-            continue
+    # -- triples: one per object; subject and predicate carry forward
+    def carried(s: int) -> np.ndarray:
+        return np.maximum.accumulate(np.where(slot == s, idx, 0))[objs]
 
-        if expect == "subj":
-            if kind == "iri":
-                subj = _compact_term(tok[1:-1], prefixes)
-            elif kind in ("pname", "blank"):
-                subj = tok
-            else:
-                raise TTLParseError(f"bad subject: {tok!r}")
-            expect = "pred"
-            continue
+    return pa.table({
+        "row": row[objs],
+        "subj": vals.take(carried(SUBJ)).cast(pa.string()),
+        "pred": vals.take(carried(PRED)).cast(pa.string()),
+        "obj": vals.take(objs).cast(pa.string()),
+        "obj_type": pa.array(np.where(kind[objs] == LIT, "literal", "iri"),
+                             pa.string()),
+        "lang": pc.fill_null(lang, "").cast(pa.string()),
+        "datatype": pc.fill_null(dt, "").cast(pa.string()),
+    })
 
-        if expect == "pred":
-            if kind == "kw_a":
-                pred = "rdf:type"
-            elif kind == "iri":
-                pred = _compact_term(tok[1:-1], prefixes)
-            elif kind == "pname":
-                pred = tok
-            else:
-                raise TTLParseError(f"bad predicate: {tok!r}")
-            expect = "obj"
-            continue
 
-        # object position
-        if expect != "obj":
-            raise TTLParseError(
-                f"unexpected term {tok!r} (missing ',', ';' or '.')")
-        if kind == "literal":
-            body = _STRING_RE.match(tok)
-            val = decode_bce(_unescape(body.group()[1:-1]))
-            rest = tok[body.end():]
-            lang = dt = ""
-            if rest.startswith("@"):
-                lang = rest[1:]
-            elif rest.startswith("^^"):
-                dtok = rest[2:]
-                if dtok.startswith("<"):
-                    dt = _compact_term(dtok[1:-1], prefixes)
-                else:
-                    dt = dtok
-            triples.append((subj, pred, val, "literal", lang, dt))
-        elif kind == "iri":
-            triples.append((subj, pred, _compact_term(tok[1:-1], prefixes),
-                            "iri", "", ""))
-        elif kind in ("pname", "blank", "kw_a"):
-            obj = "rdf:type" if kind == "kw_a" else tok
-            triples.append((subj, pred, obj, "iri", "", ""))
-        else:
-            raise TTLParseError(f"bad object: {tok!r}")
-        expect = "punct"  # only ',' / ';' / '.' may follow an object
+def _mask(n: int, at: np.ndarray) -> np.ndarray:
+    m = np.zeros(n, bool)
+    m[at] = True
+    return m
 
-    if subj is not None or expect != "subj":
-        raise TTLParseError(f"truncated statement (state={expect})")
-    return triples
+
+def _compact_iris(toks: pa.Array, row: np.ndarray, slot: np.ndarray,
+                  at: np.ndarray, iris: pa.Array) -> pa.Array:
+    """The full <iri> terms ``iris``, at token positions ``at``, compacted
+    against the @prefix declarations of their document that come before
+    them."""
+    decl_at = np.flatnonzero(slot == DECL_IRI)
+    decls = list(zip((s[1:-1] for s in str_list(toks.take(decl_at))),
+                     (s[:-1] for s in str_list(toks.take(decl_at - 1)))))
+    lo = np.searchsorted(decl_at, np.searchsorted(row, row[at])).tolist()
+    hi = np.searchsorted(decl_at, at).tolist()
+    return pa.array([_compact_term(iri[1:-1], dict(decls[a:b]))
+                     for a, b, iri in zip(lo, hi, str_list(iris))], iris.type)
+
+
+def parse_ttl(text: str) -> list[tuple[str, str, str, str, str, str]]:
+    """TTL text -> [(subj, pred, obj, obj_type, lang, datatype)]: the
+    one-document call of :func:`parse_ttl_docs`."""
+    t = parse_ttl_docs(pa.array([text], pa.string()))
+    return list(zip(*(c.to_pylist() for c in t.columns[1:])))
 
 
 def serialize_ttl(

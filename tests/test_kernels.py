@@ -76,12 +76,6 @@ class TestScalars:
         assert rdf.normalize_scheme("https://x.org") == "http://x.org"
         assert rdf.normalize_scheme("http://x.org") == "http://x.org"
 
-    def test_bce_roundtrip(self):
-        ttl = '"-0347-01-01T00:00:00Z"^^xsd:dateTime'
-        enc = rdf.encode_bce(ttl)
-        assert "BCE_0347" in enc and not enc.startswith('"-')
-        assert rdf.decode_bce("BCE_0347-01-01T00:00:00Z") == "-0347-01-01T00:00:00Z"
-
     def test_command(self):
         got = rdf.triple_to_command("INSERT", "wd:Q42", "wdt:P569", '"1952-03-11"^^xsd:date')
         assert got == 'INSERT DATA { wd:Q42 wdt:P569 "1952-03-11"^^xsd:date . };'

@@ -248,6 +248,25 @@ def test_ttl_roundtrip_property(triples):
     assert parse_ttl(serialize_ttl(triples)) == triples
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_triple(), max_size=8), min_size=1, max_size=6))
+def test_columnar_ttl_parse_equals_state_machine(docs):
+    """The columnar ``parse_ttl_batch`` over a batch of documents equals
+    the state-machine parser run one document at a time."""
+    import pyarrow as pa
+
+    from kgray.kernels.ttl import serialize_ttl
+    from kgray.schema import SNAPSHOT
+    from kgray.stages.ttl import parse_ttl_batch
+    from ttl_rowwise import parse_ttl_batch as parse_ttl_rowwise
+
+    batch = pa.table({"entity": [f"Q{i}" for i in range(len(docs))],
+                      "ttl": [serialize_ttl(t) for t in docs]})
+    got = parse_ttl_batch(batch)
+    assert got.schema == SNAPSHOT
+    assert got.equals(parse_ttl_rowwise(batch))
+
+
 # ---------------------------------------------------------------------------
 # fast-path HTML tokenizer ≡ html.parser tree on everything it accepts
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The per-row Python boundary: ``schema.fan_out``.
+"""The per-row Python boundary: ``schema.fan_out``, and the columnar TTL
+parse that left it.
 
-Extract, link, assemble and the TTL parse run their per-row kernels
-through ``fan_out``: string columns are read through ``schema.str_list``,
-and lineage columns (``url``/``warc_ts``/``entity``) go out by row index
-(``schema.source_rows``); ``Node.find`` stops at its first hit.  Each test
-here pins one of those against its plain row-wise statement:
-``to_pylist()`` rows in, one dict per output row out.
+Extract, link and assemble run their per-row kernels through ``fan_out``:
+string columns are read through ``schema.str_list``, and lineage columns
+(``url``/``warc_ts``) go out by row index (``schema.source_rows``);
+``Node.find`` stops at its first hit.  The TTL parse runs once per batch
+and sends ``entity`` out by one ``take``.  Each test here pins one of
+those against its plain row-wise statement: ``to_pylist()`` rows in, one
+dict per output row out.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from kgray.kernels.htmltext import (
     _FastPathBail, _parse_html_fast, extract_text, parse_html, parse_page,
 )
 from kgray.kernels.link import detect_and_link
-from kgray.kernels.ttl import parse_ttl, serialize_ttl
+from kgray.kernels.ttl import serialize_ttl
 from kgray.schema import (
-    OPS, PAGES, RAW_CLAIMS, SNAPSHOT, source_rows, str_list,
+    OPS, PAGES, RAW_CLAIMS, source_rows, str_list,
 )
 from kgray.stages.assemble import assemble_batch
 from kgray.stages.extract import extract_batch
 from kgray.stages.link import LinkerActor
 from kgray.stages.ttl import parse_ttl_batch
+from ttl_rowwise import parse_ttl_batch as _parse_ttl_rowwise
 
 
 class TestStrList:
@@ -148,14 +151,6 @@ def _ttl_docs(ops: pa.Table) -> pa.Table:
         "entity": [f"Q{i}" for i in range(len(docs))] + ["Q0"],
         "ttl": [serialize_ttl(sorted(set(t))) for t in docs.values()] + [""],
     })
-
-
-def _parse_ttl_rowwise(docs: pa.Table) -> pa.Table:
-    """``parse_ttl_batch`` restated one document dict at a time."""
-    return pa.Table.from_pylist(
-        [{"entity": doc["entity"], **dict(zip(SNAPSHOT.names[1:], t))}
-         for doc in docs.to_pylist() for t in parse_ttl(doc["ttl"])],
-        schema=SNAPSHOT)
 
 
 def _assemble_rowwise(raw: pa.Table) -> pa.Table:

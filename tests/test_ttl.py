@@ -43,7 +43,7 @@ wd:Q42 a wd:Q5 ;
             ("wd:Q42", "rdf:type", "wd:Q5", "iri", "", ""),
             ("wd:Q42", "wdt:P1448", 'The "Answer"', "literal", "pt-BR", ""),
             ("wd:Q42", "wdt:P569", "1952-03-11T00:00:00Z", "literal", "", "xsd:dateTime"),
-            # BCE year survives the encode/decode sentinel round-trip (M13)
+            # a BCE year is literal text like any other (M13)
             ("wd:Q42", "wdt:P569", "-0347-01-01T00:00:00Z", "literal", "", "xsd:dateTime"),
             ("wd:Q42", "wdt:P856", "<http://example.org/x>", "iri", "", ""),
         ]
@@ -129,6 +129,53 @@ class TestParseStrictness:
         with pytest.raises(TTLParseError):
             parse_ttl("wd:Q1 wdt:P1 , wd:Q2 .")
 
+    def test_prefix_inside_open_statement(self):
+        from kgray.kernels.ttl import TTLParseError, parse_ttl
+
+        with pytest.raises(TTLParseError):
+            parse_ttl("wd:Q1 @prefix x: <http://x/> . wd:Q2 wd:P2 wd:Q3 .")
+
+    def test_error_names_the_entity(self):
+        import pyarrow as pa
+
+        from kgray.kernels.ttl import TTLParseError
+        from kgray.stages.ttl import parse_ttl_batch
+
+        docs = pa.table({"entity": ["Q1", "Q2"],
+                         "ttl": ["wd:Q1 wdt:P1 wd:Q2 .", "wd:Q2 wdt:P1 ( ) ."]})
+        with pytest.raises(TTLParseError, match="'Q2'.*unsupported"):
+            parse_ttl_batch(docs)
+
+
+class TestParseRegressions:
+    """Inputs the document-level pre-passes (comment masking, the BCE
+    sentinel, the triple-quote check) once parsed wrongly."""
+
+    def test_comment_with_odd_quote_ends_at_end_of_line(self):
+        from kgray.kernels.ttl import parse_ttl
+
+        ttl = '# it\'s "unbalanced\nwd:Q1 wd:P1 "x" .\nwd:Q2 wd:P2 wd:Q3 .'
+        assert parse_ttl(ttl) == [
+            ("wd:Q1", "wd:P1", "x", "literal", "", ""),
+            ("wd:Q2", "wd:P2", "wd:Q3", "iri", "", ""),
+        ]
+
+    def test_bce_spelled_text_is_kept_verbatim(self):
+        from kgray.kernels.ttl import parse_ttl
+
+        ttl = ('wd:Q1 wd:P1 "BCE_abc", '
+               '<http://x/"-0001-01-01T00:00:00Z"> .')
+        assert parse_ttl(ttl) == [
+            ("wd:Q1", "wd:P1", "BCE_abc", "literal", "", ""),
+            ("wd:Q1", "wd:P1", '<http://x/"-0001-01-01T00:00:00Z">', "iri", "", ""),
+        ]
+
+    def test_triple_single_quotes_inside_a_literal(self):
+        from kgray.kernels.ttl import parse_ttl, serialize_ttl
+
+        triples = [("wd:Q1", "wdt:P1", "a '''quoted''' word", "literal", "", "")]
+        assert parse_ttl(serialize_ttl(triples)) == triples
+
 
 class TestPrefixCompaction:
     """Doc-declared prefixes must compact longest-namespace-first, matching
@@ -168,3 +215,15 @@ class TestPrefixCompaction:
         )
         t = parse_ttl(doc)
         assert t[0] == t[1]
+
+    def test_declaration_applies_from_where_it_stands(self):
+        """A full IRI compacts only against the @prefix declarations that
+        come before it in its document."""
+        from kgray.kernels.ttl import parse_ttl
+
+        stmt = "<http://x.org/{}> <http://x.org/p> \"v\"^^<http://x.org/t> .\n"
+        doc = stmt.format("a") + "@prefix x: <http://x.org/> .\n" + stmt.format("b")
+        assert parse_ttl(doc) == [
+            ("<http://x.org/a>", "<http://x.org/p>", "v", "literal", "", "<http://x.org/t>"),
+            ("x:b", "x:p", "v", "literal", "", "x:t"),
+        ]
