@@ -289,8 +289,9 @@ def gen_pages_table(n: int, seed: int = SEED, start: int = 0,
 
 # Bump when extract/link/assemble semantics OR page-generation content
 # change: corpora are cached under versioned dirnames so stale caches are
-# ignored.  v3: urls carry the old/new revision pair.
-FIXTURE_VERSION = "v3"
+# ignored.  v3: urls carry the old/new revision pair.  v4: mention spans
+# index the joined body text (extract_batch feeds the raw-ops and TTL corpora).
+FIXTURE_VERSION = "v4"
 RAW_DIRNAME = f"raw_{FIXTURE_VERSION}"
 
 

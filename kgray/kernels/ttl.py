@@ -56,6 +56,7 @@ expanded (the serializer renders it as ``a``).  Only literals holding a
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -126,25 +127,28 @@ _RULE_WHY = {_END: "document does not end on '.'",
              _DECL_CLOSE: "@prefix not '.'-terminated"}
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# one escape: \uXXXX, \UXXXXXXXX, or a backslash and any one character
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.S)
+
+
+def _unescape_one(m: re.Match) -> str:
+    c = m.group(3)
+    if c is None:
+        code = int(m.group(1) or m.group(2), 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise TTLParseError(f"escape is not a Unicode scalar value: {m.group()!r}")
+        return chr(code)
+    if c in "uU":
+        raise TTLParseError(f"bad \\{c} escape: {m.string[m.start():m.start() + 10]!r}")
+    return _ESCAPES.get(c, c)
 
 
 def _unescape(s: str) -> str:
-    out: list[str] = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c == "\\" and i + 1 < n:
-            nxt = s[i + 1]
-            if nxt == "u" and i + 6 <= n:
-                out.append(chr(int(s[i + 2:i + 6], 16)))
-                i += 6
-                continue
-            out.append(_ESCAPES.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescape_one, s)
+
+
+def _who(entity, row: int) -> str:
+    return "" if entity is None else f"entity {entity[row].as_py()!r}: "
 
 
 def _compact_term(iri: str, prefixes: dict[str, str]) -> str:
@@ -242,8 +246,7 @@ def parse_ttl_docs(ttl, entity=None) -> pa.Table:
         i = int(broken[0])
         why = (_RULE_WHY.get(rule[i]) or _KIND_WHY.get(kind[i])
                or _SLOT_WHY[slot[i]])
-        who = "" if entity is None else f"entity {entity[int(row[i])].as_py()!r}: "
-        raise TTLParseError(f"{who}{why}: {toks[i].as_py()[:60]!r}")
+        raise TTLParseError(f"{_who(entity, int(row[i]))}{why}: {toks[i].as_py()[:60]!r}")
 
     # -- values: only literals with a '\' and full <iri> terms reach Python
     objs = np.flatnonzero(slot == OBJ)
@@ -252,7 +255,8 @@ def parse_ttl_docs(ttl, entity=None) -> pa.Table:
     body = body.to_arrow()
     if len(escaped):
         body = pc.replace_with_mask(body, _mask(len(body), escaped), pa.array(
-            [_unescape(s) for s in str_list(body.take(escaped))], body.type))
+            _unescape_all(str_list(body.take(escaped)), row[lits[escaped]], entity),
+            body.type))
     vals = pc.replace_with_mask(toks, _mask(n, lits), body)
     vals = pc.if_else(kind == A, "rdf:type", vals)
     # every literal is an object: its lang and datatype go to its object row
@@ -282,6 +286,18 @@ def parse_ttl_docs(ttl, entity=None) -> pa.Table:
         "lang": pc.fill_null(lang, "").cast(pa.string()),
         "datatype": pc.fill_null(dt, "").cast(pa.string()),
     })
+
+
+def _unescape_all(bodies: list, rows: np.ndarray, entity) -> list:
+    """``_unescape`` of each literal body; a bad escape raises naming the
+    entity of its document."""
+    out = []
+    for s, r in zip(bodies, rows.tolist()):
+        try:
+            out.append(_unescape(s))
+        except TTLParseError as err:
+            raise TTLParseError(f"{_who(entity, r)}{err}") from None
+    return out
 
 
 def _mask(n: int, at: np.ndarray) -> np.ndarray:

@@ -1,19 +1,24 @@
 """Extract stage: pages -> raw-claim rows (SURVEY.md M1-M10 analog).
 
-Stateless ``map_batches`` over Arrow batches; the per-page work is the
-pure ``kernels.htmltext`` parser (a regex tokenizer over the well-formed
-subset, stdlib html.parser for anything else — the reference's
-BeautifulSoup walk at get_updates.py:191-358, restated), run per page
-through ``schema.fan_out``: only ``url``, ``html`` and ``text`` become
-Python objects, and each output row's ``url`` and ``warc_ts`` are taken
-from its page by row index.  Emits one combined row stream
+Stateless ``map_batches`` over Arrow batches.  Each ``_SLICE_PAGES``
+slice of pages goes through ONE columnar parse
+(``kernels.htmltext.parse_pages``: a polars token pass over every page,
+the DOM as element extents, ``find``/``find_all`` as searchsorted, the
+reference's BeautifulSoup walk at get_updates.py:191-358, restated), and
+each output row's ``url`` and ``warc_ts`` are taken from its page by row
+index.  A page the token grammar cannot prove (a comment, script, stray
+``<``, mismatched close tag, ...) bails to the row-wise path instead:
+``_page_rows`` (``parse_html`` + ``parse_page``, stdlib html.parser when
+the fast tokenizer bails too) through ``schema.fan_out``, and its rows
+rejoin the slice's in page order.  Emits one combined row stream
 (schema.RAW_CLAIMS) containing:
 
   * label/desc/alias/claim/qualifier/reference/diff rows,
   * ``mention`` rows for exact href mentions (QID already known),
-  * one ``mention_text`` row per page carrying the page's free text in
-    ``value`` and already-linked spans in ``parent_value`` ("s:e;s:e") for
-    the downstream linker.
+  * one ``mention_text`` row per page carrying the page's free text (its
+    ``p.body-text`` paragraphs joined by ``"\n"``) in ``value`` and the
+    href mentions' spans in that text in ``parent_value`` ("s:e;s:e")
+    for the downstream linker.
 
 A single linear stream (no branch/union) keeps the whole pipeline one
 back-pressured streaming DAG.  The byte-identity invariant ``text ==
@@ -26,21 +31,25 @@ designs out).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page
+from ..kernels.htmltext import extract_text_from_root, parse_html, parse_page, parse_pages
 from ..schema import RAW_CLAIMS, fan_out
 
 
 # Pages per parse slice, taken inside ``extract_batch``: each page row fans
 # out ~15-40 claim rows and html payloads are KB-scale, so the slice bounds
-# the per-call Python heap however large a read block is.  It is NOT a Ray
+# the per-call heap however large a read block is.  It is NOT a Ray
 # ``batch_size``: Ray makes the largest ``batch_size`` of the stages fused
 # with extract the fused task's input-bundle minimum, so the stage passes
 # none and each task runs over exactly one read block.
 _SLICE_PAGES = 128
 # every RAW_CLAIMS column but the two carried by page index
 _ROW_FIELDS = RAW_CLAIMS.names[2:]
+# a bailed page's rows, with the index of their page in the slice
+_PAGED = RAW_CLAIMS.append(pa.field("page", pa.int64()))
 
 
 def extract_batch(batch: pa.Table) -> pa.Table:
@@ -48,9 +57,31 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     pages at a time; the output is the pages' rows in page order."""
     if "text" not in batch.column_names:
         batch = batch.append_column("text", pa.nulls(len(batch), pa.large_string()))
-    return fan_out(batch, _page_rows, reads=("url", "html", "text"),
-                   carry={"url": "url", "warc_ts": "warc_ts"},
-                   schema=RAW_CLAIMS, slice_rows=_SLICE_PAGES)
+    slices = batch.to_batches(max_chunksize=_SLICE_PAGES)
+    if not slices:
+        return RAW_CLAIMS.empty_table()
+    return pa.concat_tables([_extract_slice(pa.Table.from_batches([b])) for b in slices])
+
+
+def _extract_slice(pages: pa.Table) -> pa.Table:
+    rows, page, text, bailed = parse_pages(pages["html"])
+    drift = ~bailed & np.asarray(pc.fill_null(
+        pc.not_equal(pc.cast(pages["text"], pa.large_string()), text), False))
+    if drift.any():
+        url = pages["url"][int(np.flatnonzero(drift)[0])].as_py()
+        raise ValueError(f"text extraction drift for url={url!r}")
+    cols = {"url": pages["url"].take(page), "warc_ts": pages["warc_ts"].take(page)}
+    cols.update((c, rows[c].cast(pa.string())) for c in _ROW_FIELDS)
+    out = pa.table(cols, schema=RAW_CLAIMS)
+    if not bailed.any():
+        return out
+    bailed_pages = pages.filter(pa.array(bailed))
+    slow = fan_out(bailed_pages.append_column("page", pa.array(np.flatnonzero(bailed))),
+                   _page_rows, reads=("url", "html", "text"),
+                   carry={"url": "url", "warc_ts": "warc_ts", "page": "page"}, schema=_PAGED)
+    both = pa.concat_tables([out.append_column("page", pa.array(page, pa.int64())), slow])
+    order = np.argsort(both["page"].to_numpy(), kind="stable")
+    return both.take(order).drop_columns(["page"])
 
 
 def _row(fields: dict) -> tuple:

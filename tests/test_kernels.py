@@ -126,6 +126,35 @@ class TestHtml:
                             rank="normal", parent_prop="", parent_value="", op="delete")
         assert p["mentions"][0]["qid_hint"] == "Q90"
 
+    TWO_PARAGRAPHS = (
+        '<html><body data-entity="Q42"><p class="body-text">See '
+        '<a href="/wiki/Q90">Paris</a> and <a href="/wiki/Q64">Berlin</a>.</p>'
+        '<p class="body-text">Then <a href="/wiki/Q84">London</a> and '
+        '<a href="/wiki/Q90">Paris</a> again.</p></body></html>'
+    )
+
+    def test_mention_spans_index_the_joined_body_text(self):
+        """Each href mention's span slices its surface out of the
+        ``"\\n"``-joined body text, the ``mention_text`` value the linker
+        reads: in ``parse_page``, on extract's columnar path, and on its
+        row-wise path (the comment makes the page bail to it)."""
+        import pyarrow.compute as pc
+        from test_row_boundary import pages_table
+
+        from kgray.stages.extract import extract_batch
+
+        surfaces = ["Paris", "Berlin", "London", "Paris"]
+        p = parse_page(self.TWO_PARAGRAPHS, "u")
+        assert [p["body_text"][m["span_start"]:m["span_end"]]
+                for m in p["mentions"]] == surfaces
+        bailing = self.TWO_PARAGRAPHS.replace("<body", "<!-- c --><body")
+        raw = extract_batch(pages_table([self.TWO_PARAGRAPHS, bailing]))
+        rows = raw.filter(pc.equal(raw["kind"], "mention_text")).to_pylist()
+        assert len(rows) == 2
+        for row in rows:
+            spans = [part.split(":") for part in row["parent_value"].split(";")]
+            assert [row["value"][int(s):int(e)] for s, e in spans] == surfaces
+
     def test_byte_identity_on_corpus(self):
         from kgray.fixtures import gen_page
 

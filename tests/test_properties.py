@@ -331,6 +331,63 @@ def test_fast_parser_never_diverges(s):
     assert _tree_eq(_merge_text(f), _merge_text(b.root))
 
 
+# ---------------------------------------------------------------------------
+# columnar page parse ≡ row-wise extract on blocks of mixed pages
+# ---------------------------------------------------------------------------
+
+# pieces of pages: tags the page parse selects on, charrefs, case, void
+# and self-closing tags, Python-only whitespace, and the fast tokenizer's
+# bails; joined at random they leave elements open and close tags
+# mismatched
+_PIECES = [
+    '<div class="claim" data-prop="P31">', '<div class="claim">', "</div>",
+    '<div class="qualifier" data-prop="P580">', '<div class="reference" title="P248">',
+    '<a href="/wiki/Property:P31">P31</a>', '<a href="/wiki/Q5">human</a>',
+    '<A HREF="/wiki/Q90">Paris</A>', "<a>", "</a>", '<span class="value">',
+    '<span class="wb-time-rendered">', '<span class="monolingual" lang="fr">',
+    '<SPAN CLASS="wb-quantity-rendered">', "</span>", '<p class="body-text">',
+    '<p class="description" lang="de">', "</p>", "<h1>", "</h1 >",
+    '<ul class="aliases"><li lang="en">', "<li>", "</li>", "</ul>",
+    '<table class="diff"><tr><td class="diff-lineno">', '<tr><td class="diff-deletedline"><del>',
+    '<tr><td class="diff-addedline">', "</td></tr>", "</table>", "<br>", "<br/>",
+    '<img src="x">', '<span class="value"/>', "<b>", "</b>", " text ", "&amp;",
+    "&#233;", "&quot;", '<a href="/wiki/Q42" title="&quot;t&quot;">', "\x1c", "\x1f",
+    "\u3000", "  \n ", "<!-- c -->", "<a href='/wiki/Q1'>", "<script>x</script>", " < ",
+]
+
+
+@st.composite
+def _page_html(draw):
+    from test_row_boundary import CRAFTED
+
+    from kgray.fixtures import gen_page
+
+    kind = draw(st.sampled_from(["fixture", "crafted", "pieces"]))
+    if kind == "fixture":
+        return gen_page(draw(st.integers(0, 500)), seed=draw(st.integers(0, 9)),
+                        richness=draw(st.integers(1, 8)))["html"].decode()
+    if kind == "crafted":
+        return draw(st.sampled_from(CRAFTED))[0]
+    pieces = draw(st.lists(st.one_of(st.sampled_from(_PIECES), _html_text), max_size=30))
+    return '<html><body data-entity="Q1" lang="en">' + "".join(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_page_html(), st.booleans()), min_size=1, max_size=6))
+def test_columnar_extract_equals_rowwise(pages):
+    """``extract_batch`` (the columnar page parse, the row-wise path for
+    the pages it bails) ``Table.equals`` the row-wise restatement on a
+    block of fixture pages, crafted pages and random page pieces, each
+    page with its text or a null one."""
+    from test_row_boundary import _extract_rowwise, pages_table
+
+    from kgray.stages.extract import extract_batch
+
+    block = pages_table([h for h, _ in pages],
+                        [extract_text(h) if keep else None for h, keep in pages])
+    assert extract_batch(block).equals(_extract_rowwise(block))
+
+
 def test_surface_matcher_fallback_overlap_regression():
     """ADVICE r2 counterexample: a consumed fallback match must not hide an
     overlapping fallback candidate that the merged sweep would select."""

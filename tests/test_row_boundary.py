@@ -1,19 +1,23 @@
-"""The per-row Python boundary: ``schema.fan_out``, and the columnar TTL
-parse that left it.
+"""The per-row Python boundary: ``schema.fan_out``, and the columnar
+TTL and page parses that left it.
 
-Extract, link and assemble run their per-row kernels through ``fan_out``:
-string columns are read through ``schema.str_list``, and lineage columns
+Link and assemble run their per-row kernels through ``fan_out``: string
+columns are read through ``schema.str_list``, and lineage columns
 (``url``/``warc_ts``) go out by row index (``schema.source_rows``);
-``Node.find`` stops at its first hit.  The TTL parse runs once per batch
-and sends ``entity`` out by one ``take``.  Each test here pins one of
-those against its plain row-wise statement: ``to_pylist()`` rows in, one
-dict per output row out.
+``Node.find`` stops at its first hit.  The TTL parse and the page parse
+(``htmltext.parse_pages``, extract's path for every page its token
+grammar proves) run once per batch and send lineage out by one ``take``.
+Each test here pins one of those against its plain row-wise statement:
+``to_pylist()`` rows in, one dict per output row out.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import gc
+import re
 
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from kgray.fixtures import aliases_table, gen_pages_table
 from kgray.kernels.assemble import raw_claim_to_triples
 from kgray.kernels.htmltext import (
-    _FastPathBail, _parse_html_fast, extract_text, parse_html, parse_page,
+    _WS, _FastPathBail, _parse_html_fast, extract_text, parse_html, parse_page, parse_pages,
 )
 from kgray.kernels.link import detect_and_link
 from kgray.kernels.ttl import serialize_ttl
@@ -94,6 +98,87 @@ def test_find_is_first_find_all_hit():
         for start in [root, *nodes]:
             for tag, cls in pairs:
                 assert start.find(tag, cls) is (start.find_all(tag, cls) or [None])[0]
+
+
+# pages outside the fixture generator's grammar, each with whether the
+# columnar parse bails on it (the row-wise path parses it instead)
+CRAFTED = [
+    # charrefs in text and attribute values; a close tag with a space
+    ('<html><body data-entity="Q90" lang="fr"><h1 lang="fr">Paris &amp; co</h1 >'
+     '<p class="description">&quot;Ville&quot; &#233;t&#xe9; &lt;x&gt;</p>'
+     '<p class="body-text">Tom &amp; <a href="/wiki/Q64" title="&quot;t&quot;">'
+     'Berlin &amp; co</a> here</p><div class="claim" data-prop="P&#49;">'
+     '<span class="monolingual" lang="e&#110;">A&nbsp;B</span></div></body></html>', False),
+    # uppercase tag and attribute names
+    ('<HTML><BODY DATA-ENTITY="Q5" LANG="de"><H1>Human</H1><DIV CLASS="claims">'
+     '<Div Class="claim" Data-Prop="P31" DATA-RANK="preferred">'
+     '<A HREF="/wiki/Property:P31">P31</A>: <a Href="/wiki/Q16521">taxon</a>'
+     '</Div></DIV></BODY></HTML>', False),
+    # self-closing and void tags, attributes without a value
+    ('<html><body data-entity="Q2"><h1 hidden>Earth<br>planet</h1>'
+     '<p class="description"/><div class="claim" data-prop="P1"><img src="x.png">'
+     '<span class="value">v<hr/>w</span><br/></div>'
+     '<ul class="aliases"><li>Terra<br></li><li lang>World</li></ul></body></html>', False),
+    # what parse_page drops from a claim's value node, a claim without
+    # data-prop, a string fallback, a diff cursor read from text
+    ('<html><body data-entity="Q3"><div class="claim" data-prop="P5">'
+     '<a href="/wiki/Property:P5">P5</a>: <div class="qualifier" data-prop="P580">'
+     '<span class="wb-time-rendered">2001</span></div><span class="value">main</span>'
+     '<div class="reference" title="P248"><a href="/wiki/Q1">src</a></div></div>'
+     '<div class="claim"><a href="/wiki/Property:P8">P8</a> <a href="/wiki/Q9">nine</a></div>'
+     '<div class="claim" data-prop="P6">plain <b>text</b>'
+     '<div class="qualifier" data-prop="P7">q</div> tail</div>'
+     '<div class="claim" data-prop="P10"><span><a href="/wiki/Property:P10">P10</a></span>'
+     ' <span class="value">x</span></div>'
+     '<table class="diff"><tr><td class="diff-lineno">Line</td></tr>'
+     '<tr><td class="diff-addedline">plain</td><td class="diff-deletedline">'
+     '<ins>old</ins></td></tr></table>'
+     '<p class="body-text">x<a href="/wiki/Q1"> </a>y</p><p class="body-text"></p>'
+     '</body></html>', False),
+    # elements left open at the end of the page
+    ('<html><body data-entity="Q111"><div class="claim" data-prop="P2">'
+     '<span class="wb-quantity-rendered">+5<p class="body-text">Mars and '
+     '<a href="/wiki/Q2">Earth', False),
+    # \x1c-\x1f and \u3000 are whitespace to Python's \s, not to Rust's
+    ('<html><body\x1cdata-entity="Q42"><h1>Douglas\x1c\x1dAdams\u3000</h1>'
+     '<div class="claim\x1fx" data-prop="P4"><span class="value">\x1e a\x1fb \x1f</span>'
+     '</div><p class="body-text">\u3000Read <a href="/wiki/Q42">Douglas\x1fAdams</a>'
+     '\x1c</p></body></html>', False),
+    ("", False),
+    # a mismatched close tag
+    ('<html><body data-entity="Q17"><div class="claim" data-prop="P3">'
+     '<span class="value">x</div></span></body></html>', True),
+    # the fast tokenizer's bails: a comment, script, a single-quoted
+    # attribute, a stray '<', a charref after the last tag
+    ('<html><!-- c --><body data-entity="Q7"><h1>Seven</h1></body></html>', True),
+    ('<html><body data-entity="Q7"><script>var x = "<p>";</script><h1>Seven</h1>'
+     '</body></html>', True),
+    ("<html><body data-entity='Q7'><h1>Seven</h1></body></html>", True),
+    ('<html><body data-entity="Q7"><h1>1 < 2</h1></body></html>', True),
+    ('<html><body data-entity="Q7"><h1>Seven</h1></body></html>tail &amp;', True),
+]
+
+
+def pages_table(htmls: list[str], texts: list | None = None) -> pa.Table:
+    """A PAGES table of ``htmls``; ``text`` is each page's
+    ``extract_text`` unless ``texts`` gives it."""
+    if texts is None:
+        texts = [extract_text(h) for h in htmls]
+    return pa.Table.from_pydict({
+        "url": [f"https://pages.example.org/wiki/p{i}" for i in range(len(htmls))],
+        "warc_ts": [dt.datetime(2024, 1, 1, 0, 0, i % 60) for i in range(len(htmls))],
+        "html": [h.encode() for h in htmls],
+        "text": texts,
+        "lang": ["en"] * len(htmls),
+    }, schema=PAGES)
+
+
+def _crafted_block() -> pa.Table:
+    """The crafted pages between fixture pages."""
+    fixture = gen_pages_table(len(CRAFTED), seed=9, richness=2)
+    return pa.concat_tables([
+        t for i, (html, _) in enumerate(CRAFTED)
+        for t in (fixture.slice(i, 1), pages_table([html]))])
 
 
 def _extract_rowwise(pages: pa.Table) -> pa.Table:
@@ -172,10 +257,12 @@ def _null_text(pages: pa.Table, i: int) -> pa.Table:
 
 @pytest.mark.parametrize("pages", [
     gen_pages_table(40, seed=3, richness=1),
-    gen_pages_table(12, seed=4, richness=8),
+    gen_pages_table(30, seed=7, richness=3),
+    gen_pages_table(120, seed=1, richness=8),
     _null_text(gen_pages_table(6, seed=6, richness=2), 2),
+    _crafted_block(),
     PAGES.empty_table(),
-], ids=["richness1", "richness8", "null_text", "empty"])
+], ids=["richness1", "richness3", "richness8", "null_text", "crafted", "empty"])
 def test_extract_and_assemble_equal_rowwise(pages):
     raw = extract_batch(pages)
     assert raw.equals(_extract_rowwise(pages))
@@ -208,3 +295,40 @@ def test_assemble_restores_gc_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_columnar_parse_bails_exactly_the_unproven_pages():
+    """``parse_pages`` parses every crafted page its token grammar proves
+    and bails the rest; a bailed page has no rows and a null text."""
+    rows, page, text, bailed = parse_pages(pages_table([h for h, _ in CRAFTED])["html"])
+    assert bailed.tolist() == [b for _, b in CRAFTED]
+    assert not set(page.tolist()) & {i for i, (_, b) in enumerate(CRAFTED) if b}
+    assert [t is None for t in text.to_pylist()] == bailed.tolist()
+    # a slice of 128 fixture pages takes the columnar path throughout
+    assert not parse_pages(gen_pages_table(128, seed=2, richness=4)["html"])[3].any()
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_text_drift_raises_naming_the_url(at):
+    """A ``text`` that is not ``extract_text(html)`` fails the batch with
+    the page's url, on the columnar path (page 0) and on a bailed page
+    (page 3, which holds a comment)."""
+    htmls = [h.decode() for h in gen_pages_table(4, seed=2, richness=2)["html"].to_pylist()]
+    htmls[3] = htmls[3].replace("<body", "<!-- c --><body")
+    texts = [extract_text(h) for h in htmls]
+    texts[at] += " drift"
+    pages = pages_table(htmls, texts)
+    assert parse_pages(pages["html"])[3].tolist() == [False, False, False, True]
+    url = pages["url"][at].as_py()
+    with pytest.raises(ValueError, match=f"drift for url={re.escape(repr(url))}"):
+        extract_batch(pages)
+
+
+def test_ws_class_is_pythons_whitespace():
+    """``htmltext._WS``, read by polars' Rust regex, matches exactly the
+    characters Python's ``\\s`` matches (Rust's own ``\\s`` misses
+    ``\\x1c``-``\\x1f``)."""
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000]
+    rust = pl.Series(chars).str.contains(f"^{_WS}$").to_list()
+    assert ([c for c, m in zip(chars, rust) if m]
+            == [c for c in chars if re.fullmatch(r"\s", c)])

@@ -147,6 +147,36 @@ class TestParseStrictness:
             parse_ttl_batch(docs)
 
 
+class TestEscapes:
+    """``\\u`` and ``\\U`` escapes decode; a malformed one raises
+    ``TTLParseError`` naming the entity."""
+
+    def test_unicode_escapes_decode(self):
+        from kgray.kernels.ttl import parse_ttl
+
+        got = parse_ttl('wd:Q1 wd:P1 "\\u00e9\\U0001F600\\n\\"\\\\" .')
+        assert got == [("wd:Q1", "wd:P1", 'é😀\n"\\', "literal", "", "")]
+
+    @pytest.mark.parametrize("lit", ["\\uZZZZ", "\\u12", "\\u+123", "\\U0000FFF",
+                                     "\\UFFFFFFFF", "\\uD800"])
+    def test_bad_escape_raises(self, lit):
+        from kgray.kernels.ttl import TTLParseError, parse_ttl
+
+        with pytest.raises(TTLParseError):
+            parse_ttl(f'wd:Q1 wd:P1 "{lit}" .')
+
+    def test_bad_escape_names_the_entity(self):
+        import pyarrow as pa
+
+        from kgray.kernels.ttl import TTLParseError
+        from kgray.stages.ttl import parse_ttl_batch
+
+        docs = pa.table({"entity": ["Q1", "Q2"],
+                         "ttl": ['wd:Q1 wdt:P1 "\\u00e9" .', 'wd:Q2 wdt:P1 "\\uZZZZ" .']})
+        with pytest.raises(TTLParseError, match="'Q2'.*escape"):
+            parse_ttl_batch(docs)
+
+
 class TestParseRegressions:
     """Inputs the document-level pre-passes (comment masking, the BCE
     sentinel, the triple-quote check) once parsed wrongly."""
