@@ -7,9 +7,10 @@ lang:string)`` plus the ``aliases`` / ``properties`` broadcast side tables.
 Everything derives from a fixed seed and the page index — ``gen_page(i)`` is
 a pure function, so corpus generation itself parallelizes as a Ray Data
 ``range(n).map_batches`` and any page can be regenerated independently
-(checkpoint/resume-friendly).  The ``text`` column is produced by the same
-``kernels.htmltext.extract_text`` the pipeline uses, pinning the
-byte-identity invariant per url.
+(checkpoint/resume-friendly).  The ``text`` column is produced by
+``kernels.htmltext.extract_text``, the ``html.parser`` reference; the
+pipeline's columnar page parse recomputes it from ``html`` and raises on
+any difference, pinning the byte-identity invariant per url.
 
 Content exercises every reference semantic catalogued in SURVEY.md §2:
 all five datavalue types (new_entity_rdf.py:85-108), BCE dates

@@ -7,17 +7,17 @@ yield delete/insert values, nested ``<a>/<b>/<span>`` tags become
 (predicate, object) pairs, and hrefs are mined for P-ids / QIDs
 (``extract_href``, get_updates.py:883-916).
 
-This module restates that machinery from scratch twice over, with one
-meaning.  The row-wise form (``parse_html``: a regex tokenizer over the
-well-formed subset, stdlib ``html.parser`` otherwise; then ``parse_page``
-and ``extract_text`` over the DOM) works on one document; the single-
-threaded oracle uses it.  The columnar form (``parse_pages``) parses a
-whole block of pages at once as column operations, and the extract stage
-calls it once per slice of pages; a page its token grammar cannot prove
-bails to the row-wise form.  ``tests/test_row_boundary.py`` and a
-hypothesis test pin the two to equal output, so the "byte-identical
-extracted text per url" invariant (BASELINE.json input_hint) holds on
-either path.
+This module restates that machinery in two forms with one meaning.  The
+row-wise form (``parse_html``: stdlib ``html.parser`` builds a small DOM;
+then ``parse_page`` and ``extract_text`` over it) works on one document.
+It is the reference: the single-threaded oracle and the fixtures' ``text``
+column use it.  The columnar form (``parse_pages``) parses a whole block
+of pages at once as column operations over its own token grammar, and the
+extract stage calls it once per slice of pages; a page that grammar
+cannot prove bails to the row-wise form.  The two forms share no
+tokenizer.  ``tests/test_row_boundary.py`` and a hypothesis test pin them
+to equal output, so the "byte-identical extracted text per url" invariant
+(BASELINE.json input_hint) holds on either path.
 """
 
 from __future__ import annotations
@@ -131,83 +131,9 @@ class _TreeBuilder(HTMLParser):
             self.stack[-1].children.append(data)
 
 
-# Fast-path tokenizer: ONE compiled regex alternation over the common
-# well-formed subset (lowercase-insensitive names, double-quoted attribute
-# values only).  Anything it cannot prove it handles identically to
-# html.parser — comments, declarations, processing instructions,
-# single-quoted/unquoted attrs, script/style content, stray '<' — bails the
-# WHOLE document to the HTMLParser slow path, so the byte-identity invariant
-# never depends on the fast path being complete, only on it being correct
-# where it claims competence.  Measured ~3x on the fixture corpus (the DOM
-# build was 57% of per-page extract cost).
-_FAST_TAG_RE = re.compile(
-    r"<(/?)([a-zA-Z][a-zA-Z0-9]*)"
-    r"((?:\s+[a-zA-Z_:][\-a-zA-Z0-9_:.]*(?:\s*=\s*\"[^\"<>]*\")?)*)"
-    r"\s*(/?)>"
-)
-_FAST_ATTR_RE = re.compile(
-    r"([a-zA-Z_:][\-a-zA-Z0-9_:.]*)(?:\s*=\s*\"([^\"]*)\")?"
-)
-
-
-class _FastPathBail(Exception):
-    pass
-
-
-def _parse_html_fast(html: str) -> Node:
-    root = Node("#root", {})
-    stack = [root]
-    pos = 0
-    n = len(html)
-    while True:
-        lt = html.find("<", pos)
-        if lt < 0:
-            text = html[pos:]
-            if "&" in text:
-                # a trailing (possibly truncated) charref at EOF is flushed
-                # differently by html.parser's close() — not worth mirroring
-                raise _FastPathBail
-            if text:
-                stack[-1].children.append(text)
-            break
-        if lt > pos:
-            text = html[pos:lt]
-            stack[-1].children.append(unescape(text) if "&" in text else text)
-        m = _FAST_TAG_RE.match(html, lt)
-        if m is None:
-            raise _FastPathBail  # comment/decl/PI/quirky tag -> slow path
-        closing, name, attr_src, selfclose = m.groups()
-        tag = name.lower()
-        if tag in _SKIP_TAGS:
-            raise _FastPathBail  # script/style bodies need CDATA semantics
-        if closing:
-            if attr_src.strip() or selfclose:
-                raise _FastPathBail
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].tag == tag:
-                    del stack[i:]
-                    break
-        else:
-            attrs: dict[str, str] = {}
-            if attr_src:
-                for am in _FAST_ATTR_RE.finditer(attr_src):
-                    v = am.group(2) or ""
-                    attrs[am.group(1).lower()] = unescape(v) if "&" in v else v
-            node = Node(tag, attrs)
-            stack[-1].children.append(node)
-            if not selfclose and tag not in _VOID_TAGS:
-                stack.append(node)
-        pos = m.end()
-    return root
-
-
 def parse_html(html: str | bytes) -> Node:
     if isinstance(html, (bytes, bytearray, memoryview)):
         html = bytes(html).decode("utf-8")
-    try:
-        return _parse_html_fast(html)
-    except _FastPathBail:
-        pass
     b = _TreeBuilder()
     b.feed(html)
     b.close()
@@ -317,7 +243,7 @@ def _claim_value(node: Node) -> tuple[str, str, str]:
     return "string", node.text(), ""
 
 
-def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
+def parse_page(html: str | bytes, root: Node | None = None) -> dict:
     """Full structured parse of one synthetic page.
 
     Returns ``{"entity", "lang", "claims": [raw-claim dicts], "mentions":
@@ -443,9 +369,14 @@ def parse_page(html: str | bytes, url: str, root: Node | None = None) -> dict:
 
 # Python's \s, written for polars' Rust regex, whose \s lacks \x1c-\x1f
 _WS = r"[\s\x1c-\x1f]"
-_ATTR = rf'{_WS}+[a-zA-Z_:][\-a-zA-Z0-9_:.]*(?:{_WS}*={_WS}*"[^"<>]*")?'
-# a _FAST_TAG_RE tag, a text run, or a '<' that starts no tag
-_TOKEN = rf"</?[a-zA-Z][a-zA-Z0-9]*(?:{_ATTR})*{_WS}*/?>|[^<]+|<"
+_ATTR_ONE = rf'[a-zA-Z_:][\-a-zA-Z0-9_:.]*(?:{_WS}*={_WS}*"[^"<>]*")?'
+_ATTR = rf"{_WS}+{_ATTR_ONE}"
+# a tag over double-quoted attributes, a text run, or a '<' that starts
+# no tag.  A tag name ends where html.parser's does: at ASCII whitespace,
+# '/' or '>' (Python's \s also ends it at \x0b, \x1c-\x1f, \xa0, ...);
+# html.parser's attribute scanner takes Python's \s between attributes.
+_TOKEN = (rf"</?[a-zA-Z][a-zA-Z0-9]*(?:[ \t\n\r\f]{_WS}*(?:{_ATTR_ONE}(?:{_ATTR})*{_WS}*)?)?/?>"
+          r"|[^<]+|<")
 _TAG_NAME = r"^</?([a-zA-Z][a-zA-Z0-9]*)"
 _PLAIN_CLOSE = rf"^</[a-zA-Z][a-zA-Z0-9]*{_WS}*>$"
 # the attributes parse_page reads
@@ -776,19 +707,21 @@ def parse_pages(html) -> tuple[pa.Table, np.ndarray, pa.Array, np.ndarray]:
     once, as column operations.
 
     One polars ``str.extract_all`` pass splits every page into tag and
-    text tokens (``_TOKEN``: the fast tokenizer's tag grammar, a text run,
-    or a stray ``<``); vectorized regexes read each open tag's name and
+    text tokens (``_TOKEN``: a tag over double-quoted attributes, a text
+    run, or a stray ``<``); vectorized regexes read each open tag's name and
     the attributes parse_page uses; a depth scan gives each element's
     extent (``_Block``).  Python sees only text runs and attribute values
     holding ``&`` (``html.unescape``), each mention's span offset, a
     property id parse_page reads from text (``extract_pid``), and a
     non-ASCII href's QID.
 
-    A page the token grammar cannot prove bails: one the fast tokenizer
-    bails on (comment, declaration, processing instruction, script or
-    style, a stray ``<``, ``&`` in the text after the last tag, a close tag
-    with attributes), one whose close tag does not match its innermost
-    open element, and a null page.  Its rows are not computed.
+    A page the token grammar cannot prove bails to ``html.parser``: one
+    holding a comment, declaration, processing instruction, script or
+    style, a stray ``<`` (a ``<`` that starts no ``_TOKEN`` tag: also a
+    tag name ended by a character html.parser does not end it at, or a
+    single-quoted or unquoted attribute), ``&`` in the text after the last
+    tag, a close tag with attributes or one that does not match its
+    innermost open element, and a null page.  Its rows are not computed.
 
     Returns ``(rows, page, text, bailed)``: ``rows`` the RAW_CLAIMS
     columns after ``url`` and ``warc_ts`` of every other page's rows (parse_page's claims, then one

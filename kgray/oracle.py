@@ -26,7 +26,7 @@ def oracle_triples(pages_rows: Iterable[dict], alias_rows: list[dict]) -> set[Tr
     pattern = compile_surface_pattern(list(index))
     out: set[TripleKey] = set()
     for page in pages_rows:
-        parsed = parse_page(page["html"], page["url"])
+        parsed = parse_page(page["html"])
         rows = list(parsed["claims"])
         # href mentions carry exact QIDs
         linked_spans: list[tuple[int, int]] = []

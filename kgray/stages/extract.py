@@ -7,11 +7,11 @@ the DOM as element extents, ``find``/``find_all`` as searchsorted, the
 reference's BeautifulSoup walk at get_updates.py:191-358, restated), and
 each output row's ``url`` and ``warc_ts`` are taken from its page by row
 index.  A page the token grammar cannot prove (a comment, script, stray
-``<``, mismatched close tag, ...) bails to the row-wise path instead:
-``_page_rows`` (``parse_html`` + ``parse_page``, stdlib html.parser when
-the fast tokenizer bails too) through ``schema.fan_out``, and its rows
-rejoin the slice's in page order.  Emits one combined row stream
-(schema.RAW_CLAIMS) containing:
+``<``, a tag name html.parser reads differently, mismatched close tag,
+...) bails to the row-wise path instead: ``_page_rows`` (``parse_html``,
+i.e. stdlib html.parser, then ``parse_page``) through ``schema.fan_out``,
+and its rows rejoin the slice's in page order.  Emits one combined row
+stream (schema.RAW_CLAIMS) containing:
 
   * label/desc/alias/claim/qualifier/reference/diff rows,
   * ``mention`` rows for exact href mentions (QID already known),
@@ -93,7 +93,7 @@ def _page_rows(url, html, text) -> list[tuple]:
     root = parse_html(html)  # ONE DOM for verify + structure parse
     if text is not None and extract_text_from_root(root) != text:
         raise ValueError(f"text extraction drift for url={url!r}")
-    parsed = parse_page(html, url, root=root)
+    parsed = parse_page(html, root=root)
     ent = parsed["entity"]
     rows = [_row(c) for c in parsed["claims"]]
     spans = []

@@ -5,10 +5,11 @@ lookups (S4, ST1-ST3 at get_updates.py:668-881).  The engine provides the
 two scale-shaped join families:
 
 * ``broadcast_join`` — small-side hash join: the dim table is materialized
-  once on the driver (small by contract), shipped to the object store ONCE
-  via ``ray.put``, and the per-task probe index is built once per
-  actor/task (never per batch).  No shuffle; the fact side streams.  This is
-  the alias-table pattern of SURVEY.md §2.4 generalized.
+  once in the calling process (small by contract), its keys are checked
+  unique there, and it is shipped to the object store ONCE via
+  ``ray.put``; each probe call reads it back zero-copy.  No shuffle, no
+  actor pool; the fact side streams.  This is the alias-table pattern of
+  SURVEY.md §2.4 generalized.
 * ``hash_semi_join`` / ``hash_anti_join`` — big-big existence joins on
   Ray Data's native hash-shuffle join, with the right side first reduced to
   DISTINCT keys by a per-batch combiner so only unique keys pay exchange
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 # Reduce width of every native hash-shuffle join.  Small for test-scale
@@ -28,9 +30,8 @@ import ray
 # 4x slower in the bench); at cluster scale it should follow data volume /
 # target partition bytes (several x cluster cores).
 JOIN_PARTITIONS = 8
-# Probe batch rows and actor-pool size of every broadcast join.
+# Probe batch rows of every broadcast join.
 BROADCAST_BATCH = 65536
-BROADCAST_CONCURRENCY = (1, 8)
 
 
 def _materialize_small(dim, columns: Sequence[str]) -> pa.Table:
@@ -50,44 +51,30 @@ def broadcast_join(facts, dim, *, on: str, right_on: str | None = None,
     dim columns appended to each matching fact row."""
     right_on = right_on or on
     dim_cols = list(dim_cols)
-    dim_ref = ray.put(_materialize_small(dim, [right_on, *dim_cols]))
+    table = _materialize_small(dim, [right_on, *dim_cols]).combine_chunks()
+    # pc.index_in returns the FIRST matching dim row; a dim with duplicate
+    # keys would silently join arbitrary values — fail loudly instead
+    n_unique = len(pc.unique(table[right_on]))
+    if n_unique != len(table):
+        raise ValueError(f"broadcast_join dim has duplicate '{right_on}' keys "
+                         f"({len(table)} rows, {n_unique} distinct)")
+    dim_ref = ray.put(table)
 
-    class Probe:
-        """Per-actor state: the dim table as Arrow (no Python dict).  The
-        probe is fully vectorized — ``pc.index_in`` for the gather index,
-        ``pc.is_valid`` for the inner-join mask, ``pc.take`` for the column
-        gather.  ``take`` keeps the dim columns' declared types, so an
-        all-miss / zero-row batch has the same schema as every other."""
+    def probe(batch: pa.Table) -> pa.Table:
+        """Fully vectorized: ``pc.index_in`` for the gather index, its
+        validity for the inner-join mask, ``take`` for the dim columns,
+        which keeps their declared types, so an all-miss or zero-row
+        batch has the same schema as every other."""
+        dim = ray.get(dim_ref)
+        idx = pc.index_in(batch[on], value_set=dim[right_on])
+        valid = pc.is_valid(idx)
+        batch = batch.filter(valid)
+        idx = idx.filter(valid)
+        for c in dim_cols:
+            batch = batch.append_column(c, dim[c].take(idx))
+        return batch
 
-        def __init__(self):
-            import pyarrow.compute as pc
-
-            self.dim: pa.Table = ray.get(dim_ref).combine_chunks()
-            self.key_col = self.dim[right_on]
-            # pc.index_in returns the FIRST matching dim row; a dim with
-            # duplicate keys would silently join arbitrary values — fail
-            # loudly instead (small table by contract, so this is cheap)
-            n_unique = len(pc.unique(self.key_col))
-            if n_unique != len(self.dim):
-                raise ValueError(
-                    f"broadcast_join dim has duplicate '{right_on}' keys "
-                    f"({len(self.dim)} rows, {n_unique} distinct)"
-                )
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            idx = pc.index_in(batch[on], value_set=self.key_col)
-            valid = pc.is_valid(idx)
-            batch = batch.filter(valid)
-            idx = idx.filter(valid)
-            for c in dim_cols:
-                batch = batch.append_column(c, pc.take(self.dim[c], idx))
-            return batch
-
-    return facts.map_batches(Probe, batch_format="pyarrow",
-                             batch_size=BROADCAST_BATCH,
-                             concurrency=BROADCAST_CONCURRENCY)
+    return facts.map_batches(probe, batch_format="pyarrow", batch_size=BROADCAST_BATCH)
 
 
 def distinct_keys(ds, key: str):

@@ -116,7 +116,7 @@ class TestHtml:
         assert txt == "a b\nc d"
 
     def test_parse_page(self):
-        p = parse_page(self.HTML, "u")
+        p = parse_page(self.HTML)
         assert p["entity"] == "Q42"
         kinds = [c["kind"] for c in p["claims"]]
         assert kinds.count("label") == 1 and "claim" in kinds and "diff" in kinds
@@ -144,7 +144,7 @@ class TestHtml:
         from kgray.stages.extract import extract_batch
 
         surfaces = ["Paris", "Berlin", "London", "Paris"]
-        p = parse_page(self.TWO_PARAGRAPHS, "u")
+        p = parse_page(self.TWO_PARAGRAPHS)
         assert [p["body_text"][m["span_start"]:m["span_end"]]
                 for m in p["mentions"]] == surfaces
         bailing = self.TWO_PARAGRAPHS.replace("<body", "<!-- c --><body")

@@ -248,11 +248,26 @@ def test_ttl_roundtrip_property(triples):
     assert parse_ttl(serialize_ttl(triples)) == triples
 
 
+# a literal body piece: \u and \U escapes of any scalar value (either
+# hex case), which serialize_ttl never writes, or plain text and escapes
+_escape = st.one_of(
+    st.characters(blacklist_categories=("Cs",), max_codepoint=0xFFFF).map(
+        lambda c: f"\\u{ord(c):04X}"),
+    st.characters(blacklist_categories=("Cs",)).map(lambda c: f"\\U{ord(c):08x}"),
+    st.sampled_from(["x", "é", '\\"', "\\\\", "\\n", " "]),
+)
+_escaped_statement = st.lists(_escape, max_size=6).map(
+    lambda parts: 'wd:Q1 wdt:P1 "' + "".join(parts) + '" .\n')
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(_triple(), max_size=8), min_size=1, max_size=6))
+@given(st.lists(st.tuples(st.lists(_triple(), max_size=8),
+                          st.lists(_escaped_statement, max_size=2)), min_size=1, max_size=6))
 def test_columnar_ttl_parse_equals_state_machine(docs):
     """The columnar ``parse_ttl_batch`` over a batch of documents equals
-    the state-machine parser run one document at a time."""
+    the state-machine parser run one document at a time; a document is
+    serialized triples, then statements whose literals hold ``\\u`` and
+    ``\\U`` escapes."""
     import pyarrow as pa
 
     from kgray.kernels.ttl import serialize_ttl
@@ -261,84 +276,32 @@ def test_columnar_ttl_parse_equals_state_machine(docs):
     from ttl_rowwise import parse_ttl_batch as parse_ttl_rowwise
 
     batch = pa.table({"entity": [f"Q{i}" for i in range(len(docs))],
-                      "ttl": [serialize_ttl(t) for t in docs]})
+                      "ttl": [serialize_ttl(t) + "".join(e) for t, e in docs]})
     got = parse_ttl_batch(batch)
     assert got.schema == SNAPSHOT
     assert got.equals(parse_ttl_rowwise(batch))
 
 
 # ---------------------------------------------------------------------------
-# fast-path HTML tokenizer ≡ html.parser tree on everything it accepts
-# ---------------------------------------------------------------------------
-
-def _merge_text(node):
-    from kgray.kernels.htmltext import Node
-
-    if isinstance(node, str):
-        return node
-    merged = []
-    for c in node.children:
-        c = _merge_text(c)
-        if isinstance(c, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += c
-        else:
-            merged.append(c)
-    node.children = merged
-    return node
-
-
-def _tree_eq(a, b):
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    return (a.tag == b.tag and a.attrs == b.attrs
-            and len(a.children) == len(b.children)
-            and all(_tree_eq(x, y) for x, y in zip(a.children, b.children)))
-
-
-def test_fast_parser_equals_htmlparser_on_fixture_corpus():
-    from kgray.fixtures import gen_page
-    from kgray.kernels.htmltext import _FastPathBail, _TreeBuilder, _parse_html_fast
-
-    fast_hits = 0
-    for i in range(120):
-        html = gen_page(i, richness=1 + i % 4)["html"].decode()
-        try:
-            f = _parse_html_fast(html)
-            fast_hits += 1
-        except _FastPathBail:
-            continue
-        b = _TreeBuilder()
-        b.feed(html)
-        b.close()
-        assert _tree_eq(_merge_text(f), _merge_text(b.root)), f"page {i}"
-    assert fast_hits == 120  # the fixture corpus must take the fast path
-
-
-@settings(max_examples=120, deadline=None)
-@given(_html_text)
-def test_fast_parser_never_diverges(s):
-    """On arbitrary text the fast path either bails or produces the exact
-    html.parser tree."""
-    from kgray.kernels.htmltext import _FastPathBail, _TreeBuilder, _parse_html_fast
-
-    try:
-        f = _parse_html_fast(s)
-    except _FastPathBail:
-        return
-    b = _TreeBuilder()
-    b.feed(s)
-    b.close()
-    assert _tree_eq(_merge_text(f), _merge_text(b.root))
-
-
-# ---------------------------------------------------------------------------
 # columnar page parse ≡ row-wise extract on blocks of mixed pages
 # ---------------------------------------------------------------------------
 
+def test_fixture_pages_take_the_columnar_parse():
+    """``parse_pages`` bails on none of the fixture pages at richness 1-8,
+    so the generated corpora never reach the row-wise path."""
+    import pyarrow as pa
+
+    from kgray.fixtures import gen_page
+    from kgray.kernels.htmltext import parse_pages
+
+    html = pa.array([gen_page(i, richness=1 + i % 8)["html"] for i in range(120)])
+    assert not parse_pages(html)[3].any()
+
+
 # pieces of pages: tags the page parse selects on, charrefs, case, void
-# and self-closing tags, Python-only whitespace, and the fast tokenizer's
-# bails; joined at random they leave elements open and close tags
-# mismatched
+# and self-closing tags, Python-only whitespace, tag names html.parser
+# runs on past such whitespace, and what the columnar parse bails on;
+# joined at random they leave elements open and close tags mismatched
 _PIECES = [
     '<div class="claim" data-prop="P31">', '<div class="claim">', "</div>",
     '<div class="qualifier" data-prop="P580">', '<div class="reference" title="P248">',
@@ -353,6 +316,8 @@ _PIECES = [
     '<img src="x">', '<span class="value"/>', "<b>", "</b>", " text ", "&amp;",
     "&#233;", "&quot;", '<a href="/wiki/Q42" title="&quot;t&quot;">', "\x1c", "\x1f",
     "\u3000", "  \n ", "<!-- c -->", "<a href='/wiki/Q1'>", "<script>x</script>", " < ",
+    "<h1\x0b>", "<p\u3000class=\"body-text\">", '<div\xa0class="claim" data-prop="P1">',
+    "</h1\x0b>",
 ]
 
 

@@ -25,7 +25,7 @@ import pytest
 from kgray.fixtures import aliases_table, gen_pages_table
 from kgray.kernels.assemble import raw_claim_to_triples
 from kgray.kernels.htmltext import (
-    _WS, _FastPathBail, _parse_html_fast, extract_text, parse_html, parse_page, parse_pages,
+    _WS, extract_text, parse_html, parse_page, parse_pages,
 )
 from kgray.kernels.link import detect_and_link
 from kgray.kernels.ttl import serialize_ttl
@@ -66,8 +66,8 @@ def test_source_rows(fanout, rows):
     assert got.type == pa.int64() and got.to_pylist() == rows
 
 
-# a comment is outside the fast tokenizer's subset: the page bails to the
-# html.parser slow path
+# a comment is outside the columnar parse's token grammar: the page bails
+# to the row-wise path
 _SLOW_PAGE = (
     '<html><body data-entity="Q7"><!-- x --><h1>Seven</h1>'
     '<div class="claim a" data-prop="P31"><span class="value">v</span>'
@@ -79,8 +79,7 @@ _SLOW_PAGE = (
 def _find_cases():
     pages = gen_pages_table(20, seed=5, richness=8)
     roots = [parse_html(h) for h in pages["html"].to_pylist()]
-    with pytest.raises(_FastPathBail):
-        _parse_html_fast(_SLOW_PAGE)
+    assert parse_pages(pa.array([_SLOW_PAGE]))[3].tolist() == [True]
     return roots + [parse_html(_SLOW_PAGE)]
 
 
@@ -139,11 +138,20 @@ CRAFTED = [
     ('<html><body data-entity="Q111"><div class="claim" data-prop="P2">'
      '<span class="wb-quantity-rendered">+5<p class="body-text">Mars and '
      '<a href="/wiki/Q2">Earth', False),
-    # \x1c-\x1f and \u3000 are whitespace to Python's \s, not to Rust's
+    # \x1c-\x1f and \u3000 are whitespace to Python's \s, not to Rust's;
+    # html.parser's tag name runs on past \x1c, so <body\x1c...> is no body
     ('<html><body\x1cdata-entity="Q42"><h1>Douglas\x1c\x1dAdams\u3000</h1>'
      '<div class="claim\x1fx" data-prop="P4"><span class="value">\x1e a\x1fb \x1f</span>'
      '</div><p class="body-text">\u3000Read <a href="/wiki/Q42">Douglas\x1fAdams</a>'
-     '\x1c</p></body></html>', False),
+     '\x1c</p></body></html>', True),
+    # the same past \x0b, \u3000 and \xa0; between attributes and before
+    # a close tag's '>' they are whitespace
+    ('<html><body data-entity="Q1"><h1\x0b>T</h1><p\u3000class="body-text">see '
+     '<a href="/wiki/Q5">human</a></p><div\xa0class="claim" data-prop="P1">v</div>'
+     '<div class="claim"\x0b\xa0data-prop="P2"\u3000><span class="value">w</span>'
+     '</div \x1c><h1>U</h1\x0b></body></html>', True),
+    ('<html><body data-entity="Q1"><div class="claim"\x0b\xa0data-prop="P2"\u3000>'
+     '<span\n\x85class="value">w</span></div \x1c></body></html>', False),
     ("", False),
     # a mismatched close tag
     ('<html><body data-entity="Q17"><div class="claim" data-prop="P3">'
@@ -187,7 +195,7 @@ def _extract_rowwise(pages: pa.Table) -> pa.Table:
     for page in pages.to_pylist():
         if page.get("text") is not None:
             assert extract_text(page["html"]) == page["text"]
-        parsed = parse_page(page["html"], page["url"])
+        parsed = parse_page(page["html"])
         lineage = {"url": page["url"], "warc_ts": page["warc_ts"]}
         blank = dict.fromkeys(RAW_CLAIMS.names, "")
         rows += [{**blank, **lineage, **c} for c in parsed["claims"]]

@@ -153,17 +153,22 @@ class TestEscapes:
 
     def test_unicode_escapes_decode(self):
         from kgray.kernels.ttl import parse_ttl
+        from ttl_rowwise import parse_ttl as parse_ttl_rowwise
 
-        got = parse_ttl('wd:Q1 wd:P1 "\\u00e9\\U0001F600\\n\\"\\\\" .')
-        assert got == [("wd:Q1", "wd:P1", 'é😀\n"\\', "literal", "", "")]
+        for parse in (parse_ttl, parse_ttl_rowwise):
+            got = parse('wd:Q1 wd:P1 "\\u00e9\\U0001F600\\n\\"\\\\" .')
+            assert got == [("wd:Q1", "wd:P1", 'é😀\n"\\', "literal", "", "")]
 
     @pytest.mark.parametrize("lit", ["\\uZZZZ", "\\u12", "\\u+123", "\\U0000FFF",
                                      "\\UFFFFFFFF", "\\uD800"])
     def test_bad_escape_raises(self, lit):
+        """Both the engine's parser and the row-wise oracle refuse it."""
         from kgray.kernels.ttl import TTLParseError, parse_ttl
+        from ttl_rowwise import parse_ttl as parse_ttl_rowwise
 
-        with pytest.raises(TTLParseError):
-            parse_ttl(f'wd:Q1 wd:P1 "{lit}" .')
+        for parse in (parse_ttl, parse_ttl_rowwise):
+            with pytest.raises(TTLParseError):
+                parse(f'wd:Q1 wd:P1 "{lit}" .')
 
     def test_bad_escape_names_the_entity(self):
         import pyarrow as pa

@@ -5,6 +5,8 @@ One document at a time: a regex finds the next token and a state machine
 (``expect``) checks the grammar and emits triples.  Two behaviours of its
 earlier engine version are left out: the BCE sentinel (``"BCE_x"`` parsed
 to ``-x``) and the pre-check that rejected any document holding ``'''``.
+Its literal escapes follow the engine's rules: ``\\U`` decodes too, and a
+malformed ``\\u``/``\\U`` escape raises ``TTLParseError``.
 """
 
 from __future__ import annotations
@@ -36,18 +38,30 @@ _COMMENT_RE = re.compile(r'#[^\n]*')
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 
 
 def _unescape(s: str) -> str:
+    """Backslash escapes of a literal body: ``\\uXXXX`` and
+    ``\\UXXXXXXXX`` decode to their Unicode scalar value, and a ``\\u``
+    or ``\\U`` not followed by that many hex digits, a surrogate or a
+    value above U+10FFFF raises ``TTLParseError``."""
     out: list[str] = []
     i, n = 0, len(s)
     while i < n:
         c = s[i]
         if c == "\\" and i + 1 < n:
             nxt = s[i + 1]
-            if nxt == "u" and i + 6 <= n:
-                out.append(chr(int(s[i + 2:i + 6], 16)))
-                i += 6
+            if nxt in "uU":
+                width = 4 if nxt == "u" else 8
+                digits = s[i + 2:i + 2 + width]
+                if not _HEX_RE.fullmatch(digits) or len(digits) != width:
+                    raise TTLParseError(f"bad \\{nxt} escape: {s[i:i + 10]!r}")
+                code = int(digits, 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    raise TTLParseError(f"escape is not a Unicode scalar value: {s[i:i + 10]!r}")
+                out.append(chr(code))
+                i += 2 + width
                 continue
             out.append(_ESCAPES.get(nxt, nxt))
             i += 2
