@@ -80,9 +80,9 @@ def _kg_ops(sf_dir: str):
     return kg_triples(read_pages(pages_paths_for(sf_dir)))
 
 
-def _kg_triples_query(sf_dir: str):
-    """Flagship query with a hash-stable projection: ``warc_ts`` is emitted
-    as int64 epoch-microseconds (``warc_ts_us``) so the driver's value-hash
+def _warc_ts_us(ops):
+    """``ops`` with a hash-stable projection: ``warc_ts`` is emitted as
+    int64 epoch-microseconds (``warc_ts_us``) so the driver's value-hash
     compare sees identical representations on the Ray and DuckDB sides."""
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -92,7 +92,12 @@ def _kg_triples_query(sf_dir: str):
         return b.set_column(i, pa.field("warc_ts_us", pa.int64()),
                             pc.cast(b["warc_ts"], pa.int64()))
 
-    return _kg_ops(sf_dir).map_batches(stable, batch_format="pyarrow")
+    return ops.map_batches(stable, batch_format="pyarrow")
+
+
+def _kg_triples_query(sf_dir: str):
+    """Flagship query, ``warc_ts`` as ``warc_ts_us`` (``_warc_ts_us``)."""
+    return _warc_ts_us(_kg_ops(sf_dir))
 
 
 def _kg_commands(sf_dir: str):
@@ -182,7 +187,7 @@ def _with_expected(fn) -> Callable[[str], Any]:
 def _sha1_payload(ds, extra_drop=()):
     """Driver-stable projection: opaque binary payloads hash to sha1 hex so
     the value compare never ships raw bytes (same pattern as the
-    warc_ts -> warc_ts_us projection in _kg_triples_query)."""
+    warc_ts -> warc_ts_us projection in _warc_ts_us)."""
     import hashlib
 
     import pyarrow as pa
@@ -274,22 +279,12 @@ def _kg_golden(sf_dir: str):
     scripts/golden_extract.py (a from-scratch second extractor that shares
     no code with kernels/htmltext.py or kernels/assemble.py).  Scale-
     independent by design — the corpus is the same at every sf."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from kgray.fixtures import write_pages_corpus
     from kgray.pipelines.kg import kg_triples, read_pages
 
     paths = write_pages_corpus(
         _corpus_dir("golden", _GOLDEN_PAGES), _GOLDEN_PAGES, shard_rows=10)
-
-    def stable(b: pa.Table) -> pa.Table:
-        i = b.column_names.index("warc_ts")
-        return b.set_column(i, pa.field("warc_ts_us", pa.int64()),
-                            pc.cast(b["warc_ts"], pa.int64()))
-
-    return kg_triples(read_pages(paths)).map_batches(
-        stable, batch_format="pyarrow")
+    return _warc_ts_us(kg_triples(read_pages(paths)))
 
 
 def _q(module: str, name: str) -> Callable[[str], Any]:

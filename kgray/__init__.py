@@ -23,7 +23,8 @@ in ``stages/shuffle.py`` and the survivor pick in
 estimate, and ``materialize._stage_summary`` reads
 ``_write_ds._plan.stats()`` for the per-operator stats of a write.
 
-Shared state rides in actor constructors or ``ray.put`` broadcasts (the
+Every ``map_batches`` stage is a stateless task map, never an actor
+pool.  Shared state rides in ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,
 per SURVEY.md §2.3/ST4).  There are two module globals, both one-entry
 caches: ``stages/link.py``'s per-process linker, keyed by the alias

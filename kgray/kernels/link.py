@@ -142,12 +142,6 @@ class SurfaceMatcher:
         return out
 
 
-def compile_surface_pattern(surfaces: list[str]) -> SurfaceMatcher:
-    """Build the surface matcher (name kept from the regex era; ST1 state,
-    built once per worker process)."""
-    return SurfaceMatcher(surfaces)
-
-
 def tokenize(text: str) -> frozenset[str]:
     return frozenset(t.lower() for t in _TOKEN_RE.findall(text))
 

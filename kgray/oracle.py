@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .kernels.assemble import raw_claim_to_triples
 from .kernels.htmltext import parse_page
-from .kernels.link import build_alias_index, compile_surface_pattern, detect_and_link
+from .kernels.link import SurfaceMatcher, build_alias_index, detect_and_link
 
 TripleKey = tuple[str, str, str, str, str, str]  # (op, subj, pred, obj, lang, datatype)
 
@@ -23,7 +23,7 @@ TripleKey = tuple[str, str, str, str, str, str]  # (op, subj, pred, obj, lang, d
 def oracle_triples(pages_rows: Iterable[dict], alias_rows: list[dict]) -> set[TripleKey]:
     """pages rows (dicts with url/warc_ts/html/text/lang) -> canonical triple-key set."""
     index = build_alias_index(alias_rows)
-    pattern = compile_surface_pattern(list(index))
+    pattern = SurfaceMatcher(list(index))
     out: set[TripleKey] = set()
     for page in pages_rows:
         parsed = parse_page(page["html"])

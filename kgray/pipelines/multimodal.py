@@ -2,18 +2,17 @@
 
 Design per the engine contract: image/audio payloads are opaque ``binary``
 columns with typed metadata columns beside them; decode / feature-extract
-run as ACTOR-POOL ``map_batches`` stages (decoder state loaded once per
-actor in ``__init__``), with SMALL batch sizes because payload bytes — not
-row counts — dominate batch heap size.
+run as stateless task ``map_batches`` stages, with SMALL batch sizes
+because payload bytes — not row counts — dominate batch heap size.
 
 The container has no image/audio codecs, so the real decode is STUBBED:
 ``decode_image`` raises ``NotImplementedError`` unless the payload is in the
 engine's own deterministic synthetic format (magic ``KGIM``), which the
-fixture generator emits.  The Ray-side plumbing — schema, broadcast of
-actor config, batch sizing, actor signature, output layout — is real and
-tested (tests/test_multimodal.py).  Each actor runs its per-item decode
-through ``schema.fan_out``: only ``payload`` becomes Python objects, and
-``media_id`` goes out by row index into one of the four output schemas.
+fixture generator emits.  The Ray-side plumbing — schema, batch sizing,
+output layout — is real and tested (tests/test_multimodal.py).  Each
+stage runs a module-level per-item function through ``schema.fan_out``:
+only ``payload`` becomes Python objects, and ``media_id`` goes out by row
+index into one of the four output schemas.
 """
 
 from __future__ import annotations
@@ -33,14 +32,13 @@ HIST_BINS = 16
 RESIZE_TARGET = 8  # resize: each side strided down to about this many pixels
 FRAME_STRIDE = 4   # frame sampling: every 4th frame
 
-# Ray batch sizes of the actor stages: small, because payload bytes, not
-# row counts, dominate batch heap, so batch x concurrency stays bounded
+# Ray batch sizes of the media stages: small, because payload bytes, not
+# row counts, dominate batch heap, so one call's heap stays bounded
 # regardless of item size (the 100-TB sizing rule from SURVEY.md §4).  A
 # video row is ~n_frames x an image row.
 IMAGE_BATCH = 64
 FRAME_BATCH = 16
 AUDIO_BATCH = 64
-_CONCURRENCY = (1, 4)
 
 # synthetic media corpus sizes per testdata scale tag (image table and the
 # smaller video/audio tables); shared with kgray.expected's oracle writers
@@ -91,7 +89,7 @@ def decode_image(payload: bytes) -> np.ndarray:
     """Decode a payload to a (h, w) uint8 array.
 
     STUB: only the synthetic ``KGIM`` format decodes here.  A production
-    deployment swaps this for PIL/libvips inside the same actor — the
+    deployment swaps this for PIL/libvips inside the same function — the
     surrounding plumbing does not change.
     """
     if payload[:4] != MAGIC:
@@ -120,22 +118,16 @@ AUDIO_FEATURES = pa.schema([
 ])
 
 
-class _PayloadActor:
-    """An actor over (media_id, payload) batches: ``rows(payload)`` gives
-    one item's output rows (the ``schema`` columns after ``media_id``),
-    run through ``schema.fan_out``, which carries ``media_id`` by index."""
+def _payload_stage(ds, rows, schema: pa.Schema, batch_size: int):
+    """A ``map_batches`` of ``rows`` over ``ds``'s (media_id, payload)
+    batches: ``rows(payload)`` gives one item's output rows (the
+    ``schema`` columns after ``media_id``), run through
+    ``schema.fan_out``, which carries ``media_id`` by index."""
+    def stage(batch: pa.Table) -> pa.Table:
+        return fan_out(batch, rows, reads=("payload",),
+                       carry={"media_id": "media_id"}, schema=schema)
 
-    schema: pa.Schema
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return fan_out(batch, self.rows, reads=("payload",),
-                       carry={"media_id": "media_id"}, schema=self.schema)
-
-
-def _actor_stage(ds, actor, batch_size: int):
-    """An actor-pool ``map_batches`` of ``actor`` over ``ds``."""
-    return ds.map_batches(actor, batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=_CONCURRENCY, num_cpus=1)
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
 
 
 def _image_ds(sf_dir: str):
@@ -145,36 +137,30 @@ def _image_ds(sf_dir: str):
     return rd.read_parquet(paths, columns=["media_id", "payload"])
 
 
-class MediaFeatureActor(_PayloadActor):
-    """Actor-pool feature extractor: decode + histogram + checksum.
+# histogram bin edges of image_features
+_HIST_EDGES = np.linspace(0, 256, HIST_BINS + 1)
 
-    ``__init__`` is where a real model/codec would load once per actor;
-    here it just precomputes the histogram bin edges (the point is the
-    lifecycle, not the math)."""
 
-    schema = FEATURES
-
-    def __init__(self):
-        self.bins = np.linspace(0, 256, HIST_BINS + 1)
-
-    def rows(self, p: bytes) -> list[tuple]:
-        img = decode_image(p)
-        h, _ = np.histogram(img, bins=self.bins)
-        return [(len(p), hashlib.sha1(p).hexdigest(), round(float(img.mean()), 4),
-                 h.astype(np.int64).tolist())]
+def image_features(p: bytes) -> list[tuple]:
+    """Decode + histogram + checksum: one ``FEATURES`` row."""
+    img = decode_image(p)
+    h, _ = np.histogram(img, bins=_HIST_EDGES)
+    return [(len(p), hashlib.sha1(p).hexdigest(), round(float(img.mean()), 4),
+             h.astype(np.int64).tolist())]
 
 
 def media_features(sf_dir: str):
     """media table -> per-item features (schema ``FEATURES``)."""
-    return _actor_stage(_image_ds(sf_dir), MediaFeatureActor, IMAGE_BATCH)
+    return _payload_stage(_image_ds(sf_dir), image_features, FEATURES,
+                          IMAGE_BATCH)
 
 
 # ---------------------------------------------------------------------------
 # resize (image), frame sampling (video), audio features — the remaining
-# modality stages from the engine contract, same actor-pool plumbing.
-# Payload formats are the engine's own deterministic synthetic codecs
-# (KGIM plane / KGVD frame stack / KGAU int16 waveform); a production
-# deployment swaps the decode internals per actor, nothing else moves.
+# modality stages from the engine contract, same plumbing.  Payload
+# formats are the engine's own deterministic synthetic codecs (KGIM plane /
+# KGVD frame stack / KGAU int16 waveform); a production deployment swaps
+# the decode internals per function, nothing else moves.
 # ---------------------------------------------------------------------------
 
 VIDEO_MAGIC = b"KGVD"
@@ -193,56 +179,41 @@ def synth_audio(media_id: int, n_samples: int) -> bytes:
     return AUDIO_MAGIC + struct.pack("<I", n_samples) + wave.tobytes()
 
 
-class MediaResizeActor(_PayloadActor):
-    """Actor-pool image resize: decode -> strided nearest-neighbor
-    downsample -> re-encode.  Output stays an opaque payload column, so
-    resize stages compose (resize -> features) without schema changes."""
-
-    schema = RESIZED
-
-    @staticmethod
-    def rows(p: bytes) -> list[tuple]:
-        img = decode_image(p)
-        sy = max(1, img.shape[0] // RESIZE_TARGET)
-        sx = max(1, img.shape[1] // RESIZE_TARGET)
-        small = np.ascontiguousarray(img[::sy, ::sx])
-        h, w = small.shape
-        return [(MAGIC + struct.pack("<II", w, h) + small.tobytes(), w, h)]
+def resize_image(p: bytes) -> list[tuple]:
+    """Image resize: decode -> strided nearest-neighbor downsample ->
+    re-encode.  Output stays an opaque payload column, so resize stages
+    compose (resize -> features) without schema changes."""
+    img = decode_image(p)
+    sy = max(1, img.shape[0] // RESIZE_TARGET)
+    sx = max(1, img.shape[1] // RESIZE_TARGET)
+    small = np.ascontiguousarray(img[::sy, ::sx])
+    h, w = small.shape
+    return [(MAGIC + struct.pack("<II", w, h) + small.tobytes(), w, h)]
 
 
-class FrameSampleActor(_PayloadActor):
+def sample_frames(p: bytes) -> list[tuple]:
     """Video -> sampled frame rows (1 -> n_frames/stride fan-out), each
     frame re-encoded as a standalone KGIM payload so downstream image
     stages (resize/features) consume it unchanged."""
-
-    schema = FRAMES
-
-    @staticmethod
-    def rows(p: bytes) -> list[tuple]:
-        if p[:4] != VIDEO_MAGIC:
-            raise NotImplementedError(
-                "real video codecs unavailable; only synthetic KGVD decodes")
-        w, h, n = struct.unpack("<III", p[4:16])
-        plane = np.frombuffer(p[16:16 + n * w * h], dtype=np.uint8)
-        return [(f, MAGIC + struct.pack("<II", w, h)
-                 + plane[f * w * h:(f + 1) * w * h].tobytes())
-                for f in range(0, n, FRAME_STRIDE)]
+    if p[:4] != VIDEO_MAGIC:
+        raise NotImplementedError(
+            "real video codecs unavailable; only synthetic KGVD decodes")
+    w, h, n = struct.unpack("<III", p[4:16])
+    plane = np.frombuffer(p[16:16 + n * w * h], dtype=np.uint8)
+    return [(f, MAGIC + struct.pack("<II", w, h)
+             + plane[f * w * h:(f + 1) * w * h].tobytes())
+            for f in range(0, n, FRAME_STRIDE)]
 
 
-class AudioFeatureActor(_PayloadActor):
-    """Audio -> (rms, zero-crossing count, n_samples); decode per actor."""
-
-    schema = AUDIO_FEATURES
-
-    @staticmethod
-    def rows(p: bytes) -> list[tuple]:
-        if p[:4] != AUDIO_MAGIC:
-            raise NotImplementedError(
-                "real audio codecs unavailable; only synthetic KGAU decodes")
-        (n,) = struct.unpack("<I", p[4:8])
-        wave = np.frombuffer(p[8:8 + 2 * n], dtype=np.int16).astype(np.float64)
-        return [(n, round(float(np.sqrt(np.mean(wave ** 2))), 4),
-                 int(np.count_nonzero(np.diff(np.signbit(wave)))))]
+def audio_stats(p: bytes) -> list[tuple]:
+    """Audio -> (n_samples, rms, zero-crossing count)."""
+    if p[:4] != AUDIO_MAGIC:
+        raise NotImplementedError(
+            "real audio codecs unavailable; only synthetic KGAU decodes")
+    (n,) = struct.unpack("<I", p[4:8])
+    wave = np.frombuffer(p[8:8 + 2 * n], dtype=np.int16).astype(np.float64)
+    return [(n, round(float(np.sqrt(np.mean(wave ** 2))), 4),
+             int(np.count_nonzero(np.diff(np.signbit(wave)))))]
 
 
 def _media_ds(sf_dir: str, kind: str, synth, meta) -> "rd.Dataset":
@@ -261,7 +232,8 @@ def _media_ds(sf_dir: str, kind: str, synth, meta) -> "rd.Dataset":
 
 
 def media_resize(sf_dir: str):
-    return _actor_stage(_image_ds(sf_dir), MediaResizeActor, IMAGE_BATCH)
+    return _payload_stage(_image_ds(sf_dir), resize_image, RESIZED,
+                          IMAGE_BATCH)
 
 
 def frame_sample(sf_dir: str):
@@ -270,7 +242,7 @@ def frame_sample(sf_dir: str):
         lambda i: synth_video(i, 16 + (i % 4) * 4, 16, 8 + (i % 3) * 4),
         lambda i: dict(kind="video"),
     )
-    return _actor_stage(ds, FrameSampleActor, FRAME_BATCH)
+    return _payload_stage(ds, sample_frames, FRAMES, FRAME_BATCH)
 
 
 def audio_features(sf_dir: str):
@@ -279,4 +251,4 @@ def audio_features(sf_dir: str):
         lambda i: synth_audio(i, 4000 + (i % 7) * 500),
         lambda i: dict(kind="audio"),
     )
-    return _actor_stage(ds, AudioFeatureActor, AUDIO_BATCH)
+    return _payload_stage(ds, audio_stats, AUDIO_FEATURES, AUDIO_BATCH)

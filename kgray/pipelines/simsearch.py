@@ -1,11 +1,12 @@
 """Similarity search over the ``embeddings`` table (``list<float>`` column).
 
 * ``knn_brute``   — exact cosine top-k: the query matrix is broadcast once
-                    (``ray.put``) and read once per ACTOR in ``__init__``;
-                    every batch computes a vectorized (batch × query)
-                    matmul and emits only its LOCAL top-k per query; the
-                    global phase reduces ≤ k·num_batches rows per query.
-                    No full-pairwise materialization.        (SQL oracle)
+                    (``ray.put``) and read by every call of one stateless
+                    task function; every batch computes a vectorized
+                    (batch × query) matmul and emits only its LOCAL top-k
+                    per query; the global phase reduces ≤ k·num_batches
+                    rows per query.  No full-pairwise materialization.
+                                                             (SQL oracle)
 * ``knn_ivf``     — real IVF ANN: a one-time pass assigns every vector to
                     its nearest centroid and writes a CLUSTER-PARTITIONED
                     parquet index; probing reads ONLY the nprobe partitions
@@ -120,39 +121,32 @@ def _topk_schema() -> pa.Schema:
     )
 
 
-class _TopkScorer:
-    """Actor-pool batch scorer: the broadcast query matrix (and optional
-    per-query probe-cluster sets) are fetched ONCE per actor in __init__,
-    never per batch.  Emits each batch's local top-k per query."""
+def _topk(ds, qids: np.ndarray, qn: np.ndarray, probe=None):
+    """Top-``TOP_K`` neighbors per query, self excluded: each batch's local
+    top-k, then a per-query merge of those.  The query ids, normalized
+    query matrix and optional per-query probe clusters (sorted int64
+    arrays aligned with ``qids``; ``ds`` then needs its ``cl`` column) go
+    out as one ``ray.put`` broadcast, which every scoring call reads."""
+    q_ref = ray.put((qids, qn, probe))
 
-    def __init__(self, q_ref, k: int, probe_ref=None):
-        self.qids, self.qn = ray.get(q_ref)
-        self.k = k
-        probe = ray.get(probe_ref) if probe_ref is not None else None
-        # probe sets -> sorted arrays ONCE per actor (not per batch)
-        self.probe = (
-            {int(q): np.array(sorted(s), dtype=np.int64)
-             for q, s in probe.items()}
-            if probe is not None else None
-        )
-
-    def __call__(self, b: pa.Table) -> pa.Table:
+    def score(b: pa.Table) -> pa.Table:
+        qids, qn, probe = ray.get(q_ref)
         ids = b["vec_id"].to_numpy(zero_copy_only=False)
         m = _normalize(_batch_matrix(b))
         clusters = (
-            b["cl"].to_numpy(zero_copy_only=False) if self.probe is not None else None
+            b["cl"].to_numpy(zero_copy_only=False) if probe is not None else None
         )
-        sims = m @ self.qn.T  # (batch, queries)
+        sims = m @ qn.T  # (batch, queries)
         out = {n: [] for n in ("query_id", "neighbor_id", "sim", "sim_raw")}
-        for j, qid in enumerate(self.qids):
+        for j, qid in enumerate(qids):
             col = sims[:, j]
             mask = ids != qid  # exclude self
             if clusters is not None:
-                mask &= np.isin(clusters, self.probe[int(qid)])
+                mask &= np.isin(clusters, probe[j])
             cand = np.flatnonzero(mask)
             if not len(cand):
                 continue
-            take = cand[np.argsort(-col[cand], kind="stable")][: self.k]
+            take = cand[np.argsort(-col[cand], kind="stable")][:TOP_K]
             for i in take:
                 out["query_id"].append(int(qid))
                 out["neighbor_id"].append(int(ids[i]))
@@ -160,27 +154,18 @@ class _TopkScorer:
                 out["sim_raw"].append(float(col[i]))
         return pa.Table.from_pydict(out, schema=_topk_schema())
 
-
-def _global_topk(ds, k: int):
     def reduce_group(g: pa.Table) -> pa.Table:
         g = g.sort_by([("sim_raw", "descending"), ("neighbor_id", "ascending")])
-        return g.slice(0, k).drop_columns(["sim_raw"])
+        return g.slice(0, TOP_K).drop_columns(["sim_raw"])
 
-    return ds.groupby("query_id").map_groups(reduce_group, batch_format="pyarrow")
+    return (ds.map_batches(score, batch_format="pyarrow").groupby("query_id")
+            .map_groups(reduce_group, batch_format="pyarrow"))
 
 
 def knn_brute(sf_dir: str):
     """Exact cosine top-K for the first N_QUERIES vectors."""
     qids, qm = _load_queries(sf_dir)
-    q_ref = ray.put((qids, _normalize(qm)))
-    local = _read(sf_dir).map_batches(
-        _TopkScorer,
-        fn_constructor_args=(q_ref, TOP_K),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        num_cpus=1,
-    )
-    return _global_topk(local, TOP_K)
+    return _topk(_read(sf_dir), qids, _normalize(qm))
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +243,12 @@ def build_ivf_index(sf_dir: str) -> tuple[str, np.ndarray]:
     return out, cent
 
 
-def _probe_plan(cent: np.ndarray, qids: np.ndarray, qn: np.ndarray):
-    """Per-query nprobe nearest centroids + the union of probed clusters."""
-    probe = {
-        int(qid): set(np.argsort(-(cent @ qn[j]))[:IVF_NPROBE].tolist())
-        for j, qid in enumerate(qids)
-    }
-    union = sorted(set().union(*probe.values()))
+def _probe_plan(cent: np.ndarray, qn: np.ndarray):
+    """Per-query nprobe nearest centroids (a sorted int64 array per query
+    row of ``qn``) + the sorted union of probed clusters."""
+    probe = [np.sort(np.argsort(-(cent @ q))[:IVF_NPROBE]).astype(np.int64)
+             for q in qn]
+    union = np.unique(np.concatenate(probe)).tolist() if probe else []
     return probe, union
 
 
@@ -273,8 +257,8 @@ def ivf_probe_stats(sf_dir: str) -> dict:
     partitions (what this batched 5-query run reads) and the mean per-query
     probed fraction (what one query's scoring touches)."""
     out, cent = build_ivf_index(sf_dir)
-    qids, qm = _load_queries(sf_dir)
-    probe, union = _probe_plan(cent, qids, _normalize(qm))
+    _, qm = _load_queries(sf_dir)
+    probe, union = _probe_plan(cent, _normalize(qm))
     sizes: dict[int, int] = {}
     for d in _glob.glob(os.path.join(out, "cluster=*")):
         c = int(d.rsplit("=", 1)[1])
@@ -285,7 +269,7 @@ def ivf_probe_stats(sf_dir: str) -> dict:
     total = sum(sizes.values())
     probed = sum(sizes.get(c, 0) for c in union)
     per_q = [
-        sum(sizes.get(c, 0) for c in probe[int(q)]) / total for q in qids
+        sum(sizes.get(c, 0) for c in p.tolist()) / total for p in probe
     ] if total else []
     return {
         "probed_rows": probed,
@@ -303,21 +287,12 @@ def knn_ivf(sf_dir: str):
     out, cent = build_ivf_index(sf_dir)
     qids, qm = _load_queries(sf_dir)
     qn = _normalize(qm)
-    probe, union = _probe_plan(cent, qids, qn)
+    probe, union = _probe_plan(cent, qn)
 
     paths = [p for c in union
              for p in sorted(_glob.glob(os.path.join(out, f"cluster={c}", "*.parquet")))]
     ds = rd.read_parquet(paths, columns=["vec_id", "embedding", "cl"])
-    q_ref = ray.put((qids, qn))
-    probe_ref = ray.put(probe)
-    local = ds.map_batches(
-        _TopkScorer,
-        fn_constructor_args=(q_ref, TOP_K, probe_ref),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        num_cpus=1,
-    )
-    return _global_topk(local, TOP_K)
+    return _topk(ds, qids, qn, probe)
 
 
 # ---------------------------------------------------------------------------

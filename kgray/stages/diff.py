@@ -6,10 +6,10 @@ difference in memory (ttl_compare.py:168-183).  Distributed, that is a
 hash anti-join in both directions, expressed as ONE exchange with no
 per-group Python (``set_diff``, which ``relational.diff_ops`` shares):
 
-    union(old tagged side=1, new tagged side=2)
-      -> shuffle.bucket_aggregate(keys, min/max of side): a per-block Arrow
-         group_by combiner, the bucket exchange, the same group_by per
-         partition as the merge
+    old tagged side=1, new tagged side=2
+      -> shuffle.bucket_aggregate(both sides, keys, min/max of side): a
+         per-block Arrow group_by combiner on each side, their union, the
+         bucket exchange, the same group_by per partition as the merge
       -> vectorized projection: min==max==2 -> INSERT (new only),
          min==max==1 -> DELETE (old only), min<max -> unchanged (dropped)
 
@@ -52,7 +52,7 @@ def filter_triples(batch: pa.Table) -> pa.Table:
 
 def set_diff(old, new, keys):
     """Two-sided set difference on ``keys``: each side tagged with an int8
-    ``side`` (old 1, new 2), the sides unioned, and ``bucket_aggregate``
+    ``side`` (old 1, new 2), and ``bucket_aggregate`` over both sides
     takes min and max of ``side`` per key.  Output columns are ``keys``
     then ``op``, one row per key found on one side only (min == max):
     INSERT (2) or DELETE (1); keys on both sides drop, and duplicates
@@ -67,9 +67,8 @@ def set_diff(old, new, keys):
                 "side", pa.repeat(pa.scalar(side, pa.int8()), len(batch)))
         return fn
 
-    tagged = new.map_batches(tag(2), batch_format="pyarrow")
-    if old is not None:
-        tagged = old.map_batches(tag(1), batch_format="pyarrow").union(tagged)
+    tagged = [ds.map_batches(tag(side), batch_format="pyarrow")
+              for ds, side in ((old, 1), (new, 2)) if ds is not None]
 
     def project(g: pa.Table) -> pa.Table:
         g = g.filter(pc.equal(g["side_min"], g["side_max"]))

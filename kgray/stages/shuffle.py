@@ -294,10 +294,13 @@ def bucket_groupby(
     return exchange_map(tagged, per_partition)
 
 
-def bucket_aggregate(ds, keys: Sequence[str], aggs: Sequence[tuple[str, str]]):
+def bucket_aggregate(inputs: Sequence, keys: Sequence[str],
+                     aggs: Sequence[tuple[str, str]]):
     """Two-phase grouped aggregate for a key whose cardinality may approach
     the row count: Arrow ``group_by(keys).aggregate(aggs)`` once per block
-    (the combiner), then ``bucket_groupby`` on ``keys`` merges the partial
+    of each Dataset in ``inputs`` (the combiner, so it fuses into each
+    input's own map operator), then the combined streams' union goes
+    through ``bucket_groupby`` on ``keys``, which merges the partial
     columns ``{col}_{fn}`` with the same ``fn`` once per partition.
 
     Output columns are ``keys`` then ``{col}_{fn}`` per ``(col, fn)`` of
@@ -314,5 +317,5 @@ def bucket_aggregate(ds, keys: Sequence[str], aggs: Sequence[tuple[str, str]]):
                 .aggregate([(p, fn) for p, (_, fn) in zip(partials, aggs)])
                 .rename_columns(keys + partials))
 
-    return bucket_groupby(ds.map_batches(combine, batch_format="pyarrow"),
-                          keys, merge)
+    ds, *rest = [d.map_batches(combine, batch_format="pyarrow") for d in inputs]
+    return bucket_groupby(ds.union(*rest) if rest else ds, keys, merge)

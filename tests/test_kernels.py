@@ -12,8 +12,8 @@ from kgray.kernels.assemble import raw_claim_to_triples
 from kgray.kernels.htmltext import extract_text, parse_page
 from kgray.kernels.ids import reference_hash, statement_id, time_node_id
 from kgray.kernels.link import (
+    SurfaceMatcher,
     build_alias_index,
-    compile_surface_pattern,
     detect_and_link,
     score_candidates,
     tokenize,
@@ -233,7 +233,7 @@ class TestLinker:
 
     def test_context_disambiguation(self):
         idx = build_alias_index(self.ALIASES)
-        pat = compile_surface_pattern(list(idx))
+        pat = SurfaceMatcher(list(idx))
         got = detect_and_link("Mercury is a toxic metal element.", idx, pat)
         assert [(s, q) for s, q, *_ in got] == [("Mercury", "Q925")]
         got = detect_and_link("Mercury orbits the sun.", idx, pat)
@@ -245,14 +245,14 @@ class TestLinker:
 
     def test_linked_span_skipped(self):
         idx = build_alias_index(self.ALIASES)
-        pat = compile_surface_pattern(list(idx))
+        pat = SurfaceMatcher(list(idx))
         text = "Berlin and Berlin"
         got = detect_and_link(text, idx, pat, [(0, 6)])
         assert len(got) == 1 and got[0][2] == 11
 
     def test_word_boundaries(self):
         idx = build_alias_index(self.ALIASES)
-        pat = compile_surface_pattern(list(idx))
+        pat = SurfaceMatcher(list(idx))
         assert detect_and_link("Berliner things", idx, pat) == []
 
 

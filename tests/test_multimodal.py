@@ -1,4 +1,5 @@
-"""Multimodal binary-column plumbing: schema, actor pool, stubbed decode."""
+"""Multimodal binary-column plumbing: schema, task stages, stubbed decode;
+plus the execution model of every per-item stage outside the flagship."""
 
 from __future__ import annotations
 
@@ -40,18 +41,21 @@ def test_media_features_pipeline(ray_session):
 
 
 def test_media_resize_composes_with_features(ray_session):
-    """resize emits valid KGIM payloads that the feature stage consumes."""
-    import numpy as np
-
+    """resize emits valid KGIM payloads that the feature function consumes:
+    each resized image's histogram mass is its pixel count."""
     from kgray.pipelines.multimodal import (
-        MediaFeatureActor, decode_image, media_resize,
+        HIST_BINS, decode_image, image_features, media_resize,
     )
 
-    df = media_resize("/root/testdata/sf0.001").to_pandas()
+    df = media_resize(SF_DIR).to_pandas()
     assert len(df) == 128
     assert (df["width"] <= 12).all() and (df["height"] <= 12).all()
     img = decode_image(df.iloc[0]["payload"])
     assert img.shape == (df.iloc[0]["height"], df.iloc[0]["width"])
+    for p, w, h in zip(df["payload"], df["width"], df["height"]):
+        [(byte_len, _, _, hist)] = image_features(p)
+        assert byte_len == len(p) and len(hist) == HIST_BINS
+        assert sum(hist) == w * h
 
 
 def test_frame_sample_fanout(ray_session):
@@ -74,3 +78,31 @@ def test_audio_features(ray_session):
     assert (df["rms"] > 0).all()
     assert (df["zero_crossings"] > 0).all()
     assert (df["n_samples"] >= 4000).all()
+
+
+@pytest.mark.parametrize("stage", [
+    "multimodal.media_features", "multimodal.media_resize",
+    "multimodal.frame_sample", "multimodal.audio_features",
+    "simsearch.knn_brute", "simsearch.knn_ivf",
+])
+def test_stage_maps_run_as_task_pools(ray_session, stage):
+    """Every ``map_batches`` of the media stages and the kNN scorers is a
+    stateless task map: an actor pool restarts its workers in a loop on a
+    worker fault that a task reports (and warns that its constructor
+    arguments live in the object store)."""
+    import importlib
+
+    from ray.data import ActorPoolStrategy
+    from ray.data._internal.logical.operators.map_operator import AbstractUDFMap
+
+    module, name = stage.split(".")
+    ds = getattr(importlib.import_module(f"kgray.pipelines.{module}"), name)(SF_DIR)
+    maps, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        todo += op.input_dependencies
+        if isinstance(op, AbstractUDFMap):
+            maps.append(op)
+    assert maps
+    assert not [op.name for op in maps
+                if isinstance(op._compute, ActorPoolStrategy)]

@@ -277,6 +277,36 @@ def test_console_sink(ray_session, small_corpus, capsys):
     assert all(l.startswith(("INSERT DATA { ", "DELETE DATA { ")) for l in out)
 
 
+def test_write_conformance_file(ray_session, tmp_path):
+    """S5: the prefix header, one blank line, then one command per ops
+    row in row order; the returned count is the row count."""
+    from kgray.kernels.rdf import PREFIX_HEADER
+    from kgray.schema import OPS
+    from kgray.stages.serialize import write_conformance_file
+
+    rows = [
+        ("wdt:P31", "wd:Q5", "iri", "", "", "INSERT"),
+        ("rdfs:label", 'Douglas "DNA" Adams', "literal", "en", "", "DELETE"),
+        ("wdt:P569", "1952-03-11T00:00:00+00:00", "literal", "",
+         "xsd:dateTime", "INSERT"),
+        ("rdf:type", "wikibase:Item", "iri", "", "", "INSERT"),
+    ]
+    ops = pa.Table.from_pylist(
+        [dict(subj="wd:Q42", pred=p, obj=o, obj_type=t, lang=lg, datatype=d,
+              src_url="u", warc_ts=None, op=op)
+         for p, o, t, lg, d, op in rows], schema=OPS)
+    path = tmp_path / "changes.sparql"
+    n = write_conformance_file(ray_session.data.from_arrow(ops), str(path))
+    assert n == len(rows)
+    assert path.read_text() == PREFIX_HEADER + "\n\n" + "".join(
+        line + "\n" for line in [
+            "INSERT DATA { wd:Q42 wdt:P31 wd:Q5 . };",
+            'DELETE DATA { wd:Q42 rdfs:label "Douglas \\"DNA\\" Adams"@en . };',
+            'INSERT DATA { wd:Q42 wdt:P569 "1952-03-11T00:00:00Z"^^xsd:dateTime . };',
+            "INSERT DATA { wd:Q42 a wikibase:Item . };",
+        ])
+
+
 def test_partitioned_run_and_per_partition_resume(ray_session, small_corpus, tmp_path):
     """North rule: per-partition lineage manifests + checkpoint-resume at
     partition granularity; stage metrics recorded per partition."""
