@@ -278,7 +278,7 @@ def distinct_pairs(sf_dir: str):
     # per-block Arrow distinct, then the bucket exchange's merge (Ray's
     # groupby would accumulate per row in Python)
     docs = read_table(sf_dir, "documents", ["lang", "source"])
-    return bucket_aggregate([docs], ["lang", "source"], [])
+    return bucket_aggregate(docs, keys=["lang", "source"], aggs=[])
 
 
 # ---------------------------------------------------------------------------

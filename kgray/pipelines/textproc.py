@@ -164,8 +164,8 @@ def _dedup_by_hash(docs, hash_fn):
                          "dup_cnt": pa.array([1] * len(b), pa.int64())})
 
     return bucket_aggregate(
-        [docs.map_batches(keyed, batch_format="pyarrow")],
-        ["text_hash"], [("keep_id", "min"), ("dup_cnt", "sum")],
+        docs.map_batches(keyed, batch_format="pyarrow"),
+        keys=["text_hash"], aggs=[("keep_id", "min"), ("dup_cnt", "sum")],
     ).map_batches(
         lambda t: t.rename_columns(["text_hash", "keep_id", "dup_cnt"]),
         batch_format="pyarrow")

@@ -76,7 +76,8 @@ def set_diff(old, new, keys):
                         pa.scalar("INSERT"), pa.scalar("DELETE"))
         return g.select(keys).append_column("op", op)
 
-    return bucket_aggregate(tagged, keys, [("side", "min"), ("side", "max")]
+    return bucket_aggregate(*tagged, keys=keys,
+                            aggs=[("side", "min"), ("side", "max")]
                             ).map_batches(project, batch_format="pyarrow")
 
 

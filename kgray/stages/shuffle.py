@@ -294,7 +294,7 @@ def bucket_groupby(
     return exchange_map(tagged, per_partition)
 
 
-def bucket_aggregate(inputs: Sequence, keys: Sequence[str],
+def bucket_aggregate(*inputs, keys: Sequence[str],
                      aggs: Sequence[tuple[str, str]]):
     """Two-phase grouped aggregate for a key whose cardinality may approach
     the row count: Arrow ``group_by(keys).aggregate(aggs)`` once per block

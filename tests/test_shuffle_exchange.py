@@ -192,12 +192,14 @@ def test_bucket_aggregate_matches_one_pass_group_by(ray_session):
         return table.sort_by([(k, "ascending") for k in keys])
 
     aggs = [("v", "min"), ("v", "max"), ("v", "sum")]
-    got = pa.Table.from_pylist(bucket_aggregate([ds], keys, aggs).take_all())
+    got = pa.Table.from_pylist(
+        bucket_aggregate(ds, keys=keys, aggs=aggs).take_all())
     want = t.group_by(keys).aggregate(aggs)
     assert got.column_names == ["k", "s", "v_min", "v_max", "v_sum"]
     assert ordered(got).equals(ordered(want.select(got.column_names)))
 
-    got = pa.Table.from_pylist(bucket_aggregate([ds], keys, []).take_all())
+    got = pa.Table.from_pylist(
+        bucket_aggregate(ds, keys=keys, aggs=[]).take_all())
     assert got.column_names == keys
     assert ordered(got).equals(ordered(t.group_by(keys).aggregate([])))
 

@@ -25,6 +25,18 @@ def test_ivf_recall_vs_brute(ray_session):
     assert avg >= 0.3, f"IVF recall {avg:.2f}"
 
 
+def test_ivf_matches_uncached_expected_table(ray_session):
+    """``knn_ivf`` equals ``kgray.expected``'s restatement built here, not
+    read from the oracle's on-disk cache, which a stale builder passes."""
+    from kgray.expected import _expected_knn_ivf
+    from kgray.oracle_check import compare, to_pandas
+    from kgray.pipelines.simsearch import knn_ivf
+
+    want = _expected_knn_ivf(SF_DIR).to_pandas()
+    assert len(want) > 0
+    assert not compare(to_pandas(knn_ivf(SF_DIR)), want)
+
+
 def test_ivf_reads_minority_of_corpus(ray_session):
     """Real-IVF criterion: the probe must touch < 50% of the corpus rows
     (partition-path pruning, not full-scan-with-pruned-scoring)."""
