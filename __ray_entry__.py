@@ -168,23 +168,20 @@ def _kg_diff(sf_dir: str):
     return diff_snapshots(old, new)
 
 
-def _ensure_expected(sf_dir: str) -> None:
-    """Sequentially-computed expected tables for the rows-only queries
-    (kgray.expected) — the driver's oracle side reads these as parquet."""
-    from kgray.expected import ensure_expected
-
-    ensure_expected(sf_dir)
-
-
 def _with_expected(fn) -> Callable[[str], Any]:
+    """``fn`` after the sequentially-computed expected tables of this scale
+    (kgray.expected) exist — the driver's oracle side reads them as
+    parquet."""
     def run(sf_dir: str):
-        _ensure_expected(sf_dir)
+        from kgray.expected import ensure_expected
+
+        ensure_expected(sf_dir)
         return fn(sf_dir)
 
     return run
 
 
-def _sha1_payload(ds, extra_drop=()):
+def _sha1_payload(ds):
     """Driver-stable projection: opaque binary payloads hash to sha1 hex so
     the value compare never ships raw bytes (same pattern as the
     warc_ts -> warc_ts_us projection in _warc_ts_us)."""
@@ -200,8 +197,7 @@ def _sha1_payload(ds, extra_drop=()):
             pa.string(),
         )
         i = b.column_names.index("payload")
-        out = b.remove_column(i).add_column(i, "payload_sha1", sha)
-        return out.drop_columns(list(extra_drop)) if extra_drop else out
+        return b.remove_column(i).add_column(i, "payload_sha1", sha)
 
     return ds.map_batches(stable, batch_format="pyarrow")
 
@@ -215,8 +211,6 @@ def _media_features(sf_dir: str):
 
     from kgray.pipelines.multimodal import media_features
 
-    _ensure_expected(sf_dir)
-
     def stable(b: pa.Table) -> pa.Table:
         csv = pc.binary_join(b["hist"].cast(pa.list_(pa.string())), ",")
         i = b.column_names.index("hist")
@@ -228,14 +222,12 @@ def _media_features(sf_dir: str):
 def _media_resize(sf_dir: str):
     from kgray.pipelines.multimodal import media_resize
 
-    _ensure_expected(sf_dir)
     return _sha1_payload(media_resize(sf_dir))
 
 
 def _frame_sample(sf_dir: str):
     from kgray.pipelines.multimodal import frame_sample
 
-    _ensure_expected(sf_dir)
     return _sha1_payload(frame_sample(sf_dir))
 
 
@@ -287,16 +279,8 @@ def _kg_golden(sf_dir: str):
     return _warc_ts_us(kg_triples(read_pages(paths)))
 
 
-def _q(module: str, name: str) -> Callable[[str], Any]:
-    def run(sf_dir: str):
-        import importlib
-
-        return getattr(importlib.import_module(module), name)(sf_dir)
-
-    return run
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
+    from kgray.pipelines import multimodal as M
     from kgray.pipelines import relational as R
     from kgray.pipelines import simsearch as S
     from kgray.pipelines import textproc as T
@@ -335,11 +319,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fingerprints": _with_expected(T.fingerprints),
         # --- multimodal (binary payloads; synthetic codecs, real plumbing;
         #     payloads project to sha1 for the driver compare) ---
-        "media_features": _media_features,
-        "media_resize": _media_resize,
-        "frame_sample": _frame_sample,
-        "audio_features": _with_expected(
-            _q("kgray.pipelines.multimodal", "audio_features")),
+        "media_features": _with_expected(_media_features),
+        "media_resize": _with_expected(_media_resize),
+        "frame_sample": _with_expected(_frame_sample),
+        "audio_features": _with_expected(M.audio_features),
         # --- similarity search ---
         "knn_brute": S.knn_brute,
         "knn_ivf": _with_expected(S.knn_ivf),
@@ -361,6 +344,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def oracle_sql() -> dict[str, str]:
     from kgray.expected import SCALE_KEY_SQL as _XKEY
+    from kgray.expected import ensure_expected
     from kgray.expected import expected_glob as _xglob
     from kgray.fixtures import RAW_DIRNAME, TTL_DIRNAME
     from kgray.pipelines.relational import (
@@ -383,7 +367,7 @@ def oracle_sql() -> dict[str, str]:
         if _ray.is_initialized():
             _ensure_ttl("/root/testdata/sf0.01")
         for _sf in ("sf0.001", "sf0.01"):
-            _ensure_expected(f"/root/testdata/{_sf}")
+            ensure_expected(f"/root/testdata/{_sf}")
     except Exception:
         pass  # oracle strings are still valid; the query side also ensures
 

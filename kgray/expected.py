@@ -20,7 +20,8 @@ check targets banding/exchange/verify, not the hash function.
 
 Tables are cached under ``/tmp/kgray_expected/<version>/<scale-tag>/`` and
 invalidated by a content fingerprint of the source parquet (rows + size +
-mtime — the IVF cache rule).  Every row carries ``scale_key`` (the orders
+mtime — the IVF cache rule) together with a digest of the builders' own
+source files.  Every row carries ``scale_key`` (the orders
 row count of its scale) so the parameterless oracle SQL can select the
 right scale via the registered views; unmapped scales map to the impossible
 sentinel -1 and fail loudly.
@@ -371,7 +372,7 @@ _BUILDERS = {
     "minhash_lsh": (_expected_minhash_lsh, "documents.parquet"),
     "knn_ivf": (_expected_knn_ivf, "embeddings.parquet"),
     # media corpora are pure functions of (scale tag, codec version) — the
-    # fingerprint is synthetic, so these only rebuild on version bumps
+    # fingerprint is synthetic, so these only rebuild when the code changes
     "media_features": (_expected_media_features, None),
     "media_resize": (_expected_media_resize, None),
     "frame_sample": (_expected_frame_sample, None),
@@ -379,43 +380,30 @@ _BUILDERS = {
 }
 
 
-def _params_fingerprint() -> str:
-    """Digest of every shared pipeline constant an expected table depends
-    on, folded into the cache key so constant drift rebuilds the tables
-    automatically instead of failing the oracle from a stale /tmp cache
-    (ADVICE r3 #5)."""
-    from .pipelines import multimodal as mm
-    from .pipelines import simsearch as ss
-    from .pipelines import textproc as tp
-
-    # Sentinel value of the shared token hash plus the polars version:
-    # captures any polars hash-algorithm change in the cache key, so a
-    # version bump rotates the /tmp cache instead of surfacing as a
-    # spurious oracle mismatch (ADVICE r4 #2).
+def _code_fingerprint() -> str:
+    """Digest of the source of every module an expected-table builder runs,
+    plus the polars version (the token hash is polars' ``hash_rows``),
+    folded into the cache key: any edit to those files rebuilds the tables,
+    so a changed builder cannot hide behind a table an older one wrote."""
     import polars as _pl
 
-    _plv = _pl.__version__
-    hash_sentinel = int(tp._token_hashes(["kgray-hash-sentinel"])[0])
-
-    parts = (
-        tp.JACCARD_THRESHOLD, tp.MINHASH_PERMS, tp.LSH_BANDS,
-        tp.SIMHASH_BANDS, tp.SIMHASH_MAX_HAMMING,
-        tp._FP_BASE, tp._FP_MOD, tp.WS_CHARS,
-        hash_sentinel, _plv,
-        ss.IVF_CLUSTERS, ss.N_QUERIES, ss.TOP_K, ss._TRAIN_SAMPLE,
-        mm.HIST_BINS, tuple(sorted(mm.MEDIA_N.items())),
-        tuple(sorted(mm.SMALL_MEDIA_N.items())),
-    )
-    return hashlib.blake2b(repr(parts).encode(), digest_size=8).hexdigest()
+    h = hashlib.blake2b(_pl.__version__.encode(), digest_size=8)
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for rel in ("expected.py", "pipelines/textproc.py",
+                "pipelines/simsearch.py", "pipelines/multimodal.py",
+                "stages/shuffle.py"):
+        with open(os.path.join(pkg, rel), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
 
 
 def _src_fingerprint(sf_dir: str, src: str | None) -> str:
     if src is None:
-        return f"synthetic-{_params_fingerprint()}"
+        return f"synthetic-{_code_fingerprint()}"
     path = os.path.join(sf_dir, src)
     st = os.stat(path)
     return (f"{pq.read_metadata(path).num_rows}-{st.st_size}-"
-            f"{int(st.st_mtime)}-{_params_fingerprint()}")
+            f"{int(st.st_mtime)}-{_code_fingerprint()}")
 
 
 def ensure_expected(sf_dir: str, names=NAMES) -> None:

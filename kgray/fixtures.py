@@ -25,9 +25,11 @@ exercise skew (SURVEY.md §4).
 from __future__ import annotations
 
 import datetime as _dt
+import os
 import random
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from .kernels.htmltext import extract_text
 from . import schema as _schema
@@ -318,60 +320,21 @@ def raw_ops_table(pages: pa.Table, alias_rows: list[dict] | None = None) -> pa.T
 
 
 def write_raw_ops_corpus(corpus_dir: str, n: int, seed: int = SEED,
-                         shard_rows: int = 5000,
-                         parallel: bool | None = None) -> list[str]:
+                         shard_rows: int = 5000) -> list[str]:
     """Write the raw-ops oracle table for the ``n``-page corpus, sharded and
     resume-skipped like the pages corpus, under ``corpus_dir``/raw_vN.
 
     Each row carries an ``n_pages`` discriminator column so one SQL glob
     over every cached corpus can select the right scale via
     ``WHERE n_pages = ...`` (the oracle SQL cannot take parameters)."""
-    import os
-    import pyarrow.parquet as pq
-
-    out_dir = os.path.join(corpus_dir, RAW_DIRNAME)
-    os.makedirs(out_dir, exist_ok=True)
-    todo: list[tuple[int, int, str]] = []
-    paths: list[str] = []
-    for start in range(0, n, shard_rows):
-        cnt = min(shard_rows, n - start)
-        path = os.path.join(out_dir, f"raw-{start:08d}.parquet")
-        if not os.path.exists(path):
-            todo.append((start, cnt, path))
-        paths.append(path)
-    if not todo:
-        return paths
-
     alias_rows = aliases_table().to_pylist()
 
-    def _shard_table(start: int, cnt: int) -> pa.Table:
+    def shard(start: int, cnt: int) -> pa.Table:
         t = raw_ops_table(gen_pages_table(cnt, seed, start=start), alias_rows)
         return t.append_column("n_pages", pa.array([n] * len(t), pa.int64()))
 
-    if parallel is None:
-        try:
-            import ray
-
-            parallel = ray.is_initialized() and len(todo) > 1
-        except Exception:
-            parallel = False
-
-    if parallel:
-        import ray
-
-        @ray.remote
-        def _write(start: int, cnt: int, path: str) -> None:
-            tmp = path + ".tmp"
-            pq.write_table(_shard_table(start, cnt), tmp)
-            os.replace(tmp, path)
-
-        ray.get([_write.remote(s, c, p) for s, c, p in todo])
-    else:
-        for start, cnt, path in todo:
-            tmp = path + ".tmp"
-            pq.write_table(_shard_table(start, cnt), tmp)
-            os.replace(tmp, path)
-    return paths
+    return _write_shards(os.path.join(corpus_dir, RAW_DIRNAME), "raw", n,
+                         shard_rows, None, shard)
 
 
 TTL_DIRNAME = f"ttl_{FIXTURE_VERSION}"
@@ -387,10 +350,8 @@ def write_ttl_corpus(corpus_dir: str, n: int) -> tuple[str, str]:
     — the oracle side.  Parser and serializer are independent codecs, so a
     match is a genuine round-trip check of M12, not self-grading."""
     import glob
-    import os
 
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     from .kernels.ttl import serialize_ttl
     from .pipelines.views import ENTITY_PAT
@@ -466,43 +427,37 @@ def write_pages_corpus(out_dir: str, n: int, seed: int = SEED, shard_rows: int =
     generated by Ray tasks — ``gen_page`` is a pure function of
     ``(index, seed)``, so each shard is an independent unit of work.
     """
-    import os
-    import pyarrow.parquet as pq
+    return _write_shards(
+        out_dir, "pages", n, shard_rows, parallel,
+        lambda start, cnt: gen_pages_table(cnt, seed, start=start,
+                                           richness=richness))
 
+
+def _write_shards(out_dir: str, prefix: str, n: int, shard_rows: int,
+                  parallel: bool | None, shard) -> list[str]:
+    """Write ``shard(start, cnt)`` as ``<prefix>-<start>.parquet`` for each
+    ``shard_rows`` range of ``n`` rows, skipping files that already exist
+    (resume).  Missing shards run as Ray tasks when ``parallel`` is True, or
+    when it is None, Ray is initialised and more than one shard is missing.
+    Returns every shard path in row order."""
     os.makedirs(out_dir, exist_ok=True)
-    todo: list[tuple[int, int, str]] = []
-    paths: list[str] = []
-    for start in range(0, n, shard_rows):
-        cnt = min(shard_rows, n - start)
-        path = os.path.join(out_dir, f"pages-{start:08d}.parquet")
-        if not os.path.exists(path):  # resume: skip finished shards
-            todo.append((start, cnt, path))
-        paths.append(path)
-    if not todo:
-        return paths
+    starts = range(0, n, shard_rows)
+    paths = [os.path.join(out_dir, f"{prefix}-{s:08d}.parquet") for s in starts]
+    todo = [(s, min(shard_rows, n - s), p)
+            for s, p in zip(starts, paths) if not os.path.exists(p)]
+
+    def write(start: int, cnt: int, path: str) -> None:
+        pq.write_table(shard(start, cnt), path + ".tmp")
+        os.replace(path + ".tmp", path)  # atomic: partial shards never count as done
+
+    import ray
 
     if parallel is None:
-        try:
-            import ray
-
-            parallel = ray.is_initialized() and len(todo) > 1
-        except Exception:
-            parallel = False
-
+        parallel = ray.is_initialized() and len(todo) > 1
     if parallel:
-        import ray
-
-        @ray.remote
-        def _write(start: int, cnt: int, path: str) -> None:
-            table = gen_pages_table(cnt, seed, start=start, richness=richness)
-            tmp = path + ".tmp"
-            pq.write_table(table, tmp)
-            os.replace(tmp, path)  # atomic: partial shards never count as done
-
-        ray.get([_write.remote(s, c, p) for s, c, p in todo])
+        remote = ray.remote(write)
+        ray.get([remote.remote(*t) for t in todo])
     else:
-        for start, cnt, path in todo:
-            tmp = path + ".tmp"
-            pq.write_table(gen_pages_table(cnt, seed, start=start, richness=richness), tmp)
-            os.replace(tmp, path)
+        for t in todo:
+            write(*t)
     return paths

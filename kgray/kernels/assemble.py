@@ -20,7 +20,6 @@ Semantics restated from the reference:
   * labels/descriptions/aliases -> ``schema:name`` / ``schema:description`` /
     ``skos:altLabel`` @lang, plus ``a schema:Thing``
                                    (new_entity_rdf.py:58-71)
-  * rank camel-casing              (to_camel_case, get_updates.py:951-958)
 """
 
 from __future__ import annotations

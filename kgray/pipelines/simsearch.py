@@ -252,33 +252,6 @@ def _probe_plan(cent: np.ndarray, qn: np.ndarray):
     return probe, union
 
 
-def ivf_probe_stats(sf_dir: str) -> dict:
-    """ANN cost stats the tests assert on: rows in the UNION of probed
-    partitions (what this batched 5-query run reads) and the mean per-query
-    probed fraction (what one query's scoring touches)."""
-    out, cent = build_ivf_index(sf_dir)
-    _, qm = _load_queries(sf_dir)
-    probe, union = _probe_plan(cent, _normalize(qm))
-    sizes: dict[int, int] = {}
-    for d in _glob.glob(os.path.join(out, "cluster=*")):
-        c = int(d.rsplit("=", 1)[1])
-        sizes[c] = sum(
-            pq.read_metadata(f).num_rows
-            for f in _glob.glob(os.path.join(d, "*.parquet"))
-        )
-    total = sum(sizes.values())
-    probed = sum(sizes.get(c, 0) for c in union)
-    per_q = [
-        sum(sizes.get(c, 0) for c in p.tolist()) / total for p in probe
-    ] if total else []
-    return {
-        "probed_rows": probed,
-        "total_rows": total,
-        "union_frac": probed / total if total else None,
-        "per_query_frac_mean": sum(per_q) / len(per_q) if per_q else None,
-    }
-
-
 def knn_ivf(sf_dir: str):
     """ANN top-K: read ONLY the partitions of the nprobe clusters nearest
     each query (partition-path pruning against the IVF index), then the

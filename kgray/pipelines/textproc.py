@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -70,8 +69,6 @@ WS_CHARS = (
 WS_PATTERN = f"[{WS_CHARS}]+"  # literal chars: valid in Python re AND RE2
 # RE2 \x{..} escape form for embedding in DuckDB SQL string literals
 WS_PATTERN_SQL = "[" + "".join(f"\\x{{{ord(c):x}}}" for c in WS_CHARS) + "]+"
-
-_TOKEN_RE = re.compile(WS_PATTERN)
 
 # splitmix64 mix constants (LSH band-key avalanche)
 _MIX1_U = np.uint64(0x9E3779B97F4A7C15)
@@ -280,39 +277,42 @@ def lang_id(sf_dir: str):
 # same.
 # ---------------------------------------------------------------------------
 
-def _token_sets(texts: list[str]) -> list[set]:
-    return [set(_TOKEN_RE.split(t.strip())) - {""} for t in texts]
-
-
 # above this row count a bucket switches from the dense all-pairs incidence
 # matmul (memory O(m·vocab) + O(m²)) to the bounded chunked path
 _JACCARD_DENSE_MAX = 4096
 _JACCARD_CHUNK_ROWS = 1024
 
 
-def _jaccard_pairs_for_group(ids: np.ndarray, toks: list[np.ndarray]):
-    """All (doc_a, doc_b, inter, union) with jac >= threshold inside one
-    bucket.  Small buckets: one incidence matmul.  Oversized buckets (one
-    hot ``source`` value holding most of the corpus — VERDICT r2 "what's
-    wrong" #3) take the bounded path: pair candidates are enumerated in
-    row CHUNKS (never a full m² index allocation), pruned by the size-ratio
-    necessary condition ``min(|a|,|b|)/max(|a|,|b|) >= t`` (jac <= min/max,
-    so no qualifying pair is lost), and survivors verified with sorted-array
-    intersections — peak memory O(chunk·m) booleans + the token arrays,
-    independent of bucket size."""
-    m = len(ids)
-    sizes = np.array([len(t) for t in toks], dtype=np.int64)
-    if m <= _JACCARD_DENSE_MAX:
+def _jaccard_pairs_for_group(ids: np.ndarray, toks: list[np.ndarray],
+                             ids_b: np.ndarray | None = None,
+                             toks_b: list[np.ndarray] | None = None):
+    """All (doc_a, doc_b, inter, union) with jac >= threshold, doc_a <
+    doc_b: inside one bucket, or — given ``ids_b``/``toks_b`` — across two
+    disjoint row blocks of one source group, where every (a, b) cell is a
+    distinct pair and no triangle mask applies.  Small buckets: one
+    incidence matmul.  Oversized buckets (one hot ``source`` value holding
+    most of the corpus — VERDICT r2 "what's wrong" #3) and block pairs take
+    the bounded path: pair candidates are enumerated in row CHUNKS (never a
+    full m² index allocation), pruned by the size-ratio necessary condition
+    ``min(|a|,|b|)/max(|a|,|b|) >= t`` (jac <= min/max, so no qualifying
+    pair is lost), and survivors verified with sorted-array intersections —
+    peak memory O(chunk·m) booleans + the token arrays, independent of
+    bucket size."""
+    triangle = ids_b is None
+    if triangle:
+        ids_b, toks_b = ids, toks
+    sizes, sizes_b = (np.array([len(t) for t in ts], dtype=np.int64)
+                      for ts in (toks, toks_b))
+    if triangle and len(ids) <= _JACCARD_DENSE_MAX:
         inter, _ = _incidence_inter(toks)
-        xi, yi = np.triu_indices(m, 1)
+        xi, yi = np.triu_indices(len(ids), 1)
         iv = inter[xi, yi].astype(np.int64)
     else:
         xi_parts, yi_parts, iv_parts = [], [], []
-        col = np.arange(m, dtype=np.int64)
-        for i0 in range(0, m, _JACCARD_CHUNK_ROWS):
-            i1 = min(i0 + _JACCARD_CHUNK_ROWS, m)
-            rows = np.arange(i0, i1, dtype=np.int64)
-            cand = col[None, :] > rows[:, None]
+        col = np.arange(len(ids_b), dtype=np.int64)
+        for i0 in range(0, len(ids), _JACCARD_CHUNK_ROWS):
+            rows = np.arange(i0, min(i0 + _JACCARD_CHUNK_ROWS, len(ids)),
+                             dtype=np.int64)
             # size-ratio prune (necessary for jac >= t), as two one-sided
             # bounds: min(a,b) >= t*max(a,b) <=> b >= t*a AND a >= t*b.
             # Broadcasting 1-D float bounds against the 1-D sizes vector
@@ -320,75 +320,29 @@ def _jaccard_pairs_for_group(ids: np.ndarray, toks: list[np.ndarray]):
             # temporaries (ADVICE r3 #4: the old minimum/maximum pair
             # allocated GBs per chunk on multi-million-row hot buckets).
             saf = sizes[rows].astype(np.float64)[:, None]
-            cand &= sizes[None, :] >= JACCARD_THRESHOLD * saf
-            cand &= JACCARD_THRESHOLD * sizes[None, :] <= saf
+            cand = sizes_b[None, :] >= JACCARD_THRESHOLD * saf
+            cand &= JACCARD_THRESHOLD * sizes_b[None, :] <= saf
             cand &= (sizes[rows] > 0)[:, None]
-            cand &= sizes[None, :] > 0
+            cand &= sizes_b[None, :] > 0
+            if triangle:
+                cand &= col[None, :] > rows[:, None]
             ci, cj = np.nonzero(cand)
-            if not len(ci):
-                continue
             xi_c = rows[ci]
-            iv_c = np.fromiter(
-                (len(np.intersect1d(toks[a], toks[b], assume_unique=True))
-                 for a, b in zip(xi_c, cj)),
-                dtype=np.int64, count=len(ci),
-            )
             xi_parts.append(xi_c)
             yi_parts.append(cj)
-            iv_parts.append(iv_c)
-        if not xi_parts:
-            z = np.empty(0, np.int64)
-            return z, z, z, z
-        xi = np.concatenate(xi_parts)
-        yi = np.concatenate(yi_parts)
-        iv = np.concatenate(iv_parts)
-    uni = sizes[xi] + sizes[yi] - iv
+            iv_parts.append(np.fromiter(
+                (len(np.intersect1d(toks[a], toks_b[b], assume_unique=True))
+                 for a, b in zip(xi_c, cj)),
+                dtype=np.int64, count=len(ci),
+            ))
+        cat = lambda parts: (np.concatenate(parts) if parts
+                             else np.empty(0, np.int64))
+        xi, yi, iv = cat(xi_parts), cat(yi_parts), cat(iv_parts)
+    uni = sizes[xi] + sizes_b[yi] - iv
     ok = iv > 0
     ok[ok] = (iv[ok] / uni[ok]) >= JACCARD_THRESHOLD
-    return ids[xi[ok]], ids[yi[ok]], iv[ok], uni[ok]
-
-
-def _jaccard_pairs_cross(ids_a, toks_a, ids_b, toks_b):
-    """Above-threshold pairs ACROSS two disjoint row blocks of one source
-    group (no triangle — every (a, b) cell is a distinct unordered pair).
-    Same bounded chunked shape as _jaccard_pairs_for_group: candidates per
-    row chunk, size-ratio prune, sorted-array intersections."""
-    sizes_a = np.array([len(t) for t in toks_a], dtype=np.int64)
-    sizes_b = np.array([len(t) for t in toks_b], dtype=np.int64)
-    ma, mb = len(ids_a), len(ids_b)
-    xi_parts, yi_parts, iv_parts = [], [], []
-    for i0 in range(0, ma, _JACCARD_CHUNK_ROWS):
-        i1 = min(i0 + _JACCARD_CHUNK_ROWS, ma)
-        rows = np.arange(i0, i1, dtype=np.int64)
-        # one-sided bounds, boolean-only temporaries (see the group path)
-        saf = sizes_a[rows].astype(np.float64)[:, None]
-        cand = sizes_b[None, :] >= JACCARD_THRESHOLD * saf
-        cand &= JACCARD_THRESHOLD * sizes_b[None, :] <= saf
-        cand &= (sizes_a[rows] > 0)[:, None]
-        cand &= sizes_b[None, :] > 0
-        ci, cj = np.nonzero(cand)
-        if not len(ci):
-            continue
-        xi_c = rows[ci]
-        iv_c = np.fromiter(
-            (len(np.intersect1d(toks_a[a], toks_b[b], assume_unique=True))
-             for a, b in zip(xi_c, cj)),
-            dtype=np.int64, count=len(ci),
-        )
-        xi_parts.append(xi_c)
-        yi_parts.append(cj)
-        iv_parts.append(iv_c)
-    if not xi_parts:
-        z = np.empty(0, np.int64)
-        return z, z, z, z
-    xi = np.concatenate(xi_parts)
-    yi = np.concatenate(yi_parts)
-    iv = np.concatenate(iv_parts)
-    uni = sizes_a[xi] + sizes_b[yi] - iv
-    ok = iv > 0
-    ok[ok] = (iv[ok] / uni[ok]) >= JACCARD_THRESHOLD
-    ia, ib = ids_a[xi[ok]], ids_b[yi[ok]]
-    return (np.minimum(ia, ib), np.maximum(ia, ib), iv[ok], uni[ok])
+    ia, ib = ids[xi[ok]], ids_b[yi[ok]]
+    return np.minimum(ia, ib), np.maximum(ia, ib), iv[ok], uni[ok]
 
 
 # a source group larger than this is split into row blocks of
@@ -526,14 +480,12 @@ def ngram_jaccard_pairs(sf_dir: str):
             g_ids = ids[s:e]
             g_toks = [np.frombuffer(tb, dtype=np.uint64) for tb in tok_bytes[s:e]]
             if pi[s] == pj[s]:
-                order = np.argsort(g_ids, kind="stable")
-                a, b, iv, uni = _jaccard_pairs_for_group(
-                    g_ids[order], [g_toks[k] for k in order])
+                a, b, iv, uni = _jaccard_pairs_for_group(g_ids, g_toks)
             else:
                 is_a = blk[s:e] == pi[s]
                 ia = np.flatnonzero(is_a)
                 ib = np.flatnonzero(~is_a)
-                a, b, iv, uni = _jaccard_pairs_cross(
+                a, b, iv, uni = _jaccard_pairs_for_group(
                     g_ids[ia], [g_toks[k] for k in ia],
                     g_ids[ib], [g_toks[k] for k in ib])
             a_p.append(a); b_p.append(b); i_p.append(iv); u_p.append(uni)
@@ -797,12 +749,6 @@ def _simhash64_from(h: np.ndarray) -> int:
             & np.uint64(1)).astype(np.int64)
     votes = (2 * bits - 1).sum(axis=0)  # votes[k] is for bit position k (LSB)
     return int.from_bytes(np.packbits(votes > 0).tobytes(), "big")
-
-
-def _simhash64(tokens: set) -> int:
-    """Scalar reference path (tests); pipelines batch via
-    _batch_token_hashes + _simhash64_from."""
-    return _simhash64_from(_token_hashes(tokens))
 
 
 def simhash_signatures(sf_dir: str):

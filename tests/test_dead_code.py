@@ -1,0 +1,57 @@
+"""Every top-level function and class in ``kgray/`` has a caller outside the
+tests: a name that only tests use is test code living in the package."""
+
+from __future__ import annotations
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# name -> why it stays without a caller in the package, scripts or drivers
+ALLOWED = {
+    "make_extract_fn": "shim that frozen perfbench still calls",
+    "_auto_concurrency": "shim that frozen perfbench still calls",
+    "oracle_triples": "the reference P/R oracle (tests, perfbench)",
+    "precision_recall": "the reference P/R oracle (tests, perfbench)",
+    "write_conformance_file": "the S5 conformance sink, a public API",
+    "parse_ttl": "one-document call of parse_ttl_docs, the codec's public "
+                 "API (round-trip and property tests)",
+    "to_camel_case": "reference scalar (get_updates.py:951-958) pinned by "
+                     "TestScalars; no emitted triple names a rank yet",
+}
+
+
+def _sources() -> list[pathlib.Path]:
+    return (sorted((ROOT / "kgray").rglob("*.py"))
+            + sorted((ROOT / "scripts").rglob("*.py"))
+            + [ROOT / "__ray_entry__.py", ROOT / "bench.py"])
+
+
+def test_every_kgray_def_has_a_caller():
+    """A reference is a name, attribute or import of the definition's name
+    in code; docstrings and comments do not count."""
+    refs: collections.Counter = collections.Counter()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name.rsplit(".", 1)[-1]] += 1
+    defs = [
+        (path, node)
+        for path in sorted((ROOT / "kgray").rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+    ]
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+              for path, node in defs
+              if not refs[node.name] and node.name not in ALLOWED]
+    assert not unused, "no caller outside tests/: " + ", ".join(unused)
+    stale = sorted(set(ALLOWED) - {node.name for _, node in defs if
+                                   not refs[node.name]})
+    assert not stale, f"allowlisted but called or gone: {stale}"

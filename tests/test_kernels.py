@@ -256,44 +256,6 @@ class TestLinker:
         assert detect_and_link("Berliner things", idx, pat) == []
 
 
-class TestConfigValidation:
-    """M23: restated argument validators (sparql_updates.py:218-259)."""
-
-    def test_change_count(self):
-        import pytest
-
-        from kgray.config import ConfigError, validate_change_count
-
-        assert validate_change_count("500") == 500
-        assert validate_change_count(1) == 1
-        for bad in (0, 501, "x", None, -3):
-            with pytest.raises(ConfigError):
-                validate_change_count(bad)
-
-    def test_entity_id(self):
-        import pytest
-
-        from kgray.config import ConfigError, validate_entity_id
-
-        assert validate_entity_id("Q42") == "Q42"
-        for bad in ("P31", "Q", "Q12x", "", "42"):
-            with pytest.raises(ConfigError):
-                validate_entity_id(bad)
-
-    def test_window(self):
-        import pytest
-
-        from kgray.config import ConfigError, RunWindow
-
-        w = RunWindow.from_args("2024-01-01 00:00:00", "2024-01-02 00:00:00")
-        assert not w.latest and w.start < w.end
-        assert RunWindow.from_args(None, "2024-01-02 00:00:00").latest
-        with pytest.raises(ConfigError):
-            RunWindow.from_args("2024-01-02 00:00:00", "2024-01-01 00:00:00")
-        with pytest.raises(ConfigError):
-            RunWindow.from_args("01/02/2024", None)
-
-
 class TestVectorizedSerializer:
     """serialize_batch's pc-kernel fast path must be byte-identical to the
     scalar reference kernels (format_object/triple_to_command) on every

@@ -14,9 +14,10 @@ SF_DIR = "/root/testdata/sf0.001"
 
 
 def _entry():
+    import pathlib
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     import __ray_entry__ as e
 
     return e
@@ -67,3 +68,29 @@ def test_entry_smoke(ray_session):
     assert n > 0
     names = set(ds.schema().names)
     assert {"subj", "pred", "obj", "op"} <= names
+
+
+def test_expected_cache_key_follows_builder_source(tmp_path, monkeypatch):
+    """The expected-table cache key digests the source of every module the
+    builders run: an edit to any of them changes the key, so a table an
+    older builder wrote is rebuilt, never served."""
+    import pathlib
+    import shutil
+
+    import kgray.expected as X
+
+    pkg = pathlib.Path(X.__file__).parent
+    rels = ("expected.py", "pipelines/textproc.py", "pipelines/simsearch.py",
+            "pipelines/multimodal.py", "stages/shuffle.py")
+    for rel in rels:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(pkg / rel, tmp_path / rel)
+    key = X._src_fingerprint(SF_DIR, "documents.parquet")
+    # the same bytes elsewhere give the same key: it follows content
+    monkeypatch.setattr(X, "__file__", str(tmp_path / "expected.py"))
+    assert X._src_fingerprint(SF_DIR, "documents.parquet") == key
+    for rel in rels:
+        src = (tmp_path / rel).read_bytes()
+        (tmp_path / rel).write_bytes(src + b"\n# edited\n")
+        assert X._src_fingerprint(SF_DIR, "documents.parquet") != key, rel
+        (tmp_path / rel).write_bytes(src)

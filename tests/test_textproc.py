@@ -24,7 +24,7 @@ def test_minhash_recall_vs_exhaustive(ray_session):
     recall = len(exhaustive & lsh) / len(exhaustive)
     assert recall >= 0.9, f"LSH recall {recall:.3f} too low"
     # every LSH-emitted pair is Jaccard-verified, so none below threshold
-    from kgray.pipelines.textproc import JACCARD_THRESHOLD, _token_sets
+    from kgray.pipelines.textproc import JACCARD_THRESHOLD
     import pandas as pd
 
     lsh_df = minhash_lsh_pairs(SF_DIR).to_pandas()
@@ -52,11 +52,11 @@ def test_fingerprints_deterministic(ray_session):
 def test_simhash_hamming_tracks_jaccard():
     """Property: token-identical docs get identical simhash; disjoint docs
     differ.  Pure-kernel test, no Ray."""
-    from kgray.pipelines.textproc import _simhash64
+    from kgray.expected import _simhash_scalar
 
-    s1 = _simhash64({"alpha", "beta", "gamma", "delta"})
-    s2 = _simhash64({"alpha", "beta", "gamma", "delta"})
-    s3 = _simhash64({"zeta", "omega", "kappa", "lambda"})
+    s1 = _simhash_scalar({"alpha", "beta", "gamma", "delta"})
+    s2 = _simhash_scalar({"alpha", "beta", "gamma", "delta"})
+    s3 = _simhash_scalar({"zeta", "omega", "kappa", "lambda"})
     assert s1 == s2
     assert bin(s1 ^ s3).count("1") > 8
 
@@ -67,9 +67,8 @@ def test_simhash_pairs_bucketed(ray_session):
     when its signatures agree in >=1 band (pigeonhole at dist<=3)."""
     import numpy as np
 
-    from kgray.pipelines.textproc import (
-        SIMHASH_MAX_HAMMING, _simhash64, _token_sets, simhash_pairs,
-    )
+    from kgray.expected import _simhash_scalar, _token_set
+    from kgray.pipelines.textproc import SIMHASH_MAX_HAMMING, simhash_pairs
 
     df = simhash_pairs(SF_DIR).to_pandas()
     assert (df["doc_a"] < df["doc_b"]).all()
@@ -80,8 +79,8 @@ def test_simhash_pairs_bucketed(ray_session):
     import pyarrow.parquet as pq
 
     docs = pq.read_table(SF_DIR + "/documents.parquet", columns=["doc_id", "text"])
-    sig = {i: _simhash64(t) for i, t in zip(
-        docs["doc_id"].to_pylist(), _token_sets(docs["text"].to_pylist()))}
+    sig = {i: _simhash_scalar(_token_set(t)) for i, t in zip(
+        docs["doc_id"].to_pylist(), docs["text"].to_pylist())}
     for r in df.head(50).itertuples():
         assert bin(sig[r.doc_a] ^ sig[r.doc_b]).count("1") == r.hamming
 
@@ -254,12 +253,11 @@ def test_batch_token_hashes_matches_scalar():
     #4: both route through the one vectorized column hash)."""
     import numpy as np
 
-    from kgray.pipelines.textproc import (
-        _batch_token_hashes, _token_hashes, _token_sets,
-    )
+    from kgray.expected import _token_set
+    from kgray.pipelines.textproc import _batch_token_hashes, _token_hashes
 
     texts = ["hello world hello", "a\xa0b　c", "", "   \t ", "x y z x"]
     batch = _batch_token_hashes(texts)
     for t, h in zip(texts, batch):
-        ref = _token_hashes(_token_sets([t])[0])
+        ref = _token_hashes(_token_set(t))
         assert np.array_equal(h, ref), t
