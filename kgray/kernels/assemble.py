@@ -5,6 +5,9 @@ ids) is a deterministic function of the input row, so assembly is an
 embarrassingly-parallel ``map_batches`` with no joins and no shared state —
 the engine's replacement for the reference's SPARQL-endpoint id resolution
 (ST2/ST3, get_updates.py:734-881) and its module-global accumulation (ST4).
+The assemble stage restates this row-wise kernel as one columnar pass
+(``stages.assemble.assemble_batch``); the kernel itself is the oracle's
+(``kgray.oracle``), an independent check of that pass.
 
 Semantics restated from the reference:
   * full-claim scaffold: ``wd:S p:P ?stmt``, ``?stmt a wikibase:Statement``,

@@ -1,11 +1,10 @@
-"""RDF/SPARQL scalar kernels (SURVEY.md §2.8, M14-M18, M21).
+"""RDF/SPARQL scalar kernels (SURVEY.md §2.8, M14-M18).
 
 Re-states the reference's serialization semantics from scratch:
   - prefix table               (reference: get_updates.py:28-93, ttl_compare.py:101-129)
   - object formatter           (reference: ttl_compare.py:243-284)
   - quote escaping             (reference: ttl_compare.py:259)
   - xsd compaction, +00:00->Z  (reference: ttl_compare.py:263-266)
-  - camel-caser                (reference: get_updates.py:951-958)
   - lang normalization _->-    (reference: get_updates.py:474)
   - https->http normalization  (reference: get_updates.py:503)
   - per-triple command text    (reference: ttl_compare.py:210-240, sample_result.txt)
@@ -16,8 +15,6 @@ PREDICATE_BLACKLIST, block-vs-command return drift (ttl_compare.py:236-240).
 """
 
 from __future__ import annotations
-
-import re
 
 # namespace URI -> prefix, longest-first compaction order
 # (reference: ttl_compare.py:101-129 / get_updates.py:28-93; the duplicated
@@ -57,9 +54,6 @@ PREFIX_HEADER = "\n".join(
     f"PREFIX {p}: <{u}>" for u, p in sorted(PREFIXES.items(), key=lambda kv: kv[1])
 )
 
-_WS_RE = re.compile(r"\s+")
-
-
 def escape_quotes(s: str) -> str:
     """Escape internal double quotes (reference: ttl_compare.py:259)."""
     return s.replace('"', '\\"')
@@ -73,11 +67,6 @@ def normalize_lang(tag: str) -> str:
 def normalize_scheme(url: str) -> str:
     """https -> http for normalized link forms (reference: get_updates.py:503)."""
     return url.replace("https", "http", 1) if url.startswith("https") else url
-
-
-def to_camel_case(s: str) -> str:
-    """``preferred rank`` -> ``PreferredRank`` (reference: get_updates.py:951-958)."""
-    return "".join(w.capitalize() for w in _WS_RE.split(s.strip()) if w)
 
 
 def compact_uri(uri: str) -> str:

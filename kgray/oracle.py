@@ -2,11 +2,18 @@
 
 A small, sequential, pure-Python re-statement of the full extraction →
 linking → assembly → dedup flow, mirroring how the reference processes one
-change at a time in a loop (sparql_updates.py:441-457).  It calls the SAME
-kernel functions as the Ray pipeline UDFs, so it defines the expected output
-(the pipeline must reach P/R >= 0.95 against it; by construction it reaches
-1.0 unless the distributed plumbing — batching, shuffles, dedup, per-worker
-state — breaks something, which is exactly what the comparison is for).
+change at a time in a loop (sparql_updates.py:441-457).  It runs the
+row-wise kernels one page and one raw-claim row at a time: ``parse_page``
+(html.parser; the extract stage parses only the pages its columnar parse
+bails on this way), the linker's ``detect_and_link``, and
+``raw_claim_to_triples``, which no pipeline stage runs: assemble is one
+columnar pass per batch (``stages.assemble``).  So for the page parse and
+for assembly the oracle is an independent check of the pipeline's code,
+not a second run of it.  It defines the expected output: the pipeline
+must reach P/R >= 0.95 against it, and reaches 1.0 unless the columnar
+kernels or the distributed plumbing — batching, shuffles, dedup,
+per-worker state — break something, which is exactly what the comparison
+is for.
 """
 
 from __future__ import annotations

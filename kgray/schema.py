@@ -32,7 +32,7 @@ def str_list(col: pa.Array | pa.ChunkedArray) -> list:
     return col.to_numpy(zero_copy_only=False).tolist()
 
 
-def fan_out(batch, kernel, *, reads, carry, schema, slice_rows=None):
+def fan_out(batch, kernel, *, reads, carry, schema):
     """The one row boundary: run a per-row Python kernel over ``batch``
     and return its output rows as one ``schema`` table.
 
@@ -41,16 +41,7 @@ def fan_out(batch, kernel, *, reads, carry, schema, slice_rows=None):
     holding the ``schema`` columns that are not in ``carry``, in schema
     order; the tuples transpose into columns once.  Each ``carry`` column
     (output name -> input column) never becomes Python objects: one
-    ``take`` by ``source_rows`` of the fan-out.  ``slice_rows`` runs the
-    batch that many input rows at a time, bounding the Python heap of one
-    call; the output is the slices' rows in input order."""
-    if slice_rows is not None:
-        slices = batch.to_batches(max_chunksize=slice_rows)
-        if not slices:
-            return schema.empty_table()
-        return pa.concat_tables([
-            fan_out(b, kernel, reads=reads, carry=carry, schema=schema)
-            for b in slices])
+    ``take`` by ``source_rows`` of the fan-out."""
     rows: list[tuple] = []
     fanout: list[int] = []
     for row in zip(*(str_list(batch[c]) for c in reads)):

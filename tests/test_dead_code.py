@@ -18,8 +18,6 @@ ALLOWED = {
     "write_conformance_file": "the S5 conformance sink, a public API",
     "parse_ttl": "one-document call of parse_ttl_docs, the codec's public "
                  "API (round-trip and property tests)",
-    "to_camel_case": "reference scalar (get_updates.py:951-958) pinned by "
-                     "TestScalars; no emitted triple names a rank yet",
 }
 
 

@@ -66,9 +66,6 @@ class TestPrefixes:
 
 
 class TestScalars:
-    def test_camel_case(self):
-        assert rdf.to_camel_case("preferred rank") == "PreferredRank"
-
     def test_lang_normalization(self):
         assert rdf.normalize_lang("pt_BR") == "pt-BR"
 

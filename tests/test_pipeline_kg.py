@@ -210,8 +210,9 @@ def test_runs_share_one_accumulator_with_exact_counts(ray_session, small_corpus,
 
 
 def test_slicing_does_not_change_output():
-    """extract and assemble slice a block inside the function to bound the
-    per-call heap; their output is the concatenation of per-slice calls."""
+    """extract slices a block inside the function to bound the per-call
+    heap, and assemble is row-local: the output of either is the
+    concatenation of its calls on slices of the block."""
     from kgray.fixtures import gen_pages_table
     from kgray.stages import assemble, extract
 
@@ -223,8 +224,8 @@ def test_slicing_does_not_change_output():
         [extract.extract_batch(pages.slice(i, n)) for i in range(0, len(pages), n)]))
 
     raw = pa.concat_tables([raw] * 3)
-    n = assemble._SLICE_ROWS
-    assert len(raw) > n
+    n = 4096
+    assert len(raw) > 2 * n
     ops = assemble.assemble_batch(raw)
     assert ops.equals(pa.concat_tables(
         [assemble.assemble_batch(raw.slice(i, n)) for i in range(0, len(raw), n)]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgray.kernels.htmltext import extract_text
@@ -351,6 +351,121 @@ def test_columnar_extract_equals_rowwise(pages):
     block = pages_table([h for h, _ in pages],
                         [extract_text(h) if keep else None for h, keep in pages])
     assert extract_batch(block).equals(_extract_rowwise(block))
+
+
+# ---------------------------------------------------------------------------
+# columnar assemble ≡ the row-wise kernel on raw-claim tables
+# ---------------------------------------------------------------------------
+
+_short_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+# raw-claim rows that reach every branch of ``raw_claim_to_triples``:
+# every kind, a kind that emits nothing, props with and without a
+# leading "P", every vtype with values of its own shape (link and
+# non-link strings, "+00:00" times), "_" language tags, every rank and
+# op; small pools repeat id inputs, and "\x1f" is the id hash's field
+# separator
+_KINDS = ["label", "desc", "alias", "claim", "diff", "qualifier", "reference",
+          "mention", "mention_text", "unknown"]
+_RANKS = ["normal", "preferred", "deprecated", ""]
+_OPS = ["delete", "insert", ""]
+_VALUES = {
+    "wikibase-entityid": ["Q5", "Q42"],
+    "string": ["http://a.org/https", "https://b.org/https", "httpx", "xhttps://c"],
+    "time": ["+2001-01-01T00:00:00+00:00", "+00:00 +00:00", "-0044-03-15T00:00:00Z"],
+    "quantity": ["+5", "-0.25"],
+    "monolingualtext": ["Paris", "é\x1f"],
+    "url": ["https://c.org"],
+    "": [""],
+}
+
+
+@st.composite
+def _raw_claim(draw):
+    vtype = draw(st.sampled_from(sorted(_VALUES)))
+    return {
+        "entity": draw(st.sampled_from(["Q1", "Q42", "Q1\x1fP2", "Qé"])),
+        "kind": draw(st.sampled_from(_KINDS)),
+        "prop": draw(st.one_of(st.sampled_from(["P31", "P580", "P", "name", "p31", ""]),
+                               _short_text)),
+        "vtype": vtype,
+        "value": draw(st.one_of(st.sampled_from(_VALUES[vtype]), _short_text)),
+        "lang": draw(st.sampled_from(["en", "pt_BR", "zh_Hant_TW", "", "ü_x"])),
+        "rank": draw(st.sampled_from(_RANKS)),
+        "parent_prop": draw(st.sampled_from(["P31", "P1\x1f", "", "name"])),
+        "parent_value": draw(st.sampled_from(["Q5", "+2001-01-01T00:00:00+00:00", ""])),
+        "op": draw(st.sampled_from(_OPS)),
+    }
+
+
+# one row of every kind, prop shape and value of the pools, with the
+# ranks and ops in turn: each branch runs in every test run
+_EVERY_BRANCH = [
+    {"entity": "Q1", "kind": kind, "prop": prop, "vtype": vtype, "value": value,
+     "lang": "pt_BR", "parent_prop": "P31", "parent_value": "Q5"}
+    for kind in _KINDS for prop in ("P31", "name")
+    for vtype in sorted(_VALUES) for value in _VALUES[vtype]
+]
+for _i, _row in enumerate(_EVERY_BRANCH):
+    _row.update(rank=_RANKS[_i % 4], op=_OPS[_i % 3])
+
+
+def _raw_claims_table(rows: list[dict]):
+    import datetime as dt
+
+    import pyarrow as pa
+
+    from kgray.schema import RAW_CLAIMS
+
+    return pa.Table.from_pylist(
+        [{**r, "url": f"https://pages.example.org/wiki/p{i % 3}",
+          "warc_ts": dt.datetime(2024, 1, 1, 0, 0, i % 60)} for i, r in enumerate(rows)],
+        schema=RAW_CLAIMS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_raw_claim(), min_size=1, max_size=40))
+@example(_EVERY_BRANCH)
+def test_columnar_assemble_equals_rowwise(rows):
+    """``assemble_batch`` ``Table.equals`` the row-wise kernel run one
+    raw-claim dict at a time, on one chunk and on two."""
+    import pyarrow as pa
+    from test_row_boundary import _assemble_rowwise
+
+    from kgray.stages.assemble import assemble_batch
+
+    table = _raw_claims_table(rows)
+    expected = _assemble_rowwise(table)
+    assert assemble_batch(table).equals(expected)
+    half = len(table) // 2
+    assert assemble_batch(pa.concat_tables([table.slice(0, half),
+                                            table.slice(half)])).equals(expected)
+
+
+def test_columnar_assemble_empty_multi_chunk_and_null():
+    """No rows in, no rows out; multi-chunk columns, as the linker's
+    ``concat_tables`` hands them over, assemble like one chunk; a null
+    in a column the kernel reads raises."""
+    import pyarrow as pa
+    import pytest
+    from test_row_boundary import _assemble_rowwise
+
+    from kgray.fixtures import aliases_table, gen_pages_table
+    from kgray.schema import OPS, RAW_CLAIMS
+    from kgray.stages.assemble import assemble_batch
+    from kgray.stages.extract import extract_batch
+    from kgray.stages.link import LinkerActor
+
+    assert assemble_batch(RAW_CLAIMS.empty_table()).equals(OPS.empty_table())
+    linked = LinkerActor(aliases_table().to_pylist())(
+        extract_batch(gen_pages_table(12, seed=4, richness=4)))
+    assert linked["value"].num_chunks > 1
+    assert assemble_batch(linked).equals(_assemble_rowwise(linked))
+    assert assemble_batch(linked).equals(assemble_batch(linked.combine_chunks()))
+    lang = linked.schema.get_field_index("lang")
+    nulled = linked.set_column(lang, "lang", pa.nulls(len(linked), pa.string()))
+    with pytest.raises(pa.ArrowInvalid):
+        assemble_batch(nulled)
 
 
 def test_surface_matcher_fallback_overlap_regression():

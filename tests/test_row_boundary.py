@@ -1,20 +1,20 @@
 """The per-row Python boundary: ``schema.fan_out``, and the columnar
-TTL and page parses that left it.
+TTL parse, page parse and assemble that left it.
 
-Link and assemble run their per-row kernels through ``fan_out``: string
-columns are read through ``schema.str_list``, and lineage columns
+Link runs its per-row kernel through ``fan_out``: string columns are
+read through ``schema.str_list``, and lineage columns
 (``url``/``warc_ts``) go out by row index (``schema.source_rows``);
-``Node.find`` stops at its first hit.  The TTL parse and the page parse
+``Node.find`` stops at its first hit.  The TTL parse, the page parse
 (``htmltext.parse_pages``, extract's path for every page its token
-grammar proves) run once per batch and send lineage out by one ``take``.
-Each test here pins one of those against its plain row-wise statement:
-``to_pylist()`` rows in, one dict per output row out.
+grammar proves) and assemble run once per batch and send lineage out by
+one ``take``.  Each test here pins one of those against its plain
+row-wise statement: ``to_pylist()`` rows in, one dict per output row
+out; assemble's is the row-wise kernel ``raw_claim_to_triples``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import gc
 import re
 
 import polars as pl
@@ -285,24 +285,6 @@ def test_extract_and_assemble_equal_rowwise(pages):
     snap = parse_ttl_batch(docs)
     assert snap.equals(_parse_ttl_rowwise(docs))
     assert len(docs) == 1 or len(snap) > len(docs)
-
-
-def test_assemble_restores_gc_state():
-    """``assemble_batch`` pauses the cyclic GC for its row loop and leaves
-    it as it found it, also when the call raises."""
-    raw = extract_batch(gen_pages_table(2, seed=1))
-    assert gc.isenabled()
-    assemble_batch(raw)
-    assert gc.isenabled()
-    with pytest.raises(KeyError):
-        assemble_batch(raw.drop_columns(["url"]))
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        assemble_batch(raw)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
 
 
 def test_columnar_parse_bails_exactly_the_unproven_pages():
