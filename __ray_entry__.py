@@ -122,50 +122,30 @@ def _kg_diff(sf_dir: str):
     """Snapshot-diff over the KG pipeline's own triples: the corpus is
     split into an 'old' and a 'new' snapshot by page revision parity, and
     the diff emits INSERT (new-only) / DELETE (old-only) ops — the
-    distributed ttl_compare.diff_ttls analog (SURVEY.md §2.4/§2.7)."""
-    import shutil
-
+    distributed ttl_compare.diff_ttls analog (SURVEY.md §2.4/§2.7).  One
+    pass over the flagship's output tags each row once, after the M17
+    filters, with side = 1 + its revision's parity (even old, odd new),
+    and ``set_diff`` diffs that single stream."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from kgray.pipelines.views import ENTITY_PAT, REV_PAT
-    from kgray.stages.diff import diff_snapshots
+    from kgray.schema import TRIPLE_KEY
+    from kgray.stages.diff import KEY_COLS, filter_triples, set_diff
 
-    # One pipeline run feeds both sides via parquet, NOT .materialize():
-    # pinning the full ops dataset in the object store to fan out twice is
-    # the wrong shape at scale — write once, stream two cheap reads.  The
-    # spill dir is deterministic per scale and cleared per call so /tmp
-    # usage stays bounded at one copy per scale.
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    spill = f"/tmp/kgray_spill/kg_diff-{tag}"
-    shutil.rmtree(spill, ignore_errors=True)
-    os.makedirs(spill, exist_ok=True)
-    _kg_ops(sf_dir).write_parquet(spill)
-    ops = rd.read_parquet(spill)
-
-    def to_snapshot(b: pa.Table) -> pa.Table:
-        ent = pc.replace_substring_regex(
-            b["src_url"], pattern=ENTITY_PAT, replacement=r"\1")
+    def tag(b: pa.Table) -> pa.Table:
+        url = b["src_url"]
         rev = pc.cast(pc.replace_substring_regex(
-            b["src_url"], pattern=REV_PAT, replacement=r"\1"), pa.int64())
-        return pa.Table.from_pydict(
-            {
-                "entity": ent,
-                "subj": b["subj"],
-                "pred": b["pred"],
-                "obj": b["obj"],
-                "obj_type": b["obj_type"],
-                "lang": b["lang"],
-                "datatype": b["datatype"],
-                "rev_parity": pc.bit_wise_and(rev, 1),
-            }
-        )
+            url, pattern=REV_PAT, replacement=r"\1"), pa.int64())
+        return filter_triples(pa.table({
+            "entity": pc.replace_substring_regex(
+                url, pattern=ENTITY_PAT, replacement=r"\1"),
+            **{c: b[c] for c in TRIPLE_KEY},
+            "side": pc.cast(pc.add(pc.bit_wise_and(rev, 1), 1), pa.int8()),
+        }))
 
-    snap = ops.map_batches(to_snapshot, batch_format="pyarrow")
-    old = snap.filter(expr="rev_parity == 0").drop_columns(["rev_parity"])
-    new = snap.filter(expr="rev_parity == 1").drop_columns(["rev_parity"])
-    return diff_snapshots(old, new)
+    return set_diff(_kg_ops(sf_dir).map_batches(tag, batch_format="pyarrow"),
+                    keys=KEY_COLS)
 
 
 def _with_expected(fn) -> Callable[[str], Any]:

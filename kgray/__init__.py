@@ -26,10 +26,11 @@ estimate, and ``materialize._stage_summary`` reads
 Every ``map_batches`` stage is a stateless task map, never an actor
 pool.  Shared state rides in ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,
-per SURVEY.md §2.3/ST4).  There are two module globals, both one-entry
+per SURVEY.md §2.3/ST4).  There are three module globals, all one-entry
 caches: ``stages/link.py``'s per-process linker, keyed by the alias
-broadcast, and ``stages/metrics.py``'s per-driver counter actor, keyed by
-the Ray job.
+broadcast, ``stages/metrics.py``'s per-driver counter actor, keyed by
+the Ray job, and ``pipelines/textproc.py``'s per-process Jaccard block
+plan (``_PLAN_CACHE``), keyed by the broadcast source counts.
 """
 
 # NOTE: importing the library mutates NO process-global state (ADVICE r3

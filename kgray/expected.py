@@ -20,8 +20,8 @@ check targets banding/exchange/verify, not the hash function.
 
 Tables are cached under ``/tmp/kgray_expected/<version>/<scale-tag>/`` and
 invalidated by a content fingerprint of the source parquet (rows + size +
-mtime — the IVF cache rule) together with a digest of the builders' own
-source files.  Every row carries ``scale_key`` (the orders
+mtime — the IVF cache rule) together with a digest of the package's code
+(``_code_fingerprint``, the IVF index's code key too).  Every row carries ``scale_key`` (the orders
 row count of its scale) so the parameterless oracle SQL can select the
 right scale via the registered views; unmapped scales map to the impossible
 sentinel -1 and fail loudly.
@@ -29,6 +29,7 @@ sentinel -1 and fail loudly.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import re
@@ -381,18 +382,20 @@ _BUILDERS = {
 
 
 def _code_fingerprint() -> str:
-    """Digest of the source of every module an expected-table builder runs,
-    plus the polars version (the token hash is polars' ``hash_rows``),
-    folded into the cache key: any edit to those files rebuilds the tables,
-    so a changed builder cannot hide behind a table an older one wrote."""
+    """Digest of every ``kgray/**/*.py`` (relative path and bytes) plus
+    the polars version (the token hash is polars' ``hash_rows``): the code
+    key of the derived /tmp caches, the expected tables here and the IVF
+    index (``simsearch._ivf_index_dir``).  Any edit under ``kgray/``
+    rebuilds them, so a changed builder cannot hide behind a table an
+    older one wrote."""
     import polars as _pl
 
     h = hashlib.blake2b(_pl.__version__.encode(), digest_size=8)
     pkg = os.path.dirname(os.path.abspath(__file__))
-    for rel in ("expected.py", "pipelines/textproc.py",
-                "pipelines/simsearch.py", "pipelines/multimodal.py",
-                "stages/shuffle.py"):
-        with open(os.path.join(pkg, rel), "rb") as f:
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
+                                 recursive=True)):
+        h.update(os.path.relpath(path, pkg).encode())
+        with open(path, "rb") as f:
             h.update(f.read())
     return h.hexdigest()
 

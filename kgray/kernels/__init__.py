@@ -2,6 +2,8 @@
 
 Every function here is deterministic, side-effect free and importable both by
 the Ray pipeline UDFs and by the single-threaded reference-semantics oracle
-(`kgray.oracle`) — that shared-source-of-truth is what makes the byte-identity
-and P/R invariants hold by construction.
+(`kgray.oracle`).  The two no longer share every step: extract and assemble
+run columnar code (`htmltext.parse_pages`, `stages/assemble.assemble_batch`)
+that the oracle does not, so the byte-identity and P/R invariants hold by
+test (`tests/test_row_boundary.py`, the P/R oracle), not by construction.
 """

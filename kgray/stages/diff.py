@@ -6,7 +6,7 @@ difference in memory (ttl_compare.py:168-183).  Distributed, that is a
 hash anti-join in both directions, expressed as ONE exchange with no
 per-group Python (``set_diff``, which ``relational.diff_ops`` shares):
 
-    old tagged side=1, new tagged side=2
+    old tagged side=1, new tagged side=2 (``tag_side``)
       -> shuffle.bucket_aggregate(both sides, keys, min/max of side): a
          per-block Arrow group_by combiner on each side, their union, the
          bucket exchange, the same group_by per partition as the merge
@@ -50,25 +50,30 @@ def filter_triples(batch: pa.Table) -> pa.Table:
     return batch.filter(keep)
 
 
-def set_diff(old, new, keys):
-    """Two-sided set difference on ``keys``: each side tagged with an int8
-    ``side`` (old 1, new 2), and ``bucket_aggregate`` over both sides
+def tag_side(ds, side: int, keys):
+    """``ds``'s ``keys`` columns and an int8 ``side``: one side of a
+    ``set_diff`` (old 1, new 2)."""
+    keys = list(keys)
+
+    def fn(batch: pa.Table) -> pa.Table:
+        return batch.select(keys).append_column(
+            "side", pa.repeat(pa.scalar(side, pa.int8()), len(batch)))
+
+    return ds.map_batches(fn, batch_format="pyarrow")
+
+
+def set_diff(*tagged, keys):
+    """Set difference in both directions on ``keys``, over Datasets whose
+    rows carry ``keys`` and an int8 ``side`` (1 old, 2 new; ``tag_side``,
+    or one stream holding both sides): ``bucket_aggregate`` over them
     takes min and max of ``side`` per key.  Output columns are ``keys``
     then ``op``, one row per key found on one side only (min == max):
     INSERT (2) or DELETE (1); keys on both sides drop, and duplicates
-    within a side collapse.  ``old=None`` makes every key an INSERT."""
+    within a side collapse.  With no side 1 rows every key is an
+    INSERT."""
     from .shuffle import bucket_aggregate
 
     keys = list(keys)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.select(keys).append_column(
-                "side", pa.repeat(pa.scalar(side, pa.int8()), len(batch)))
-        return fn
-
-    tagged = [ds.map_batches(tag(side), batch_format="pyarrow")
-              for ds, side in ((old, 1), (new, 2)) if ds is not None]
 
     def project(g: pa.Table) -> pa.Table:
         g = g.filter(pc.equal(g["side_min"], g["side_max"]))
@@ -84,12 +89,13 @@ def set_diff(old, new, keys):
 def diff_snapshots(old, new):
     """old/new schema.SNAPSHOT Datasets -> ops Dataset with columns
     (``KEY_COLS``..., op), which ``serialize_stage`` renders as-is: the
-    M17 filters on each side, then ``set_diff`` on ``KEY_COLS``.
+    M17 filters and ``tag_side`` on each side, then ``set_diff`` on
+    ``KEY_COLS``.
 
     ``old`` may be None (no prior snapshot -> pure INSERTs).
     """
-    def filtered(ds):
-        return ds.map_batches(filter_triples, batch_format="pyarrow")
-
-    return set_diff(None if old is None else filtered(old), filtered(new),
-                    KEY_COLS)
+    return set_diff(*(
+        tag_side(ds.map_batches(filter_triples, batch_format="pyarrow"),
+                 side, KEY_COLS)
+        for ds, side in ((old, 1), (new, 2)) if ds is not None),
+        keys=KEY_COLS)

@@ -19,6 +19,9 @@ always share a bucket, so any per-key reduction computed inside ``fn`` is
 globally correct.  ``bucket_aggregate`` is the two-phase aggregate on it:
 an Arrow ``group_by`` per block as the combiner, the same functions again
 per partition as the merge (the snapshot diff, exact dedup, distinct).
+``block_pairs`` is the all-pairs self-join on it: each group split into
+row blocks, one exchange on (group, block pair), one scorer call per
+block pair (the n-gram Jaccard and embedding near-dup queries).
 
 One plan, one exception.  Every exchange runs the sort plan, a range
 sort on the caller's numeric key (``__bucket`` for the bucket callers,
@@ -97,16 +100,35 @@ NUM_BUCKETS = 4096
 # r3 #1) but pays a fixed ~3-5 s aggregator-pool spawn per exchange, so it
 # needs at least this much estimated input to amortize:
 _HASH_MIN_BYTES = 512 * 1024 * 1024
-# ... and at least this many cluster CPUs: at 2 CPUs the aggregator pool
-# and the then linker actor pool left the shuffle's map tasks no slots
-# (the 120-page flagship with hash forced made no progress in 390 s).
+# ... and at least this many cluster CPUs: the aggregator reservation
+# competes with the exchange's own map tasks for CPU slots, and at 2 CPUs
+# it left them none (the 120-page flagship with hash forced made no
+# progress in 390 s; BASELINE.md "Exchange selection").  That hang was
+# measured while the linker still ran as an actor pool and has not been
+# re-checked since.
 _HASH_MIN_CPUS = 4
 # Scheduler CPU reservation budget for ONE exchange's aggregator-actor
 # pool as a fraction of cluster CPUs.  Round-3's HASH_SHUFFLE probe stalled
 # because the default reservation — min(1, (CPU/2)/partitions) per
-# partition — put 16 of 32 cpus on aggregators and starved the extract/link
-# actor pool; see _tune_hash_shuffle for the deadlock arithmetic.
+# partition — put 16 of 32 cpus on aggregators, which the map tasks then
+# could not use; see _tune_hash_shuffle for the deadlock arithmetic.
 _AGG_CPU_FRACTION = 16
+
+
+# splitmix64 finalizer constants
+_MIX2 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX3 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix_u64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over a uint64 array: a bijective avalanche,
+    so nearby ids land in unrelated blocks (and LSH band keys in
+    unrelated buckets)."""
+    h = h ^ (h >> np.uint64(30))
+    h = h * _MIX2
+    h = h ^ (h >> np.uint64(27))
+    h = h * _MIX3
+    return h ^ (h >> np.uint64(31))
 
 
 def _hash_key(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
@@ -182,12 +204,12 @@ def _tune_hash_shuffle(ctx, num_partitions: int, cpus: int) -> None:
 
     The reservation must stay SMALL: aggregator actors only concat arriving
     partition blocks (bandwidth-bound, mostly idle), but their num_cpus is
-    reserved for the life of the shuffle op.  A pipeline can hold TWO live
-    exchanges plus an actor-pool stage; if actor reservations ever sum to
-    the node's CPUs, the shuffle's own map tasks (num_cpus=1 each) can
-    never schedule and the pipeline deadlocks — measured at num_cpus=4
-    with the previous max(1.0, cpus/8) budget (2 exchanges x 1.0 + 2 pool
-    actors = 4/4 reserved, zero task slots)."""
+    reserved for the life of the shuffle op, and every CPU it holds is a
+    slot the map tasks (num_cpus=1 each) cannot take.  If the reservations
+    of a pipeline's live exchanges ever sum to the node's CPUs, no map
+    task can schedule and the pipeline deadlocks — measured at num_cpus=4
+    with the previous max(1.0, cpus/8) budget, at a time when two linker
+    pool actors held the other two CPUs (no actor pool is left)."""
     from ray.data.context import ShuffleStrategy
 
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
@@ -319,3 +341,71 @@ def bucket_aggregate(*inputs, keys: Sequence[str],
 
     ds, *rest = [d.map_batches(combine, batch_format="pyarrow") for d in inputs]
     return bucket_groupby(ds.union(*rest) if rest else ds, keys, merge)
+
+
+# block_pairs' exchange columns: a row's block pair and its own block
+_PI, _PJ, _BLK = "__pi", "__pj", "__blk"
+
+
+def block_pairs(ds, *, group: Sequence[str], id_col: str,
+                nblocks: Callable[[pa.Table], np.ndarray],
+                score: Callable[[pa.Table, pa.Table | None], pa.Table],
+                schema: pa.Schema):
+    """All-pairs self-join within each ``group`` of ``ds``, a hot group
+    split into block pairs so that no task holds a whole group (FP-Hadoop,
+    VLDB 2015).
+
+    ``nblocks(batch)`` gives each row's block count, equal across a group.
+    A row belongs to block ``splitmix64(id) % nblocks`` and is sent once to
+    every partner block ``o``, keyed ``(pi, pj) = (min, max)`` of its
+    block and ``o``.  One ``bucket_groupby(spread=True)`` exchange
+    co-locates each ``(group, pi, pj)``, and a walk of each partition calls
+    ``score(a, b)`` once per block pair: ``a`` the rows of block ``pi``,
+    ``b`` those of block ``pj`` (``ds``'s own columns), where every (a, b)
+    row pair is to be scored; on the diagonal it calls ``score(a, None)``,
+    where every unordered pair of ``a`` is.  A pair of rows of one group is
+    thus scored exactly once, a pair across groups never.  The scores are
+    concatenated; ``schema`` is a partition's output when it scores
+    nothing.
+
+    Peak task memory is the block-pair groups that share one reduce
+    partition.  The sort's range boundaries are sampled bucket values, so
+    there are at most as many partitions as groups, and some partitions
+    take two (neardup_cosine's 36 block pairs at sf0.001: 33 partitions,
+    3 of them holding two pairs)."""
+    keys = [*group, _PI, _PJ]
+
+    def tag(batch: pa.Table) -> pa.Table:
+        nb = np.asarray(nblocks(batch), dtype=np.int64)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
+        rep = np.repeat(np.arange(len(batch)), nb)
+        partner = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
+        own = blk[rep]
+        return (batch.take(rep)
+                .append_column(_PI, pa.array(np.minimum(own, partner), pa.int32()))
+                .append_column(_PJ, pa.array(np.maximum(own, partner), pa.int32()))
+                .append_column(_BLK, pa.array(own, pa.int32())))
+
+    def walk(part: pa.Table) -> pa.Table:
+        part = part.sort_by([(k, "ascending") for k in keys])
+        run = _pl.from_arrow(part.select(keys)).select(
+            _pl.struct(keys).rle_id()).to_series().to_numpy().astype(np.int64)
+        starts = np.flatnonzero(np.diff(run, prepend=-1))
+        ends = np.append(starts[1:], len(part))
+        pi, pj, own = (part[c].to_numpy() for c in (_PI, _PJ, _BLK))
+        rows = part.drop_columns([_PI, _PJ, _BLK])
+        out = [schema.empty_table()]
+        for s, e in zip(starts, ends):
+            g = rows.slice(s, e - s)
+            if pi[s] == pj[s]:
+                out.append(score(g, None))
+                continue
+            in_a = own[s:e] == pi[s]
+            if in_a.all() or not in_a.any():
+                continue  # one block of the pair is empty
+            out.append(score(g.filter(in_a), g.filter(~in_a)))
+        return pa.concat_tables(out)
+
+    return bucket_groupby(ds.map_batches(tag, batch_format="pyarrow"), keys,
+                          walk, spread=True)

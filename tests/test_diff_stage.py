@@ -56,21 +56,25 @@ def test_diff_no_prior_snapshot_is_pure_inserts(ray_session):
     assert len(got) == 2
 
     # set_diff on a non-triple key: duplicates within a side collapse to
-    # one row, and a key on both sides drops however often it repeats
-    from kgray.stages.diff import set_diff
+    # one row, and a key on both sides drops however often it repeats,
+    # whether the sides come as two tagged streams or as one
+    from kgray.stages.diff import set_diff, tag_side
 
     def ids(*xs):
         return rd.from_arrow(pa.table({"doc_id": pa.array(xs, pa.int64()),
                                        "pad": [str(x) for x in xs]}))
 
-    out = set_diff(None, ids(1, 1, 2, 2, 2), ("doc_id",))
+    keys = ("doc_id",)
+    out = set_diff(tag_side(ids(1, 1, 2, 2, 2), 2, keys), keys=keys)
     assert sorted((r["doc_id"], r["op"]) for r in out.take_all()) == [
         (1, "INSERT"), (2, "INSERT")]
-    out = set_diff(ids(1, 1, 3, 3), ids(2, 2, 3), ("doc_id",))
-    rows = out.take_all()
-    assert sorted((r["doc_id"], r["op"]) for r in rows) == [
-        (1, "DELETE"), (2, "INSERT")]
-    assert list(rows[0]) == ["doc_id", "op"]
+    old, new = ids(1, 1, 3, 3), ids(2, 2, 3)
+    for sides in ((tag_side(old, 1, keys), tag_side(new, 2, keys)),
+                  (tag_side(old, 1, keys).union(tag_side(new, 2, keys)),)):
+        rows = set_diff(*sides, keys=keys).take_all()
+        assert sorted((r["doc_id"], r["op"]) for r in rows) == [
+            (1, "DELETE"), (2, "INSERT")]
+        assert list(rows[0]) == ["doc_id", "op"]
 
 
 def test_diff_filters_owl_foreign_and_wdp(ray_session):

@@ -106,3 +106,43 @@ def test_stage_maps_run_as_task_pools(ray_session, stage):
     assert maps
     assert not [op.name for op in maps
                 if isinstance(op._compute, ActorPoolStrategy)]
+
+
+def test_corpus_shards_are_written_atomically(tmp_path, monkeypatch):
+    """``fixtures._write_shards`` (the media, pages and raw-ops corpora's
+    one writer): a shard that fails partway, in its shard function or in
+    its parquet write, leaves no ``<prefix>-*.parquet`` behind, and the
+    next call writes it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from kgray import fixtures as F
+
+    def shard(start: int, cnt: int) -> pa.Table:
+        return pa.table({"i": pa.array(range(start, start + cnt), pa.int64())})
+
+    def dies_at_20(start: int, cnt: int) -> pa.Table:
+        if start == 20:
+            raise RuntimeError("generator died")
+        return shard(start, cnt)
+
+    out = str(tmp_path)
+    with pytest.raises(RuntimeError):
+        F._write_shards(out, "media", 35, 10, False, dies_at_20)
+    assert sorted(p.name for p in tmp_path.glob("media-*.parquet")) == [
+        "media-00000000.parquet", "media-00000010.parquet"]
+
+    write = pq.write_table
+
+    def dies_midway(table, where, **kwargs):
+        write(table.slice(0, 1), where, **kwargs)  # a truncated file
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(pq, "write_table", dies_midway)
+    with pytest.raises(OSError):
+        F._write_shards(out, "media", 35, 10, False, shard)
+    monkeypatch.undo()
+    assert len(list(tmp_path.glob("media-*.parquet"))) == 2
+
+    paths = F._write_shards(out, "media", 35, 10, False, shard)
+    assert pq.read_table(paths).column("i").to_pylist() == list(range(35))

@@ -70,27 +70,78 @@ def test_entry_smoke(ray_session):
     assert {"subj", "pred", "obj", "op"} <= names
 
 
-def test_expected_cache_key_follows_builder_source(tmp_path, monkeypatch):
-    """The expected-table cache key digests the source of every module the
-    builders run: an edit to any of them changes the key, so a table an
-    older builder wrote is rebuilt, never served."""
+def _edits_change_key(tmp_path, monkeypatch, key_fn):
+    """``key_fn()`` follows the package's content: the same bytes in a copy
+    give the same key, and an edit to any module changes it."""
     import pathlib
     import shutil
 
     import kgray.expected as X
 
     pkg = pathlib.Path(X.__file__).parent
-    rels = ("expected.py", "pipelines/textproc.py", "pipelines/simsearch.py",
-            "pipelines/multimodal.py", "stages/shuffle.py")
-    for rel in rels:
-        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(pkg / rel, tmp_path / rel)
-    key = X._src_fingerprint(SF_DIR, "documents.parquet")
-    # the same bytes elsewhere give the same key: it follows content
-    monkeypatch.setattr(X, "__file__", str(tmp_path / "expected.py"))
-    assert X._src_fingerprint(SF_DIR, "documents.parquet") == key
-    for rel in rels:
-        src = (tmp_path / rel).read_bytes()
-        (tmp_path / rel).write_bytes(src + b"\n# edited\n")
-        assert X._src_fingerprint(SF_DIR, "documents.parquet") != key, rel
-        (tmp_path / rel).write_bytes(src)
+    shutil.copytree(pkg, tmp_path / "kgray",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    key = key_fn()
+    monkeypatch.setattr(X, "__file__", str(tmp_path / "kgray" / "expected.py"))
+    assert key_fn() == key
+    for rel in ("expected.py", "pipelines/textproc.py", "pipelines/simsearch.py",
+                "pipelines/multimodal.py", "stages/shuffle.py",
+                "kernels/ids.py", "stages/diff.py"):
+        path = tmp_path / "kgray" / rel
+        src = path.read_bytes()
+        path.write_bytes(src + b"\n# edited\n")
+        assert key_fn() != key, rel
+        path.write_bytes(src)
+    assert key_fn() == key
+
+
+def test_expected_cache_key_follows_builder_source(tmp_path, monkeypatch):
+    """The expected-table cache key digests every module of the package
+    (``kernels/ids.py`` included, which no builder imports directly): an
+    edit to any of them changes the key, so a table an older builder
+    wrote is rebuilt, never served."""
+    import kgray.expected as X
+
+    _edits_change_key(tmp_path, monkeypatch,
+                      lambda: X._src_fingerprint(SF_DIR, "documents.parquet"))
+
+
+def test_ivf_index_dir_follows_package_source(tmp_path, monkeypatch):
+    """The IVF index cache directory carries the same code key: an edit to
+    any module builds a new index."""
+    from kgray.pipelines.simsearch import _ivf_index_dir
+
+    _edits_change_key(tmp_path, monkeypatch, lambda: _ivf_index_dir(SF_DIR))
+
+
+def test_all_pairs_and_kg_diff_build_lazily(ray_session, monkeypatch):
+    """Building ``neardup_cosine`` or ``kg_diff`` executes no plan (so
+    writes nothing) and submits no Ray task of its own until the Dataset
+    is consumed; only the cached input corpora may be written first, and
+    ``read_parquet`` samples its files with a task of Ray's."""
+    import ray.data as rd
+    from ray.actor import ActorClass
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.remote_function import RemoteFunction
+
+    import __ray_entry__ as e
+
+    e.pages_paths_for(SF_DIR)
+    e._ensure_raw(SF_DIR)
+    submit = RemoteFunction._remote
+
+    def sample_only(self, *args, **kwargs):
+        assert self._function.__name__ == "_sample_fragment", self._function
+        return submit(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran Ray work while building a query")
+
+    monkeypatch.setattr(RemoteFunction, "_remote", sample_only)
+    for cls, attr in ((ActorClass, "_remote"), (ExecutionPlan, "execute"),
+                      (ExecutionPlan, "execute_to_iterator")):
+        monkeypatch.setattr(cls, attr, refuse)
+    built = [e.queries()[name](SF_DIR) for name in ("neardup_cosine", "kg_diff")]
+    monkeypatch.undo()
+    assert all(isinstance(ds, rd.Dataset) for ds in built)
+    assert all(ds.count() > 0 for ds in built)

@@ -298,3 +298,47 @@ def test_sort_plan_lifts_the_per_operator_reservation(
     ds = _reservation_case(ray_session, case, small_corpus)
     assert ds.context.op_resource_reservation_enabled is enabled
     assert DataContext.get_current().op_resource_reservation_enabled is True
+
+
+def test_block_pairs_scores_every_in_group_pair_once(ray_session):
+    """Three groups of 1, 7 and 40 rows split into 1, 3 and 5 blocks: the
+    scorer sees every unordered pair of rows of one group exactly once,
+    and no pair across groups; the split groups are scored in part by
+    cross block pairs."""
+    import itertools
+
+    import ray.data as rd
+
+    from kgray.stages.shuffle import block_pairs
+
+    sizes, blocks = {"a": 1, "b": 7, "c": 40}, {"a": 1, "b": 3, "c": 5}
+    group = [g for g, n in sizes.items() for _ in range(n)]
+    ds = rd.from_arrow(pa.table({
+        "g": group, "id": pa.array(range(len(group)), pa.int64()),
+    })).repartition(4)
+    schema = pa.schema([("x", pa.int64()), ("y", pa.int64()),
+                        ("cross", pa.bool_())])
+
+    def score(a: pa.Table, b: pa.Table | None) -> pa.Table:
+        ia = a["id"].to_numpy()
+        if b is None:
+            i, j = np.triu_indices(len(ia), 1)
+            x, y = ia[i], ia[j]
+        else:
+            ib = b["id"].to_numpy()
+            x, y = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+        return pa.table({"x": np.minimum(x, y), "y": np.maximum(x, y),
+                         "cross": np.full(len(x), b is not None)},
+                        schema=schema)
+
+    def nblocks(b: pa.Table) -> np.ndarray:
+        return np.array([blocks[g] for g in b["g"].to_pylist()])
+
+    out = block_pairs(ds, group=("g",), id_col="id", nblocks=nblocks,
+                      score=score, schema=schema).take_all()
+    seen = collections.Counter((r["x"], r["y"]) for r in out)
+    want = {(x, y) for x, y in itertools.combinations(range(len(group)), 2)
+            if group[x] == group[y]}
+    assert set(seen) == want and len(want) == 21 + 780
+    assert max(seen.values()) == 1
+    assert {group[r["x"]] for r in out if r["cross"]} == {"b", "c"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 SF_DIR = "/root/testdata/sf0.001"
 
 
@@ -72,16 +74,20 @@ def test_ivf_reads_minority_of_corpus(ray_session):
     assert s["per_query_frac_mean"] < 0.3, s
 
 
-def test_neardup_block_pairs_match_singleblock(ray_session):
-    """Exactness: the block-pair fan-out must emit exactly the brute-force
-    O(n²) pair set — a wrong cross-block orientation guard would silently
-    DROP pairs without producing duplicates, so shape checks alone are not
-    enough."""
+@pytest.mark.parametrize("min_blocks", [1, 3, 8])
+def test_neardup_block_pairs_match_singleblock(ray_session, monkeypatch,
+                                               min_blocks):
+    """Exactness: the block-pair self-join must emit exactly the
+    brute-force O(n²) pair set at any block count — a wrong cross-block
+    orientation guard would silently DROP pairs without producing
+    duplicates, so shape checks alone are not enough.  The block count is
+    read on the driver, so the patched floor reaches the workers."""
     import numpy as np
     import pyarrow.parquet as pq
 
     from kgray.pipelines import simsearch as S
 
+    monkeypatch.setattr(S, "NEARDUP_MIN_BLOCKS", min_blocks)
     df = S.neardup_cosine(SF_DIR).to_pandas().sort_values(
         ["vec_a", "vec_b"], ignore_index=True)
     assert (df["vec_a"] < df["vec_b"]).all()
