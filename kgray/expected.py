@@ -18,10 +18,12 @@ just plumbing bugs.  MinHash signatures deliberately reuse the pipeline's
 permutation arithmetic: its int64 wrap behavior IS the contract, and the
 check targets banding/exchange/verify, not the hash function.
 
-Tables are cached under ``/tmp/kgray_expected/<version>/<scale-tag>/`` and
+Tables are cached under ``/tmp/kgray_expected/<scale-tag>/`` and
 invalidated by a content fingerprint of the source parquet (rows + size +
 mtime — the IVF cache rule) together with a digest of the package's code
-(``_code_fingerprint``, the IVF index's code key too).  Every row carries ``scale_key`` (the orders
+(``_code_fingerprint``, the IVF index's code key too), so an edit to any
+builder or pipeline kernel rebuilds them and no hand-bumped version key
+is needed.  Every row carries ``scale_key`` (the orders
 row count of its scale) so the parameterless oracle SQL can select the
 right scale via the registered views; unmapped scales map to the impossible
 sentinel -1 and fail loudly.
@@ -39,10 +41,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-EXPECTED_VERSION = "v3"  # v3: ALL dedup token hashes (minhash/simhash, not
-#     just fingerprints) = the shared vectorized exchange hash
-#     (stages/shuffle._hash_key via textproc._token_hashes), replacing
-#     per-token blake2b (VERDICT r4 #4); v2: fingerprint token hash only
 _ROOT = "/tmp/kgray_expected"
 # scale tag -> orders row count (the discriminator the oracle SQL can see)
 SCALE_KEY = {"sf0.001": 1500, "sf0.01": 15000}
@@ -65,7 +63,7 @@ NAMES = (
 
 
 def expected_glob(name: str) -> str:
-    return f"{_ROOT}/{EXPECTED_VERSION}/*/{name}.parquet"
+    return f"{_ROOT}/*/{name}.parquet"
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +416,7 @@ def ensure_expected(sf_dir: str, names=NAMES) -> None:
     key = SCALE_KEY.get(tag)
     if key is None:
         return  # expected-table oracles exist only at the driver scales
-    out_dir = os.path.join(_ROOT, EXPECTED_VERSION, tag)
+    out_dir = os.path.join(_ROOT, tag)
     os.makedirs(out_dir, exist_ok=True)
     for name in names:
         builder, src = _BUILDERS[name]

@@ -283,7 +283,7 @@ _NEARDUP_PAIRS = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()),
                             ("sim", pa.float64())])
 
 
-def _score_block_pair(a: pa.Table, b: pa.Table | None) -> pa.Table:
+def _score_block_pair(a: pa.Table, b: pa.Table | None):
     """``block_pairs`` scorer: one (len_a x len_b) cosine matmul.
 
     Each unordered id pair appears in exactly one unordered block pair, so
@@ -307,9 +307,7 @@ def _score_block_pair(a: pa.Table, b: pa.Table | None) -> pa.Table:
         keep &= ids_a[:, None] != ids_b[None, :]  # duplicate-id safety
     ri, ci = np.nonzero(keep)
     ia, ib = ids_a[ri], ids_b[ci]
-    return pa.Table.from_arrays(
-        [pa.array(np.minimum(ia, ib)), pa.array(np.maximum(ia, ib)),
-         pa.array(np.round(sims[ri, ci], 4))], schema=_NEARDUP_PAIRS)
+    return np.minimum(ia, ib), np.maximum(ia, ib), np.round(sims[ri, ci], 4)
 
 
 def neardup_cosine(sf_dir: str):

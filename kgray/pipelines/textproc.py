@@ -10,13 +10,14 @@ require; combiners before every exchange):
 * quality scoring      — char-class/stopword counts              (SQL oracle)
 * language ID          — stopword-profile n-gram heuristic       (SQL oracle)
 * n-gram Jaccard dedup — bucketed all-pairs verify               (SQL oracle)
-* MinHash + LSH        — shingle→minhash→band→bucket groupby     (rows-only)
-* SimHash              — 64-bit, banded near-dup buckets         (rows-only)
-* fingerprinting       — rolling polynomial hash                 (rows-only)
+* MinHash + LSH        — shingle→minhash→band→block_pairs verify (expected table)
+* SimHash              — 64-bit, banded near-dup buckets         (expected table)
+* fingerprinting       — rolling polynomial hash                 (expected table)
 
-The probabilistic candidate generators (MinHash/SimHash) cannot be restated
-in SQL; their tests instead check recall against the exhaustive Jaccard
-oracle (tests/test_textproc.py).
+The probabilistic candidate generators (MinHash/SimHash) and the
+fingerprints cannot be restated in SQL; their oracle SQL reads an expected
+table that ``kgray.expected`` computes in one process (the LSH pair sets
+over every document pair).  Every pair query runs on ``shuffle.block_pairs``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..stages.shuffle import (_hash_key, _splitmix_u64, block_pairs,
-                              bucket_aggregate, bucket_groupby)
+                              bucket_aggregate)
 
 # thresholds shared with the SQL oracles in __ray_entry__
 JACCARD_THRESHOLD = 0.8
@@ -260,8 +261,8 @@ def lang_id(sf_dir: str):
 # n-gram Jaccard near-dup: bucketed exhaustive verify.  Buckets (here:
 # ``source``) bound the O(b²) pair work per group; at 100 TB the bucket key
 # is an LSH band (minhash_lsh below) instead of a metadata column — the
-# physical shape (groupby bucket → pairwise verify inside the group) is the
-# same.
+# physical shape (block_pairs on the group → pairwise verify inside it) is
+# the same; only this query splits a hot group into row blocks.
 # ---------------------------------------------------------------------------
 
 # above this row count a bucket switches from the dense all-pairs incidence
@@ -390,13 +391,11 @@ def _ids_toks(t: pa.Table) -> tuple[np.ndarray, list[np.ndarray]]:
             [np.frombuffer(b, dtype=np.uint64) for b in t["toks"].to_pylist()])
 
 
-def _score_jaccard(a: pa.Table, b: pa.Table | None) -> pa.Table:
+def _score_jaccard(a: pa.Table, b: pa.Table | None):
     """``block_pairs`` scorer: the qualifying pairs of one block (``b``
-    None) or of a cross block pair, as ``_JACCARD_PAIRS`` rows."""
-    cols = _jaccard_pairs_for_group(*_ids_toks(a),
+    None) or of a cross block pair, as ``_JACCARD_PAIRS`` columns."""
+    return _jaccard_pairs_for_group(*_ids_toks(a),
                                     *(() if b is None else _ids_toks(b)))
-    return pa.Table.from_arrays([pa.array(c, pa.int64()) for c in cols],
-                                schema=_JACCARD_PAIRS)
 
 
 def ngram_jaccard_pairs(sf_dir: str):
@@ -441,10 +440,9 @@ def ngram_jaccard_pairs(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# MinHash + LSH near-dup: shingle → minhash (vectorized) → band → bucket
-# groupby → pairwise verify inside buckets → global pair dedup.
-# Probabilistic candidate generation — no SQL restatement; recall vs the
-# exhaustive Jaccard oracle is asserted in tests.
+# MinHash + LSH near-dup: shingle → minhash (vectorized) → band →
+# block_pairs, each band bucket one block → true-Jaccard verify of each
+# (band, bucket), each pair emitted by its first agreeing band only.
 # ---------------------------------------------------------------------------
 
 def _minhash_sig_from(h_u64: np.ndarray) -> np.ndarray:
@@ -555,16 +553,36 @@ def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band):
     return a, b, np.round(jac_p, 4)
 
 
+_MINHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("jac", pa.float64())])
+
+
+def _score_band_bucket(a: pa.Table, b: None):
+    """``block_pairs`` scorer of one (band, bucket): its signature prefix
+    through ``band``, viewed from the fixed-width ``sig`` column, verified."""
+    rows_per_band = MINHASH_PERMS // LSH_BANDS
+    band = a["band"][0].as_py()
+    sig = a["sig"].combine_chunks()
+    m = len(a)
+    mat = np.frombuffer(sig.buffers()[1], dtype=np.int64)[
+        sig.offset * MINHASH_PERMS:(sig.offset + m) * MINHASH_PERMS
+    ].reshape(m, MINHASH_PERMS)
+    return _verify_one_band_bucket(*_ids_toks(a),
+                                   mat[:, :(band + 1) * rows_per_band],
+                                   band, rows_per_band)
+
+
 def minhash_lsh_pairs(sf_dir: str):
     """Near-dup pairs via MinHash banding, verified with true Jaccard.
 
-    ONE shuffle (band-bucket key hashed to bounded buckets) whose payload
-    per band row is (bucket key, doc_id, signature PREFIX through this
-    band, compact sorted token-HASH set) — the document text never enters
-    the exchange (VERDICT r1 "what's wrong" #1; at corpus scale the old
-    shape shipped the full text once per band).  Pairs are emitted exactly
-    once via the first-agreeing-band rule, applied BEFORE any Jaccard
-    work (see _verify_one_band_bucket)."""
+    ``shuffle.block_pairs`` on ``(band, bucket)`` with ``nblocks=None``:
+    each band bucket, however hot, is one ``_score_band_bucket`` call.
+    The band is part of the group, so a 64-bit key collision across bands
+    never conflates buckets; within a band the exact signature comparison
+    of ``_verify_one_band_bucket`` guards it.  The exchange carries (bucket,
+    band, doc_id, full signature, sorted token-HASH set), never the text
+    (VERDICT r1 "what's wrong" #1).  Pairs are emitted exactly once by the
+    first-agreeing-band rule, applied BEFORE any Jaccard work."""
     docs = _docs(sf_dir, ["doc_id", "text"])
     rows_per_band = MINHASH_PERMS // LSH_BANDS
 
@@ -579,7 +597,8 @@ def minhash_lsh_pairs(sf_dir: str):
         the emitted pair set is identical to the old blake2b keying (the
         expected-table oracle pins it).  Rows carry the FULL fixed-width
         signature (one Arrow take from the batch buffer) instead of a
-        per-row Python prefix slice; verify slices the prefix it needs."""
+        per-row Python prefix slice; the scorer slices the prefix it
+        needs."""
         n = len(b)
         ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         toks = _batch_token_hashes(b["text"])
@@ -607,64 +626,10 @@ def minhash_lsh_pairs(sf_dir: str):
             }
         )
 
-    def verify_buckets(t: pa.Table) -> pa.Table:
-        """All rows of co-located band-buckets; iterate via one sort +
-        vectorized boundary detection (one task call covers thousands of
-        band-buckets).  Grouping is on (band, bucket) — the band id is part
-        of the EXCHANGE key too, so a 64-bit mixed-key collision across two
-        bands can never conflate their buckets (ADVICE r4 #3); within one
-        band, key collisions are guarded by the exact signature comparison
-        in _verify_one_band_bucket."""
-        t = t.sort_by([("band", "ascending"), ("bucket", "ascending")])
-        buckets = t["bucket"].to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bands = t["band"].to_numpy(zero_copy_only=False)
-        sig_col = t["sig"].combine_chunks()
-        n = len(buckets)
-        sig_mat = (
-            np.frombuffer(sig_col.buffers()[1], dtype=np.int64)[
-                sig_col.offset * MINHASH_PERMS:
-                (sig_col.offset + n) * MINHASH_PERMS
-            ].reshape(n, MINHASH_PERMS)
-            if n else np.empty((0, MINHASH_PERMS), np.int64)
-        )
-        tok_bytes = t["toks"].to_pylist()
-        a_parts: list[np.ndarray] = []
-        b_parts: list[np.ndarray] = []
-        j_parts: list[np.ndarray] = []
-        bounds = np.concatenate(
-            ([0],
-             np.flatnonzero((np.diff(buckets) != 0)
-                            | (np.diff(bands) != 0)) + 1,
-             [n]))
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            if end - start < 2:
-                continue
-            band = int(bands[start])
-            pre_mat = sig_mat[start:end, : (band + 1) * rows_per_band]
-            toks = [np.frombuffer(tb, dtype=np.uint64)
-                    for tb in tok_bytes[start:end]]
-            a, b, j = _verify_one_band_bucket(
-                ids[start:end], toks, pre_mat, band, rows_per_band,
-            )
-            a_parts.append(a)
-            b_parts.append(b)
-            j_parts.append(j)
-        cat = lambda parts, dt: (
-            np.concatenate(parts) if parts else np.empty(0, dt)
-        )
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(cat(a_parts, np.int64), pa.int64()),
-                "doc_b": pa.array(cat(b_parts, np.int64), pa.int64()),
-                "jac": pa.array(cat(j_parts, np.float64), pa.float64()),
-            }
-        )
-
-    return bucket_groupby(
-        docs.map_batches(to_buckets, batch_format="pyarrow"),
-        ["band", "bucket"], verify_buckets, spread=True,
-    )
+    return block_pairs(docs.map_batches(to_buckets, batch_format="pyarrow"),
+                       group=("band", "bucket"), id_col="doc_id",
+                       nblocks=None, score=_score_band_bucket,
+                       schema=_MINHASH_PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +650,8 @@ def _simhash64_from(h: np.ndarray) -> int:
 
 
 def simhash_signatures(sf_dir: str):
-    """doc_id -> 64-bit simhash (hex).  Deterministic; rows-only check."""
+    """doc_id -> 64-bit simhash (hex).  Deterministic; kgray.expected
+    restates it with a scalar bit loop."""
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def fn(b: pa.Table) -> pa.Table:
@@ -702,14 +668,40 @@ SIMHASH_BANDS = 4          # 16 bits per band: near-dups agree in >=1 band
 SIMHASH_MAX_HAMMING = 8    # verify: emit pairs within this bit distance
 
 
+_SIMHASH_PAIRS = pa.schema([(c, pa.int64()) for c in
+                            ("doc_a", "doc_b", "hamming")])
+
+
+def _score_simhash_bucket(a: pa.Table, b: None):
+    """``block_pairs`` scorer of one 16-bit band bucket: every pair within
+    ``SIMHASH_MAX_HAMMING`` bits whose signatures agree in no earlier
+    band (the first agreeing band emits it, exactly once)."""
+    band = a["band"][0].as_py()
+    s = a["sig"].to_numpy().astype(np.uint64)
+    ids = a["doc_id"].to_numpy().astype(np.int64)
+    xi, yi = np.triu_indices(len(s), 1)
+    x = s[xi] ^ s[yi]
+    # popcount via uint8 view + table-free bit trick
+    dist = np.unpackbits(x.view(np.uint8).reshape(len(x), 8),
+                         axis=1).sum(axis=1)
+    keep = dist <= SIMHASH_MAX_HAMMING
+    for k in range(band):
+        chunk_x = (s[xi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+        chunk_y = (s[yi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+        keep &= chunk_x != chunk_y
+    ia, ib = ids[xi[keep]], ids[yi[keep]]
+    return np.minimum(ia, ib), np.maximum(ia, ib), dist[keep]
+
+
 def simhash_pairs(sf_dir: str):
     """SimHash near-dup pairs: band the 64-bit signature into 4x16-bit
     bucket keys (a pair within Hamming distance k<=3 of each other agrees
     in at least one band by pigeonhole; larger k detected probabilistically),
-    then verify candidates by exact Hamming distance inside each bucket —
-    the same bucket-groupby physical shape as minhash_lsh.  Deterministic
-    signatures, probabilistic candidate generation: rows-only check +
-    dedicated tests."""
+    then verify candidates by exact Hamming distance inside each bucket:
+    ``shuffle.block_pairs`` on ``bucket`` with ``nblocks=None``, the plan
+    of minhash_lsh, scored by ``_score_simhash_bucket``.
+    Deterministic signatures, probabilistic candidate generation: the
+    oracle is kgray.expected's exhaustive table."""
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def to_buckets(b: pa.Table) -> pa.Table:
@@ -733,51 +725,9 @@ def simhash_pairs(sf_dir: str):
             }
         )
 
-    def verify(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("bucket", "ascending")])
-        buckets = t["bucket"].to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bands = t["band"].to_numpy(zero_copy_only=False)
-        sigs = t["sig"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        a_p, b_p, d_p = [], [], []
-        n = len(buckets)
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(buckets) != 0) + 1, [n]))
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            m = end - start
-            if m >= 2:
-                band = int(bands[start])
-                s = sigs[start:end]
-                xi, yi = np.triu_indices(m, 1)
-                x = s[xi] ^ s[yi]
-                # popcount via uint8 view + table-free bit trick
-                dist = np.unpackbits(x.view(np.uint8).reshape(len(x), 8),
-                                     axis=1).sum(axis=1)
-                keep = dist <= SIMHASH_MAX_HAMMING
-                # exactly-once: only the FIRST band whose 16-bit chunk
-                # agrees emits the pair
-                for k in range(band):
-                    chunk_x = (s[xi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
-                    chunk_y = (s[yi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
-                    keep &= chunk_x != chunk_y
-                xi, yi, dist = xi[keep], yi[keep], dist[keep]
-                ia, ib = ids[start:end][xi], ids[start:end][yi]
-                a_p.append(np.minimum(ia, ib))
-                b_p.append(np.maximum(ia, ib))
-                d_p.append(dist.astype(np.int64))
-        cat = lambda parts, dt: np.concatenate(parts) if parts else np.empty(0, dt)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(cat(a_p, np.int64), pa.int64()),
-                "doc_b": pa.array(cat(b_p, np.int64), pa.int64()),
-                "hamming": pa.array(cat(d_p, np.int64), pa.int64()),
-            }
-        )
-
-    return bucket_groupby(
-        docs.map_batches(to_buckets, batch_format="pyarrow"),
-        ["bucket"], verify, spread=True,
-    )
+    return block_pairs(docs.map_batches(to_buckets, batch_format="pyarrow"),
+                       group=("bucket",), id_col="doc_id", nblocks=None,
+                       score=_score_simhash_bucket, schema=_SIMHASH_PAIRS)
 
 
 # ---------------------------------------------------------------------------

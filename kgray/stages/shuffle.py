@@ -21,7 +21,9 @@ an Arrow ``group_by`` per block as the combiner, the same functions again
 per partition as the merge (the snapshot diff, exact dedup, distinct).
 ``block_pairs`` is the all-pairs self-join on it: each group split into
 row blocks, one exchange on (group, block pair), one scorer call per
-block pair (the n-gram Jaccard and embedding near-dup queries).
+block pair.  Every pair query runs on it: n-gram Jaccard and embedding
+near-dup split a hot group into blocks; MinHash LSH and SimHash pass
+``nblocks=None``, so each band bucket is one scorer call.
 
 One plan, one exception.  Every exchange runs the sort plan, a range
 sort on the caller's numeric key (``__bucket`` for the bucket callers,
@@ -257,6 +259,15 @@ def exchange_map(
     forces a tiny ``target_max_block_size`` with partitions many blocks
     large (tests/test_shuffle_exchange.py).
 
+    An empty reduce partition never reaches ``per_partition``.  Ray 2.49.2's
+    ``BlocksToBatches`` turns a task's all-empty input into one block built
+    by an empty builder, a block with no schema
+    (``execution/operators/map_transformer.py``), and the batch UDF passes
+    a zero-row batch through without calling the UDF
+    (``planner/plan_udf_map_op.py``).  That schema-less block is what Ray
+    Data's "different schema than the previous one ... new schema: ."
+    warning reports.
+
     The sort plan turns Ray Data's per-operator reservation off on
     ``tagged.context`` (never the process-global DataContext): the Sort's
     materializing barrier already bounds its producer's object-store use,
@@ -348,8 +359,9 @@ _PI, _PJ, _BLK = "__pi", "__pj", "__blk"
 
 
 def block_pairs(ds, *, group: Sequence[str], id_col: str,
-                nblocks: Callable[[pa.Table], np.ndarray],
-                score: Callable[[pa.Table, pa.Table | None], pa.Table],
+                nblocks: Callable[[pa.Table], np.ndarray] | None,
+                score: Callable[[pa.Table, pa.Table | None],
+                                Sequence[np.ndarray]],
                 schema: pa.Schema):
     """All-pairs self-join within each ``group`` of ``ds``, a hot group
     split into block pairs so that no task holds a whole group (FP-Hadoop,
@@ -364,25 +376,44 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     ``b`` those of block ``pj`` (``ds``'s own columns), where every (a, b)
     row pair is to be scored; on the diagonal it calls ``score(a, None)``,
     where every unordered pair of ``a`` is.  A pair of rows of one group is
-    thus scored exactly once, a pair across groups never.  The scores are
-    concatenated; ``schema`` is a partition's output when it scores
-    nothing.
+    thus scored exactly once, a pair across groups never.  A diagonal
+    block of one row has no pair and is not scored (at sf0.1, 1,305 of
+    minhash_lsh's 2,481 band buckets are one row, and 1,819 of
+    simhash_pairs' 3,068).  With ``nblocks`` 1 for every row of a batch,
+    each row enters the exchange once, as block 0, and the batch is not
+    copied.  ``nblocks=None`` keeps every group one block: a non-empty
+    ``group`` alone keys the exchange and no block column enters it.  Each
+    column the exchange carries costs its sort map and reduce: three int32
+    columns of zeros added about 0.4 s to simhash_pairs' 2.4 s at sf0.1
+    (2 Ray CPUs, 4-vCPU host).
+
+    ``score`` returns its pairs as one numpy array per ``schema`` field;
+    the walk builds one table per partition from them.  ``schema`` is a
+    non-empty partition's output when it scores nothing (an empty one
+    never reaches the walk, see ``exchange_map``).
 
     Peak task memory is the block-pair groups that share one reduce
     partition.  The sort's range boundaries are sampled bucket values, so
     there are at most as many partitions as groups, and some partitions
     take two (neardup_cosine's 36 block pairs at sf0.001: 33 partitions,
-    3 of them holding two pairs)."""
-    keys = [*group, _PI, _PJ]
+    3 of them holding two pairs).  ``nblocks=None`` leaves a hot group
+    whole: minhash_lsh's largest band bucket at sf0.1 holds 2,654 rows,
+    one scorer call."""
+    keys = [*group] if nblocks is None else [*group, _PI, _PJ]
 
     def tag(batch: pa.Table) -> pa.Table:
         nb = np.asarray(nblocks(batch), dtype=np.int64)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
-        rep = np.repeat(np.arange(len(batch)), nb)
-        partner = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
-        own = blk[rep]
-        return (batch.take(rep)
+        if (nb == 1).all():  # every row is block 0 of its group: no copy
+            rows = batch
+            own = partner = np.zeros(len(batch), np.int64)
+        else:
+            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+            blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
+            rep = np.repeat(np.arange(len(batch)), nb)
+            partner = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
+            own = blk[rep]
+            rows = batch.take(rep)
+        return (rows
                 .append_column(_PI, pa.array(np.minimum(own, partner), pa.int32()))
                 .append_column(_PJ, pa.array(np.maximum(own, partner), pa.int32()))
                 .append_column(_BLK, pa.array(own, pa.int32())))
@@ -393,19 +424,28 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
             _pl.struct(keys).rle_id()).to_series().to_numpy().astype(np.int64)
         starts = np.flatnonzero(np.diff(run, prepend=-1))
         ends = np.append(starts[1:], len(part))
-        pi, pj, own = (part[c].to_numpy() for c in (_PI, _PJ, _BLK))
-        rows = part.drop_columns([_PI, _PJ, _BLK])
-        out = [schema.empty_table()]
+        if nblocks is None:  # every group is its own diagonal block pair
+            rows, pi = part, None
+        else:
+            pi, pj, own = (part[c].to_numpy() for c in (_PI, _PJ, _BLK))
+            rows = part.drop_columns([_PI, _PJ, _BLK])
+        out = []
         for s, e in zip(starts, ends):
             g = rows.slice(s, e - s)
-            if pi[s] == pj[s]:
-                out.append(score(g, None))
+            if pi is None or pi[s] == pj[s]:
+                if len(g) > 1:  # a one-row block has no pair
+                    out.append(score(g, None))
                 continue
             in_a = own[s:e] == pi[s]
             if in_a.all() or not in_a.any():
                 continue  # one block of the pair is empty
             out.append(score(g.filter(in_a), g.filter(~in_a)))
-        return pa.concat_tables(out)
+        if not out:
+            return schema.empty_table()
+        return pa.Table.from_arrays(
+            [pa.array(np.concatenate(col)) for col in zip(*out)],
+            names=schema.names).cast(schema)
 
-    return bucket_groupby(ds.map_batches(tag, batch_format="pyarrow"), keys,
-                          walk, spread=True)
+    if nblocks is not None:
+        ds = ds.map_batches(tag, batch_format="pyarrow")
+    return bucket_groupby(ds, keys, walk, spread=True)

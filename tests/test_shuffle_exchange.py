@@ -300,18 +300,25 @@ def test_sort_plan_lifts_the_per_operator_reservation(
     assert DataContext.get_current().op_resource_reservation_enabled is True
 
 
-def test_block_pairs_scores_every_in_group_pair_once(ray_session):
-    """Three groups of 1, 7 and 40 rows split into 1, 3 and 5 blocks: the
-    scorer sees every unordered pair of rows of one group exactly once,
-    and no pair across groups; the split groups are scored in part by
-    cross block pairs."""
+def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):
+    """Five groups of 1, 7, 40, 1 and 3 rows split into 1, 3, 5, 1 and 4
+    blocks: the scorer sees every unordered pair of rows of one group
+    exactly once, and no pair across groups; the split groups are scored
+    in part by cross block pairs.  No diagonal call gets fewer than two
+    rows (group e's three rows fall in three blocks, so its pairs are all
+    cross pairs and each of its diagonal blocks holds one row).  Under a
+    plan of one block per row, every input row enters the exchange exactly
+    once, as block 0; under ``nblocks=None`` it enters once with no block
+    column.  Both give the same pairs, all from diagonal calls."""
     import itertools
 
     import ray.data as rd
 
+    from kgray.stages import shuffle
     from kgray.stages.shuffle import block_pairs
 
-    sizes, blocks = {"a": 1, "b": 7, "c": 40}, {"a": 1, "b": 3, "c": 5}
+    sizes = {"a": 1, "b": 7, "c": 40, "d": 1, "e": 3}
+    blocks = {"a": 1, "b": 3, "c": 5, "d": 1, "e": 4}
     group = [g for g, n in sizes.items() for _ in range(n)]
     ds = rd.from_arrow(pa.table({
         "g": group, "id": pa.array(range(len(group)), pa.int64()),
@@ -319,17 +326,17 @@ def test_block_pairs_scores_every_in_group_pair_once(ray_session):
     schema = pa.schema([("x", pa.int64()), ("y", pa.int64()),
                         ("cross", pa.bool_())])
 
-    def score(a: pa.Table, b: pa.Table | None) -> pa.Table:
+    def score(a: pa.Table, b: pa.Table | None):
         ia = a["id"].to_numpy()
         if b is None:
+            assert len(ia) >= 2, f"diagonal call on {len(ia)} row(s)"
             i, j = np.triu_indices(len(ia), 1)
             x, y = ia[i], ia[j]
         else:
             ib = b["id"].to_numpy()
             x, y = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-        return pa.table({"x": np.minimum(x, y), "y": np.maximum(x, y),
-                         "cross": np.full(len(x), b is not None)},
-                        schema=schema)
+        return (np.minimum(x, y), np.maximum(x, y),
+                np.full(len(x), b is not None))
 
     def nblocks(b: pa.Table) -> np.ndarray:
         return np.array([blocks[g] for g in b["g"].to_pylist()])
@@ -339,6 +346,27 @@ def test_block_pairs_scores_every_in_group_pair_once(ray_session):
     seen = collections.Counter((r["x"], r["y"]) for r in out)
     want = {(x, y) for x, y in itertools.combinations(range(len(group)), 2)
             if group[x] == group[y]}
-    assert set(seen) == want and len(want) == 21 + 780
+    assert set(seen) == want and len(want) == 21 + 780 + 3
     assert max(seen.values()) == 1
-    assert {group[r["x"]] for r in out if r["cross"]} == {"b", "c"}
+    assert {group[r["x"]] for r in out if r["cross"]} == {"b", "c", "e"}
+
+    entered = []
+
+    def spy(tagged, *args, **kwargs):
+        entered.append(tagged)
+        return real(tagged, *args, **kwargs)
+
+    real = shuffle.bucket_groupby
+    monkeypatch.setattr(shuffle, "bucket_groupby", spy)
+    for plan in (lambda b: np.ones(len(b), np.int64), None):
+        one = block_pairs(ds, group=("g",), id_col="id", nblocks=plan,
+                          score=score, schema=schema).take_all()
+        rows = entered.pop().take_all()
+        assert sorted(r["id"] for r in rows) == list(range(len(group)))
+        if plan is None:
+            assert set(rows[0]) == {"g", "id"}
+        else:
+            assert ({(r["__pi"], r["__pj"], r["__blk"]) for r in rows}
+                    == {(0, 0, 0)})
+        assert sorted((r["x"], r["y"]) for r in one) == sorted(want)
+        assert not any(r["cross"] for r in one)

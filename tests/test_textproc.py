@@ -31,6 +31,33 @@ def test_minhash_recall_vs_exhaustive(ray_session):
     assert (lsh_df["jac"] >= JACCARD_THRESHOLD).all()
 
 
+@pytest.fixture(scope="module")
+def lsh_expected():
+    """kgray.expected's exhaustive MinHash and SimHash pair tables, built
+    here rather than read from the oracle's on-disk cache."""
+    from kgray.expected import _expected_minhash_lsh, _expected_simhash_pairs
+
+    return {"minhash_lsh_pairs": _expected_minhash_lsh(SF_DIR).to_pandas(),
+            "simhash_pairs": _expected_simhash_pairs(SF_DIR).to_pandas()}
+
+
+@pytest.mark.parametrize("width", [1, 256])
+def test_lsh_pairs_match_uncached_expected_tables(ray_session, monkeypatch,
+                                                  lsh_expected, width):
+    """Both LSH queries equal their expected tables whether the exchange
+    puts every band bucket into one reduce partition or spreads them over
+    256."""
+    from kgray.oracle_check import compare, to_pandas
+    from kgray.pipelines import textproc
+    from kgray.stages import shuffle
+
+    monkeypatch.setattr(shuffle, "default_exchange_partitions", lambda: width)
+    for name, want in lsh_expected.items():
+        assert len(want) > 0
+        got = to_pandas(getattr(textproc, name)(SF_DIR))
+        assert not compare(got, want), name
+
+
 def test_simhash_deterministic_and_close_for_similar(ray_session):
     from kgray.pipelines.textproc import simhash_signatures
 
