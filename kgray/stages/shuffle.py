@@ -379,10 +379,10 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     thus scored exactly once, a pair across groups never.  A diagonal
     block of one row has no pair and is not scored (at sf0.1, 1,305 of
     minhash_lsh's 2,481 band buckets are one row, and 1,819 of
-    simhash_pairs' 3,068).  With ``nblocks`` 1 for every row of a batch,
-    each row enters the exchange once, as block 0, and the batch is not
-    copied.  ``nblocks=None`` keeps every group one block: a non-empty
-    ``group`` alone keys the exchange and no block column enters it.  Each
+    simhash_pairs' 3,068).  With ``nblocks`` 1 for every row, each row
+    enters the exchange once, as block 0.  ``nblocks=None`` keeps every
+    group one block: a non-empty ``group`` alone keys the exchange and no
+    block column enters it.  Each
     column the exchange carries costs its sort map and reduce: three int32
     columns of zeros added about 0.4 s to simhash_pairs' 2.4 s at sf0.1
     (2 Ray CPUs, 4-vCPU host).
@@ -403,17 +403,12 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
 
     def tag(batch: pa.Table) -> pa.Table:
         nb = np.asarray(nblocks(batch), dtype=np.int64)
-        if (nb == 1).all():  # every row is block 0 of its group: no copy
-            rows = batch
-            own = partner = np.zeros(len(batch), np.int64)
-        else:
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
-            rep = np.repeat(np.arange(len(batch)), nb)
-            partner = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
-            own = blk[rep]
-            rows = batch.take(rep)
-        return (rows
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
+        rep = np.repeat(np.arange(len(batch)), nb)
+        partner = np.arange(len(rep)) - np.repeat(np.cumsum(nb) - nb, nb)
+        own = blk[rep]
+        return (batch.take(rep)
                 .append_column(_PI, pa.array(np.minimum(own, partner), pa.int32()))
                 .append_column(_PJ, pa.array(np.maximum(own, partner), pa.int32()))
                 .append_column(_BLK, pa.array(own, pa.int32())))
