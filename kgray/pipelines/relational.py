@@ -8,8 +8,10 @@ the synthetic pages corpus and is oracled by ``kgray.oracle``).
 
 Scale notes applied throughout:
 * reads prune columns at the source (``read_parquet(columns=...)``);
-* aggregations are two-phase: a per-batch Arrow ``group_by`` combiner
-  collapses rows BEFORE the one hash exchange (SURVEY.md §4 skew row);
+* every aggregation is ``shuffle.bucket_aggregate``: a per-block Arrow
+  ``group_by`` combiner collapses rows BEFORE the one bucket exchange
+  (SURVEY.md §4 skew row), and the merge is the same Arrow ``group_by``
+  per partition; no row of it passes through Python;
 * small dims broadcast (stages.joins.broadcast_join), big-big joins use the
   native hash-shuffle join;
 * top-k never globally sorts the input: per-batch local top-k first, then a
@@ -91,7 +93,6 @@ def filter_regex(sf_dir: str):
 
 def window_agg(sf_dir: str):
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Count, Sum
 
     # window predicate pushed to the SCAN: row groups wholly outside the
     # window never leave storage ("prune at the read")
@@ -109,25 +110,18 @@ def window_agg(sf_dir: str):
         )
         return b.filter(mask).drop_columns(["ts"])
 
-    out = (
-        ev.map_batches(in_window, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Count(alias_name="n_events"),
-            Sum("value", alias_name="sum_value"),
-        )
-    )
+    out = bucket_aggregate(
+        ev.map_batches(in_window, batch_format="pyarrow"), keys=["event_type"],
+        aggs={"n_events": (None, "count"), "sum_value": ("value", "sum")})
     return out.map_batches(lambda b: _round2(b, ["sum_value"]), batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
-# A1 — grouped aggregation with an explicit partial/combiner phase
+# A1 — grouped aggregation, per-block combiner then one exchange
 # (reference: per-entity block assembly, get_updates.py:517-572; TPC-H Q1 shape)
 # ---------------------------------------------------------------------------
 
 def groupby_sum(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     li = read_table(
         sf_dir,
         "lineitem",
@@ -135,39 +129,18 @@ def groupby_sum(sf_dir: str):
          "l_discount", "l_shipdate"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        """Per-batch combiner: filter + derive + local group_by.  Collapses
-        ~64k rows to ≤|keys| partials before the hash exchange."""
+    def shipped(b: pa.Table) -> pa.Table:
         b = b.filter(pc.less_equal(b["l_shipdate"], pa.scalar(SHIP_CUTOFF, pa.timestamp("us"))))
         disc = pc.multiply(b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        t = pa.Table.from_pydict(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "l_linestatus": b["l_linestatus"],
-                "qty": b["l_quantity"],
-                "base": b["l_extendedprice"],
-                "disc": disc,
-                "cnt": pa.array([1] * len(b), pa.int64()),
-            }
-        )
-        return (
-            t.group_by(["l_returnflag", "l_linestatus"])
-            .aggregate([("qty", "sum"), ("base", "sum"), ("disc", "sum"), ("cnt", "sum")])
-            .rename_columns(
-                ["l_returnflag", "l_linestatus", "qty", "base", "disc", "cnt"]
-            )
-        )
+        return b.append_column("disc", disc)
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty", alias_name="sum_qty"),
-            Sum("base", alias_name="sum_base_price_c"),
-            Sum("disc", alias_name="sum_disc_price_e4"),
-            Sum("cnt", alias_name="count_order"),
-        )
-    )
+    out = bucket_aggregate(
+        li.map_batches(shipped, batch_format="pyarrow"),
+        keys=["l_returnflag", "l_linestatus"],
+        aggs={"sum_qty": ("l_quantity", "sum"),
+              "sum_base_price_c": ("l_extendedprice", "sum"),
+              "sum_disc_price_e4": ("disc", "sum"),
+              "count_order": (None, "count")})
 
     def finish(b: pa.Table) -> pa.Table:
         b = _round2(b, ["sum_qty"])
@@ -207,8 +180,6 @@ def topk_orders(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def broadcast_join_agg(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
     nation = read_table(sf_dir, "nation", ["n_nationkey", "n_regionkey"])
     region = read_table(sf_dir, "region", ["r_regionkey", "r_name"])
@@ -221,10 +192,9 @@ def broadcast_join_agg(sf_dir: str):
         enriched, region, on="n_regionkey", right_on="r_regionkey",
         dim_cols=["r_name"],
     )
-    out = enriched.groupby("r_name").aggregate(
-        Count(alias_name="n_customers"),
-        Sum("c_acctbal", alias_name="sum_acctbal_c"),
-    )
+    out = bucket_aggregate(
+        enriched, keys=["r_name"],
+        aggs={"n_customers": (None, "count"), "sum_acctbal_c": ("c_acctbal", "sum")})
     return out.map_batches(lambda b: _to_int_units(b, "sum_acctbal_c", 100.0), batch_format="pyarrow")
 
 
@@ -233,18 +203,15 @@ def broadcast_join_agg(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def hash_join_agg(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = orders.join(
         cust, join_type="inner", num_partitions=JOIN_PARTITIONS,
         on=("o_custkey",), right_on=("c_custkey",),
     )
-    out = joined.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_orders"),
-        Sum("o_totalprice", alias_name="sum_totalprice_c"),
-    )
+    out = bucket_aggregate(
+        joined, keys=["c_mktsegment"],
+        aggs={"n_orders": (None, "count"), "sum_totalprice_c": ("o_totalprice", "sum")})
     return out.map_batches(lambda b: _to_int_units(b, "sum_totalprice_c", 100.0), batch_format="pyarrow")
 
 
@@ -275,10 +242,8 @@ def semi_join(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def distinct_pairs(sf_dir: str):
-    # per-block Arrow distinct, then the bucket exchange's merge (Ray's
-    # groupby would accumulate per row in Python)
     docs = read_table(sf_dir, "documents", ["lang", "source"])
-    return bucket_aggregate(docs, keys=["lang", "source"], aggs=[])
+    return bucket_aggregate(docs, keys=["lang", "source"], aggs={})
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +252,13 @@ def distinct_pairs(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def union_agg(sf_dir: str):
-    from ray.data.aggregate import Count
-
     orders = read_table(sf_dir, "orders", ["o_orderstatus", "o_totalprice", "o_orderpriority"])
     hi = orders.filter(expr=f"o_totalprice > {UNION_PRICE}")
     lo = orders.filter(
         expr=f"o_totalprice <= {UNION_PRICE} and o_orderpriority == '1-URGENT'"
     )
-    return hi.union(lo).groupby("o_orderstatus").aggregate(Count(alias_name="n"))
+    # each branch is combined on its own blocks before the union
+    return bucket_aggregate(hi, lo, keys=["o_orderstatus"], aggs={"n": (None, "count")})
 
 
 # ---------------------------------------------------------------------------
@@ -306,50 +270,28 @@ SALT_BUCKETS = 8
 
 
 def salted_groupby(sf_dir: str):
-    from ray.data.aggregate import Sum
+    import numpy as np
 
     ev = read_table(sf_dir, "events", ["user_id", "value"])
 
-    def salt_partial(b: pa.Table) -> pa.Table:
-        """Phase 1: salt the key, then a local combiner per (key, salt).
-        Hot keys split across ``SALT_BUCKETS`` reducers instead of one.
+    def salted(b: pa.Table) -> pa.Table:
+        """Phase 1 keys on (user_id, salt): a hot key's rows split across
+        ``SALT_BUCKETS`` buckets instead of one.
 
         The salt must be ROW-dependent, not key-derived: a key-derived salt
         sends every row of a hot key to the same reducer and the mitigation
         is a no-op.  Row position within the batch spreads a hot key evenly
-        across all ``SALT_BUCKETS`` reducers and needs no extra column."""
-        import numpy as np
+        across all ``SALT_BUCKETS`` buckets."""
+        salt = (np.arange(len(b), dtype=np.int64) % SALT_BUCKETS).astype(np.int32)
+        return b.append_column("salt", pa.array(salt))
 
-        salt = pa.array(
-            (np.arange(len(b), dtype=np.int64) % SALT_BUCKETS).astype("int32")
-        )
-        t = pa.Table.from_pydict(
-            {
-                "user_id": b["user_id"],
-                "salt": salt,
-                "n_events": pa.array([1] * len(b), pa.int64()),
-                "sum_value": b["value"],
-            }
-        )
-        return (
-            t.group_by(["user_id", "salt"])
-            .aggregate([("n_events", "sum"), ("sum_value", "sum")])
-            .rename_columns(["user_id", "salt", "n_events", "sum_value"])
-        )
-
-    phase1 = (
-        ev.map_batches(salt_partial, batch_format="pyarrow")
-        .groupby(["user_id", "salt"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_value", alias_name="sum_value"),
-        )
-    )
+    phase1 = bucket_aggregate(
+        ev.map_batches(salted, batch_format="pyarrow"), keys=["user_id", "salt"],
+        aggs={"n_events": (None, "count"), "sum_value": ("value", "sum")})
     # Phase 2: unsalt — tiny input (≤ keys × SALT_BUCKETS rows).
-    out = phase1.groupby("user_id").aggregate(
-        Sum("n_events", alias_name="n_events"),
-        Sum("sum_value", alias_name="sum_value"),
-    )
+    out = bucket_aggregate(
+        phase1, keys=["user_id"],
+        aggs={"n_events": ("n_events", "sum"), "sum_value": ("sum_value", "sum")})
     return out.map_batches(lambda b: _round2(b, ["sum_value"]), batch_format="pyarrow")
 
 
@@ -405,37 +347,21 @@ def diff_ops(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # O3+ — tumbling-window aggregate (the windowed-aggregate custom op the
-# engine contract lists; expressed as combiner -> one hash exchange, the
-# window key being a pure projection so no ordering/state is needed)
+# engine contract lists; expressed as bucket_aggregate on (type, window),
+# the window key being a pure projection so no ordering/state is needed)
 # ---------------------------------------------------------------------------
 
 def tumbling_window(sf_dir: str):
     """events -> per (event_type, 1-day tumbling window) count + sum."""
-    from ray.data.aggregate import Sum
-
     ev = read_table(sf_dir, "events", ["ts", "event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(b["ts"], unit="day")
-        t = pa.Table.from_pydict(
-            {
-                "event_type": b["event_type"],
-                "win_start": day,
-                "n": pa.array([1] * len(b), pa.int64()),
-                "sum_value": b["value"],
-            }
-        )
-        return (
-            t.group_by(["event_type", "win_start"])
-            .aggregate([("n", "sum"), ("sum_value", "sum")])
-            .rename_columns(["event_type", "win_start", "n", "sum_value"])
-        )
+    def windowed(b: pa.Table) -> pa.Table:
+        return b.append_column("win_start", pc.floor_temporal(b["ts"], unit="day"))
 
-    out = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "win_start"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value"))
-    )
+    out = bucket_aggregate(
+        ev.map_batches(windowed, batch_format="pyarrow"),
+        keys=["event_type", "win_start"],
+        aggs={"n": (None, "count"), "sum_value": ("value", "sum")})
 
     def finish(b: pa.Table) -> pa.Table:
         b = _round2(b, ["sum_value"])
@@ -495,8 +421,7 @@ def sessionize(sf_dir: str):
                 "user_id": pa.array(uid[key], pa.int64()),
                 "session_id": pa.array(sess[key].astype(np.int64), pa.int64()),
                 "session_start_us": pa.array(ts[key], pa.int64()),
-                "session_end_us": pa.array(
-                    [int(ts[bounds[i + 1] - 1]) for i in range(len(key))], pa.int64()),
+                "session_end_us": pa.array(ts[bounds[1:] - 1], pa.int64()),
                 "n_events": pa.array(np.diff(bounds).astype(np.int64), pa.int64()),
             }
         )

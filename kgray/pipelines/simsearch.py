@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.shuffle import block_pairs
+from ..stages.shuffle import block_pairs, bucket_aggregate
 
 N_QUERIES = 5
 TOP_K = 10
@@ -191,39 +191,39 @@ def train_centroids(sample: np.ndarray, k: int, iters: int = 5) -> np.ndarray:
 
 
 def _ivf_index_dir(sf_dir: str) -> str:
-    """Cache dir keyed by scale tag, cluster count, a content fingerprint
-    of the source parquet (row count + file size + mtime) and the digest
-    of the package's code (``expected._code_fingerprint``): regenerating
-    embeddings.parquet at the same path, or editing any module, builds a
-    new index instead of serving stale vec_ids/geometry."""
-    from ..expected import _code_fingerprint
-
+    """The index's one cache directory per scale tag and cluster count."""
     tag = os.path.basename(os.path.normpath(sf_dir))
-    src = os.path.join(sf_dir, "embeddings.parquet")
-    st = os.stat(src)
-    fp = f"{pq.read_metadata(src).num_rows}-{st.st_size}-{int(st.st_mtime)}"
-    return os.path.join(_IVF_ROOT,
-                        f"{tag}-k{IVF_CLUSTERS}-{fp}-{_code_fingerprint()}")
+    return os.path.join(_IVF_ROOT, f"{tag}-k{IVF_CLUSTERS}")
 
 
 def build_ivf_index(sf_dir: str) -> tuple[str, np.ndarray]:
     """One-time index build: train centroids on a driver-side sample,
     broadcast them, assign every vector in one streaming pass, and write
     cluster-partitioned parquet (``cluster=N/`` directories; the ``cl``
-    column duplicates the partition value for in-batch filtering).  Resumes
-    via a completion marker; centroids persist next to the data so cached
-    probes use the exact same geometry."""
+    column duplicates the partition value for in-batch filtering).
+    Centroids persist next to the data so cached probes use the exact
+    same geometry.
+
+    The ``_done`` marker holds the expected tables' fingerprint of
+    embeddings.parquet (row count, size, mtime and the package's code
+    digest, ``expected._src_fingerprint``); an index whose marker differs
+    or is missing (a regenerated source, an edited module, an interrupted
+    build) is rebuilt in place, so each scale keeps one directory."""
+    import shutil
+
+    from ..expected import _src_fingerprint
+
     out = _ivf_index_dir(sf_dir)
+    fp = _src_fingerprint(sf_dir, "embeddings.parquet")
     marker = os.path.join(out, "_done")
     cent_path = os.path.join(out, "centroids.npy")
     if os.path.exists(marker) and os.path.exists(cent_path):
-        return out, np.load(cent_path)
-    if os.path.exists(out):
-        # no completion marker => debris from an interrupted build; a
-        # rebuild into the same dir would append a second copy of every row
-        import shutil
-
-        shutil.rmtree(out)
+        with open(marker) as f:
+            if f.read() == fp:
+                return out, np.load(cent_path)
+    # writing into a stale or partial index would add a second copy of
+    # every row
+    shutil.rmtree(out, ignore_errors=True)
 
     sample = np.array(
         list(_read(sf_dir).limit(_TRAIN_SAMPLE).to_pandas()["embedding"]),
@@ -246,7 +246,7 @@ def build_ivf_index(sf_dir: str) -> tuple[str, np.ndarray]:
     )
     np.save(cent_path, cent)
     with open(marker, "w") as f:
-        f.write("ok")
+        f.write(fp)
     return out, cent
 
 
@@ -326,8 +326,6 @@ def neardup_cosine(sf_dir: str):
 
 
 def label_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Mean
-
     ds = rd.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["label", "embedding"]
     )
@@ -341,15 +339,12 @@ def label_stats(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(norms, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Count(alias_name="n"), Mean("norm", alias_name="avg_norm"))
-    )
+    out = bucket_aggregate(
+        ds.map_batches(norms, batch_format="pyarrow"), keys=["label"],
+        aggs={"n": (None, "count"), "sum_norm": ("norm", "sum")})
 
-    def round4(b: pa.Table) -> pa.Table:
-        return b.set_column(
-            b.column_names.index("avg_norm"), "avg_norm", pc.round(b["avg_norm"], 4)
-        )
+    def avg4(b: pa.Table) -> pa.Table:
+        avg = pc.round(pc.divide(b["sum_norm"], pc.cast(b["n"], pa.float64())), 4)
+        return b.drop_columns(["sum_norm"]).append_column("avg_norm", avg)
 
-    return out.map_batches(round4, batch_format="pyarrow")
+    return out.map_batches(avg4, batch_format="pyarrow")

@@ -45,6 +45,8 @@ LANG_PROFILES: list[tuple[str, str]] = [
     ("de", r"\b(der|die|das|und|ist|nicht)\b"),
     ("es", r"\b(el|los|las|y|una|que)\b"),
 ]
+# lang_id's prediction per profile index, "other" past the last profile
+_LANG_NAMES = pa.array([lang for lang, _ in LANG_PROFILES] + ["other"])
 
 # MinHash / SimHash parameters (word shingles; fixed so runs are stable).
 # 8 bands x 4 rows: detection P at jac=0.8 is 1-(1-0.8^4)^8 ≈ 0.985, while
@@ -141,19 +143,15 @@ def _md5_col(values: list[str]) -> pa.Array:
 # ---------------------------------------------------------------------------
 
 def _dedup_by_hash(docs, hash_fn):
-    """Per text hash: the min doc_id and the duplicate count, aggregated in
-    two phases on the bucket exchange (key cardinality = #distinct texts,
-    so not Ray's per-row aggregate path; stages/shuffle.py)."""
+    """Per text hash: ``keep_id``, the min doc_id, and ``dup_cnt``, its
+    row count, from ``bucket_aggregate`` (a per-block combiner, then one
+    bucket exchange and the merge; stages/shuffle.py)."""
     def keyed(b: pa.Table) -> pa.Table:
-        return pa.table({"text_hash": hash_fn(b), "keep_id": b["doc_id"],
-                         "dup_cnt": pa.array([1] * len(b), pa.int64())})
+        return pa.table({"text_hash": hash_fn(b), "doc_id": b["doc_id"]})
 
     return bucket_aggregate(
-        docs.map_batches(keyed, batch_format="pyarrow"),
-        keys=["text_hash"], aggs=[("keep_id", "min"), ("dup_cnt", "sum")],
-    ).map_batches(
-        lambda t: t.rename_columns(["text_hash", "keep_id", "dup_cnt"]),
-        batch_format="pyarrow")
+        docs.map_batches(keyed, batch_format="pyarrow"), keys=["text_hash"],
+        aggs={"keep_id": ("doc_id", "min"), "dup_cnt": (None, "count")})
 
 
 def dedup_exact(sf_dir: str):
@@ -232,8 +230,6 @@ def quality_score(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def lang_id(sf_dir: str):
-    from ray.data.aggregate import Count
-
     docs = _docs(sf_dir, ["doc_id", "text", "lang"])
 
     def fn(b: pa.Table) -> pa.Table:
@@ -244,17 +240,11 @@ def lang_id(sf_dir: str):
         ]
         mat = np.stack(scores, axis=1)  # (n, n_langs)
         best = mat.argmax(axis=1)  # first max wins = profile priority order
-        pred = np.array([lang for lang, _ in LANG_PROFILES], dtype=object)[best]
-        pred[mat.max(axis=1) == 0] = "other"
-        return pa.Table.from_pydict(
-            {"lang": b["lang"], "lang_pred": pa.array(pred.tolist(), pa.string())}
-        )
+        best[mat.max(axis=1) == 0] = len(LANG_PROFILES)  # "other"
+        return pa.table({"lang": b["lang"], "lang_pred": _LANG_NAMES.take(best)})
 
-    return (
-        docs.map_batches(fn, batch_format="pyarrow")
-        .groupby(["lang", "lang_pred"])
-        .aggregate(Count(alias_name="n"))
-    )
+    return bucket_aggregate(docs.map_batches(fn, batch_format="pyarrow"),
+                            keys=["lang", "lang_pred"], aggs={"n": (None, "count")})
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +350,7 @@ _PLAN_CACHE: dict[tuple, dict] = {}
 def _resolve_block_plan(plan_refs: tuple, limits: tuple[int, int]) -> dict:
     """Resolve the broadcast per-source counts blocks into the block plan.
 
-    ``plan_refs`` are the ObjectRefs of the groupby-count output blocks —
+    ``plan_refs`` are the ObjectRefs of the per-source count blocks —
     the plan rides through the object store (fetched zero-copy on the node
     that already holds the block; pulled once per worker otherwise), never
     inside a task closure."""
@@ -373,9 +363,8 @@ def _resolve_block_plan(plan_refs: tuple, limits: tuple[int, int]) -> dict:
         for t in ray.get(list(plan_refs)):
             if len(t) == 0:  # empty aggregate blocks carry no schema
                 continue
-            for s, c in zip(t["source"].to_pylist(),
-                            t["count()"].to_pylist()):
-                counts[s] = counts.get(s, 0) + int(c)
+            # one row per source: the merge ran once per key
+            counts.update(zip(t["source"].to_pylist(), t["n"].to_pylist()))
         plan = _jaccard_block_plan(counts, limits)
         _PLAN_CACHE.clear()
         _PLAN_CACHE[key] = plan
@@ -406,7 +395,7 @@ def ngram_jaccard_pairs(sf_dir: str):
     is half-to-even, DuckDB ROUND is half-away — exact dyadic ratios would
     hash-mismatch.
 
-    Skew parallelism: a tiny groupby-count first sizes each source group,
+    Skew parallelism: a tiny per-source count first sizes each group,
     and an oversized group is split into row blocks that
     ``shuffle.block_pairs`` scores as independent block pairs.  The
     shipped payload is the compact token-hash set, not text, so
@@ -418,8 +407,9 @@ def ngram_jaccard_pairs(sf_dir: str):
     # closure to every task): the tiny aggregate stays in the object store
     # as block refs, and each worker process resolves it ONCE into the
     # nblocks dict (memoized in _resolve_block_plan).
-    plan_refs = tuple(docs.groupby("source").count().materialize()
-                      .to_arrow_refs())
+    plan_refs = tuple(bucket_aggregate(
+        _docs(sf_dir, ["source"]), keys=["source"], aggs={"n": (None, "count")}
+    ).materialize().to_arrow_refs())
     limits = (_JACCARD_GROUP_SPLIT, _JACCARD_BLOCK_ROWS)
 
     def hashed(b: pa.Table) -> pa.Table:

@@ -82,7 +82,8 @@ def set_diff(*tagged, keys):
         return g.select(keys).append_column("op", op)
 
     return bucket_aggregate(*tagged, keys=keys,
-                            aggs=[("side", "min"), ("side", "max")]
+                            aggs={"side_min": ("side", "min"),
+                                  "side_max": ("side", "max")}
                             ).map_batches(project, batch_format="pyarrow")
 
 

@@ -1,10 +1,16 @@
-"""The engine's exchange and the hash-bucket grouping built on it: the
-workhorse for high-cardinality grouped operations.
+"""The engine's exchange and the hash-bucket grouping built on it: every
+grouped aggregate and pair query of the engine runs here.
 
-Ray Data's ``groupby(cols).aggregate(...)`` sorts fast but then accumulates
-PER ROW in Python, and ``map_groups`` pays one interpreter call PER GROUP —
-both pathological when the key cardinality approaches the row count
-(exact dedup, pair dedup, set diff: millions of single-row groups at scale).
+Ray Data's ``groupby(cols).aggregate(...)`` sorts fast but then works PER
+ROW in Python: in Ray 2.49.2 ``table_block._aggregate`` walks every row
+with ``iter_rows`` to find the group bounds, and
+``_combine_aggregated_blocks`` merges the partial rows with
+``heapq.merge``.  ``map_groups`` pays one interpreter call PER GROUP.  Both
+are pathological when the key cardinality approaches the row count
+(exact dedup, pair dedup, set diff: millions of single-row groups at
+scale), and the first costs per row even on a handful of groups
+(``salted_groupby`` at sf0.1, 2 Ray CPUs on a 4-vCPU host: a median
+5.33 s on Ray's aggregate against 0.31 s here).
 
 ``bucket_groupby`` keeps the exchange but bounds the Python surface:
 
@@ -18,7 +24,11 @@ Arrow table and does its grouped work with Arrow-native kernels
 always share a bucket, so any per-key reduction computed inside ``fn`` is
 globally correct.  ``bucket_aggregate`` is the two-phase aggregate on it:
 an Arrow ``group_by`` per block as the combiner, the same functions again
-per partition as the merge (the snapshot diff, exact dedup, distinct).
+per partition as the merge.  Every rollup runs on it: the snapshot diff
+(``diff.set_diff``), exact and normalized dedup, ``lang_id``, the n-gram
+Jaccard per-source sizes, ``label_stats``, and the relational suite's
+distinct, window, tumbling-window, Q1, join, union and salted (two
+phases) aggregates.
 ``block_pairs`` is the all-pairs self-join on it: each group split into
 row blocks, one exchange on (group, block pair), one scorer call per
 block pair.  Every pair query runs on it: n-gram Jaccard and embedding
@@ -71,7 +81,7 @@ already collapsed by the caller's local combiner.
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -89,6 +99,8 @@ os.environ.setdefault("POLARS_MAX_THREADS", "1")
 import polars as _pl  # noqa: E402
 
 BUCKET_COL = "__bucket"
+# bucket_aggregate's int64 ones column, the input of every count
+_ONE = "__one"
 # bucket count of every bucket exchange (canonicalize's hash plan and
 # bucket_groupby alike); see the module docstring for why it must dominate
 # partition counts
@@ -328,27 +340,38 @@ def bucket_groupby(
 
 
 def bucket_aggregate(*inputs, keys: Sequence[str],
-                     aggs: Sequence[tuple[str, str]]):
-    """Two-phase grouped aggregate for a key whose cardinality may approach
-    the row count: Arrow ``group_by(keys).aggregate(aggs)`` once per block
-    of each Dataset in ``inputs`` (the combiner, so it fuses into each
-    input's own map operator), then the combined streams' union goes
-    through ``bucket_groupby`` on ``keys``, which merges the partial
-    columns ``{col}_{fn}`` with the same ``fn`` once per partition.
+                     aggs: Mapping[str, tuple[str | None, str]]):
+    """Two-phase grouped aggregate, the engine's one GROUP BY: Arrow
+    ``group_by(keys)`` once per block of each Dataset in ``inputs`` (the
+    combiner, so it fuses into each input's own map operator), then the
+    combined streams' union goes through ``bucket_groupby`` on ``keys``,
+    which merges the partial columns with the same functions once per
+    partition.
 
-    Output columns are ``keys`` then ``{col}_{fn}`` per ``(col, fn)`` of
-    ``aggs``; with no ``aggs`` it is the distinct ``keys``.  Every ``fn``
-    must merge its own partials (min, max, sum)."""
-    keys, aggs = list(keys), list(aggs)
-    partials = [f"{col}_{fn}" for col, fn in aggs]
+    ``aggs`` maps each output column to ``(column, fn)``: ``fn`` is min,
+    max or sum of ``column``, or count with ``column`` None, SQL's
+    ``count(*)``, which counts every row, null values and null keys too
+    (a sum over an int64 ones column, so its partials merge by sum).
+    Output columns are ``keys`` (a null key is one group, as in SQL) then
+    the ``aggs`` names in order; with no ``aggs`` it is the distinct
+    ``keys``."""
+    keys, names = list(keys), list(aggs)
+    # (input column, Arrow function) per output: a count sums the ones
+    spec = [(_ONE, "sum") if fn == "count" else (col, fn)
+            for col, fn in aggs.values()]
+    counts = any(col == _ONE for col, _ in spec)
 
     def combine(batch: pa.Table) -> pa.Table:
-        return batch.group_by(keys, use_threads=False).aggregate(aggs)
+        if counts:
+            batch = batch.append_column(
+                _ONE, pa.repeat(pa.scalar(1, pa.int64()), len(batch)))
+        return (batch.group_by(keys, use_threads=False).aggregate(spec)
+                .rename_columns(keys + names))
 
     def merge(part: pa.Table) -> pa.Table:
         return (part.group_by(keys, use_threads=False)
-                .aggregate([(p, fn) for p, (_, fn) in zip(partials, aggs)])
-                .rename_columns(keys + partials))
+                .aggregate([(n, fn) for n, (_, fn) in zip(names, spec)])
+                .rename_columns(keys + names))
 
     ds, *rest = [d.map_batches(combine, batch_format="pyarrow") for d in inputs]
     return bucket_groupby(ds.union(*rest) if rest else ds, keys, merge)

@@ -53,3 +53,41 @@ def test_every_kgray_def_has_a_caller():
     stale = sorted(set(ALLOWED) - {node.name for _, node in defs if
                                    not refs[node.name]})
     assert not stale, f"allowlisted but called or gone: {stale}"
+
+
+# (module, top-level function) -> why its ``.groupby(`` stays
+GROUPBY_ALLOWED = {
+    ("kgray/pipelines/simsearch.py", "_topk"):
+        "map_groups over the kNN queries' top-K candidates: one call per "
+        "query id, 5 groups",
+}
+
+
+def test_no_ray_grouped_aggregate():
+    """Every grouped aggregate runs on ``shuffle.bucket_aggregate``: no
+    module of ``kgray/`` imports ``ray.data.aggregate`` (Ray's per-row
+    aggregate functions) or calls ``.groupby(`` outside the allowlist."""
+    found, seen = [], set()
+    for path in sorted((ROOT / "kgray").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for top in ast.parse(path.read_text()).body:
+            where = (rel, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [f"{node.module}.{a.name}" for a in node.names]
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "groupby"):
+                    if where in GROUPBY_ALLOWED:
+                        seen.add(where)
+                    else:
+                        found.append(f"{rel}:{node.lineno} .groupby(")
+                    continue
+                else:
+                    continue
+                found += [f"{rel}:{node.lineno} import {m}" for m in mods
+                          if f"{m}.".startswith("ray.data.aggregate.")]
+    assert not found, "Ray grouped aggregate in kgray/: " + ", ".join(found)
+    assert seen == set(GROUPBY_ALLOWED), "allowlisted but gone"

@@ -106,12 +106,26 @@ def test_expected_cache_key_follows_builder_source(tmp_path, monkeypatch):
                       lambda: X._src_fingerprint(SF_DIR, "documents.parquet"))
 
 
-def test_ivf_index_dir_follows_package_source(tmp_path, monkeypatch):
-    """The IVF index cache directory carries the same code key: an edit to
-    any module builds a new index."""
-    from kgray.pipelines.simsearch import _ivf_index_dir
+def test_ivf_index_dir_follows_package_source(ray_session, tmp_path,
+                                              monkeypatch):
+    """The IVF index's ``_done`` marker holds the expected tables' key, so
+    an edit to any module changes the key the index is checked against,
+    while the directory stays the one of its scale and cluster count."""
+    import os
 
-    _edits_change_key(tmp_path, monkeypatch, lambda: _ivf_index_dir(SF_DIR))
+    import kgray.expected as X
+    import kgray.pipelines.simsearch as S
+
+    monkeypatch.setattr(S, "_IVF_ROOT", str(tmp_path / "ivf"))
+    out, _ = S.build_ivf_index(SF_DIR)
+    with open(os.path.join(out, "_done")) as f:
+        assert f.read() == X._src_fingerprint(SF_DIR, "embeddings.parquet")
+
+    def marker_key():
+        assert S._ivf_index_dir(SF_DIR) == out
+        return X._src_fingerprint(SF_DIR, "embeddings.parquet")
+
+    _edits_change_key(tmp_path, monkeypatch, marker_key)
 
 
 def test_all_pairs_and_kg_diff_build_lazily(ray_session, monkeypatch):

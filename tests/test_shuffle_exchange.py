@@ -33,6 +33,7 @@ import datetime as dt
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 
@@ -169,39 +170,65 @@ def test_canonicalize_rows_exactly_once(ray_session):
 
 
 def test_bucket_aggregate_matches_one_pass_group_by(ray_session):
-    """``bucket_aggregate``'s combiner runs on 40 blocks under a 64 KiB
-    block-size target, so every key's partials arrive from many blocks;
-    min, max, sum and the no-aggregate distinct must equal one Arrow
-    ``group_by`` over the whole table."""
+    """``bucket_aggregate`` equals DuckDB's ``GROUP BY`` over the whole
+    table.  The table arrives as two inputs, as ``union_agg`` passes its
+    branches, each 20 blocks under a 64 KiB block-size target, so every
+    key's partials come from many blocks.  Key ``k`` and the value
+    columns hold nulls: a null key is one group, and ``count(*)`` counts
+    rows with null values.  Checked: min, max, an int and a float sum,
+    the count and the no-aggregate distinct, each under the output name
+    the call gives it; then three keys over 40 blocks, where most reduce
+    partitions receive no row."""
+    import duckdb
+
     from kgray.stages.shuffle import bucket_aggregate
 
     n = 40_000
     rng = np.random.default_rng(11)
+    nulls = rng.random((3, n)) < 0.02
     t = pa.table({
-        "k": rng.integers(0, 3000, n),
+        "k": pa.array(rng.integers(0, 3000, n), mask=nulls[0]),
         "s": pa.array([f"s{i % 7}" for i in range(n)]),
-        "v": rng.integers(-10**6, 10**6, n),
+        "v": pa.array(rng.integers(-10**6, 10**6, n), mask=nulls[1]),
+        # quarters: every order of summation is exact
+        "f": pa.array(rng.integers(-4000, 4000, n) / 4, mask=nulls[2]),
         "pad": pa.array([f"pad-{i % 997}" * 8 for i in range(n)]),
     })
-    keys = ["k", "s"]
-    ds = ray_session.data.from_arrow(t).repartition(40)
-    # per-dataset context copy: pathological block-size target, this test only
-    ds.context.target_max_block_size = 64 * 1024
+    assert t["k"].null_count > 1
+    con = duckdb.connect()
+    con.register("t", t)
+    halves = []
+    for part in (t.slice(0, n // 2), t.slice(n // 2)):
+        ds = ray_session.data.from_arrow(part).repartition(20)
+        # per-dataset context copy: pathological block-size target, this test only
+        ds.context.target_max_block_size = 64 * 1024
+        halves.append(ds)
 
-    def ordered(table: pa.Table) -> pa.Table:
-        return table.sort_by([(k, "ascending") for k in keys])
+    def check(inputs, keys, aggs, sql):
+        got = pa.Table.from_pylist(
+            bucket_aggregate(*inputs, keys=keys, aggs=aggs).take_all())
+        assert got.column_names == [*keys, *aggs]
+        want = con.sql(sql).arrow().rename_columns(got.column_names).cast(
+            got.schema)
+        order = [(k, "ascending") for k in keys]
+        assert got.sort_by(order).to_pylist() == want.sort_by(order).to_pylist()
+        return got
 
-    aggs = [("v", "min"), ("v", "max"), ("v", "sum")]
-    got = pa.Table.from_pylist(
-        bucket_aggregate(ds, keys=keys, aggs=aggs).take_all())
-    want = t.group_by(keys).aggregate(aggs)
-    assert got.column_names == ["k", "s", "v_min", "v_max", "v_sum"]
-    assert ordered(got).equals(ordered(want.select(got.column_names)))
+    got = check(halves, ["k", "s"],
+                {"v_min": ("v", "min"), "v_max": ("v", "max"),
+                 "v_sum": ("v", "sum"), "f_sum": ("f", "sum"),
+                 "n": (None, "count")},
+                "SELECT k, s, min(v), max(v), CAST(sum(v) AS BIGINT), sum(f),"
+                " count(*) FROM t GROUP BY k, s")
+    assert len(got.filter(pc.is_null(got["k"]))) == 7  # one per s
+    check(halves, ["k", "s"], {}, "SELECT DISTINCT k, s FROM t")
 
-    got = pa.Table.from_pylist(
-        bucket_aggregate(ds, keys=keys, aggs=[]).take_all())
-    assert got.column_names == keys
-    assert ordered(got).equals(ordered(t.group_by(keys).aggregate([])))
+    three = t.append_column("k3", pa.array(np.arange(n) % 3))
+    con.register("three", three)
+    ds = ray_session.data.from_arrow(three).repartition(40)
+    got = check([ds], ["k3"], {"n": (None, "count"), "f_sum": ("f", "sum")},
+                "SELECT k3, count(*), sum(f) FROM three GROUP BY k3")
+    assert len(got) == 3
 
 
 def test_canonicalize_orders_keys_by_code_point(ray_session):

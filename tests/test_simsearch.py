@@ -113,3 +113,26 @@ def test_brute_topk_shape(ray_session):
     assert (df.groupby("query_id").size() == TOP_K).all()
     # no self-matches
     assert (df["query_id"] != df["neighbor_id"]).all()
+
+
+def test_ivf_rebuild_keeps_one_directory_per_scale(ray_session, tmp_path,
+                                                   monkeypatch):
+    """A changed fingerprint rebuilds the index in its one directory; an
+    unchanged one serves it without a rebuild."""
+    import os
+
+    import kgray.expected as X
+    import kgray.pipelines.simsearch as S
+
+    monkeypatch.setattr(S, "_IVF_ROOT", str(tmp_path))
+    dirs, stamps = [], []
+    for fp in ("source-a", "source-b", "source-b"):
+        monkeypatch.setattr(X, "_src_fingerprint", lambda *_, fp=fp: fp)
+        out, _ = S.build_ivf_index(SF_DIR)
+        dirs.append(out)
+        with open(os.path.join(out, "_done")) as f:
+            assert f.read() == fp
+        stamps.append(os.stat(os.path.join(out, "centroids.npy")).st_mtime_ns)
+    assert os.listdir(tmp_path) == [os.path.basename(out)]
+    assert len(set(dirs)) == 1
+    assert stamps[2] == stamps[1]
