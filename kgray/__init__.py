@@ -10,18 +10,15 @@ streaming ``ray.data.Dataset`` pipelines over zero-copy Arrow batches:
       -> assemble  (claims -> typed RDF triples, scaffolds, ids)      [stateless map_batches]
       -> canonicalize (exact dedup, local combiner + one exchange: a range
                        sort on order words of (pred, subj, obj), the
-                       output order; a hash-bucket exchange only at
-                       corpus scale on a lazy run)                   [shuffle]
+                       output order)                                 [shuffle]
       -> diff      (old vs new snapshot anti-join -> INSERT/DELETE)   [shuffle]
       -> materialize (partitioned parquet, lineage manifests)         [sink]
 
 Built on Ray Data, pyarrow, pandas, numpy and polars (the bucket row hash
 in ``stages/shuffle.py`` and the survivor pick in
-``stages/canonicalize.py``).  Ray Data internals are read in two places:
-``shuffle.source_size_hint`` checks the Dataset's plan against
-``ray.data._internal``'s logical ``Read`` operator for a free size
-estimate, and ``materialize._stage_summary`` reads
-``_write_ds._plan.stats()`` for the per-operator stats of a write.
+``stages/canonicalize.py``).  Ray Data internals are read in one place:
+``materialize._stage_summary`` reads ``_write_ds._plan.stats()`` for the
+per-operator stats of a write.
 
 Every ``map_batches`` stage is a stateless task map, never an actor
 pool.  Shared state rides in ``ray.put`` broadcasts (the

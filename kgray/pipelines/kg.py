@@ -13,10 +13,9 @@ see extract._SLICE_PAGES) on every CPU (shuffle.exchange_map lifts Ray
 Data's per-operator reservation).  Canonicalize range-sorts on the order
 words of ``schema.TRIPLE_ORDER``, which both co-locates every dedup key
 and produces the written order, so the final dedup pass fuses with the
-write.  A lazy ``kg_triples`` runs the same plan, unless its source is
-large enough for canonicalize's hash plan (stages/canonicalize.py).  The
-link counters go to the job's one accumulator actor under a fresh key
-per run (stages/metrics.py).  No driver-side row loops; the driver only
+write.  A lazy ``kg_triples`` runs the same plan.  The link counters go
+to the job's one accumulator actor under a fresh key per run
+(stages/metrics.py).  No driver-side row loops; the driver only
 composes stages and reads small aggregates.
 """
 
@@ -45,24 +44,16 @@ def _auto_concurrency() -> None:
     return None
 
 
-def kg_triples(pages, alias_rows=None, *, metrics_actor=None,
-               ordered: bool = False):
+def kg_triples(pages, alias_rows=None, *, metrics_actor=None):
     """pages Dataset -> canonical deduped ops Dataset (lazy).  Its reduce
     partitions, read in exchange order (a write's file names follow it),
-    are in ``schema.TRIPLE_ORDER`` unless canonicalize's hash plan ran;
-    ``ordered=True`` withholds the source size hint, so it never takes
-    the hash plan (a write needs the order)."""
-    from ..stages.shuffle import source_size_hint
-
+    are in ``schema.TRIPLE_ORDER``."""
     if alias_rows is None:
         alias_rows = aliases_table().to_pylist()
-    # exchange-size hint from the SOURCE read (free parquet-metadata
-    # estimate; selects the hash exchange for corpus-scale unordered runs)
-    size_hint = None if ordered else source_size_hint(pages)
     raw = extract_stage(pages)
     linked = link_stage(raw, alias_rows, metrics_actor=metrics_actor)
     ops = assemble_stage(linked)
-    return canonicalize_stage(ops, size_hint_bytes=size_hint)
+    return canonicalize_stage(ops)
 
 
 def run_kg_pipeline_partitioned(paths, out_root: str, *,
@@ -104,9 +95,8 @@ def run_kg_pipeline_partitioned(paths, out_root: str, *,
 
 def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     """Full run: read -> ... -> canonicalize -> write+manifest; returns
-    the write manifest dict.  ``kg_triples(read_pages(paths),
-    ordered=True)`` is the same pipeline as a lazy Dataset, for further
-    composition.
+    the write manifest dict.  ``kg_triples(read_pages(paths))`` is the
+    same pipeline as a lazy Dataset, for further composition.
     """
     from ..stages.metrics import run_counters
 
@@ -116,8 +106,7 @@ def run_kg_pipeline(paths, out_dir: str, *, alias_rows=None) -> dict:
     # blocks): the manifest's link block (north rule: link metrics per
     # partition)
     metrics_actor = run_counters()
-    ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor,
-                     ordered=True)
+    ops = kg_triples(pages, alias_rows, metrics_actor=metrics_actor)
     return materialize_stage(
         ops,
         out_dir,

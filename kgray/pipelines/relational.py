@@ -12,8 +12,8 @@ Scale notes applied throughout:
   ``group_by`` combiner collapses rows BEFORE the one bucket exchange
   (SURVEY.md §4 skew row), and the merge is the same Arrow ``group_by``
   per partition; no row of it passes through Python;
-* small dims broadcast (stages.joins.broadcast_join), big-big joins use the
-  native hash-shuffle join;
+* small dims broadcast (stages.joins.broadcast_join), big-big joins run
+  ``stages.joins.equi_join`` on the same bucket exchange;
 * top-k never globally sorts the input: per-batch local top-k first, then a
   tiny global sort over ≤k·num_batches rows;
 * floats that result from arithmetic are rounded identically on both sides
@@ -30,8 +30,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..stages.diff import set_diff, tag_side
-from ..stages.joins import (JOIN_PARTITIONS, broadcast_join, hash_anti_join,
-                            hash_semi_join)
+from ..stages.joins import broadcast_join, equi_join
 from ..stages.shuffle import bucket_aggregate, bucket_groupby
 
 # -- thresholds shared by the Ray pipelines and the SQL oracles -------------
@@ -199,16 +198,14 @@ def broadcast_join_agg(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# §2.4 — big-big hash-shuffle join + rollup (native Dataset.join)
+# §2.4 — big-big join + rollup (equi_join on the bucket exchange)
 # ---------------------------------------------------------------------------
 
 def hash_join_agg(sf_dir: str):
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(
-        cust, join_type="inner", num_partitions=JOIN_PARTITIONS,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    joined = equi_join(orders, cust, on="o_custkey", right_on="c_custkey",
+                       join_type="inner")
     out = bucket_aggregate(
         joined, keys=["c_mktsegment"],
         aggs={"n_orders": (None, "count"), "sum_totalprice_c": ("o_totalprice", "sum")})
@@ -223,18 +220,18 @@ def anti_join(sf_dir: str):
     """Customers with no order above HIGH_PRICE."""
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
     big = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"]).filter(
-        expr=f"o_totalprice > {HIGH_PRICE}"
-    ).rename_columns({"o_custkey": "c_custkey"})
-    return hash_anti_join(cust, big, on="c_custkey")
+        expr=f"o_totalprice > {HIGH_PRICE}")
+    return equi_join(cust, big, on="c_custkey", right_on="o_custkey",
+                     join_type="left anti")
 
 
 def semi_join(sf_dir: str):
     """Customers with at least one order above HIGH_PRICE."""
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
     big = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"]).filter(
-        expr=f"o_totalprice > {HIGH_PRICE}"
-    ).rename_columns({"o_custkey": "c_custkey"})
-    return hash_semi_join(cust, big, on="c_custkey")
+        expr=f"o_totalprice > {HIGH_PRICE}")
+    return equi_join(cust, big, on="c_custkey", right_on="o_custkey",
+                     join_type="left semi")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from .link import link_stage
 from .assemble import assemble_stage
 from .canonicalize import canonicalize_stage
 from .diff import diff_snapshots
-from .joins import broadcast_join, hash_anti_join, hash_semi_join
+from .joins import broadcast_join, equi_join
 from .materialize import materialize_stage
 from .serialize import console_sink, serialize_stage
 from .shuffle import bucket_groupby
@@ -19,8 +19,7 @@ __all__ = [
     "canonicalize_stage",
     "diff_snapshots",
     "broadcast_join",
-    "hash_anti_join",
-    "hash_semi_join",
+    "equi_join",
     "materialize_stage",
     "serialize_stage",
     "console_sink",

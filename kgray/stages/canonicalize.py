@@ -10,20 +10,14 @@ machine (ttl_compare.py:168-183).  At scale that is a distributed distinct:
   2. **global dedup** via ONE exchange (stages/shuffle.exchange_map), then
      the same local dedup over each key-complete partition.
 
-``shuffle.exchange_mode`` picks the plan once, from the source size hint:
-
-  * sort (every write, and every lazy run below the hash threshold): a
-    range sort on the **order words** ``ORDER_COLS``, four uint64 words
-    holding the first 32 bytes of an order-preserving byte encoding of
-    ``schema.TRIPLE_ORDER`` (``order_words``).  Equal keys get equal
-    words, so each dedup key lands in one partition, and the words never
-    decrease along ``TRIPLE_ORDER``, so the partitions leave in the
-    written order and the last pass sorts each one in ``KEY_ORDER``:
-    materialize writes them without a sort of its own.
-  * hash (>= 512 MiB hinted on >= 4 CPUs): Ray's hash shuffle on an int32
-    ``__bucket`` key hash, partitions in no defined order, survivors in
-    input order.  Ray's ``hash_partition`` loops per row in Python over
-    every key column, so this plan keeps the one-column bucket.
+The exchange, for writes and lazy runs alike, is a range sort on the
+**order words** ``ORDER_COLS``, four uint64 words holding the first 32
+bytes of an order-preserving byte encoding of ``schema.TRIPLE_ORDER``
+(``order_words``).  Equal keys get equal words, so each dedup key lands
+in one partition, and the words never decrease along ``TRIPLE_ORDER``,
+so the partitions leave in the written order and the last pass sorts
+each one in ``KEY_ORDER``: materialize writes them without a sort of its
+own.
 
 Why words and not the strings: Ray 2.49.2's range partition
 (``find_partition_index``) converts a block's whole key columns to numpy
@@ -38,7 +32,7 @@ keys (11,474 at 24 bytes).
 
 Every pass runs one kernel, ``local_dedup``: a single-threaded polars
 survivor pick over the 9 OPS columns, which returns survivors in key
-order in the sort plan's last pass and in input order elsewhere.  Polars
+order in the last pass and in input order in the combiner.  Polars
 compares full keys on a hash hit, so the dedup is exact by construction.
 Ray's ``groupby``/``map_groups`` were rejected for their per-row and
 per-group Python (stages/shuffle.py), an Arrow survivor pick for 3x the
@@ -50,10 +44,9 @@ identity, and the survivor is the lexicographically (warc_ts, src_url)-
 smallest ROW per key — deterministic across reruns and partitionings,
 which is what checkpoint-resume and the P/R comparison need.  Head-entity
 skew inflates duplicate counts of a few triples; the local combiner
-collapses those before the exchange, the range bounds split a hot
-``pred`` on ``subj`` and ``obj``, and the bucket hash spreads keys
-uniformly, so no salting is needed here (salting applies to per-entity
-aggregations, e.g. relational.salted_groupby).
+collapses those before the exchange and the range bounds split a hot
+``pred`` on ``subj`` and ``obj``, so no salting is needed here (salting
+applies to per-entity aggregations, e.g. relational.salted_groupby).
 """
 
 from __future__ import annotations
@@ -63,7 +56,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import TRIPLE_KEY, TRIPLE_ORDER
-from .shuffle import BUCKET_COL, NUM_BUCKETS, _hash_key, exchange_map, exchange_mode
+from .shuffle import exchange_map
 
 # after .shuffle, which sets POLARS_MAX_THREADS before the process's first
 # polars import
@@ -71,11 +64,10 @@ import polars as pl
 
 KEY_COLS = ("op", *TRIPLE_KEY)
 LINEAGE_COLS = ("warc_ts", "src_url")
-# the order survivors leave the sort plan's last pass in: the written
-# order, then the rest of the key, so it is a total order on a deduped
-# table
+# the order survivors leave the last pass in: the written order, then
+# the rest of the key, so it is a total order on a deduped table
 KEY_ORDER = (*TRIPLE_ORDER, "obj_type", "lang", "datatype", "op")
-# the sort plan's range key: the order words of every row
+# the exchange's range key: the order words of every row
 ORDER_COLS = ("__order0", "__order1", "__order2", "__order3")
 _ORDER_BYTES = 8 * len(ORDER_COLS)
 _NULL = pa.scalar(b"\xff", pa.binary())
@@ -119,9 +111,9 @@ def order_words(batch: pa.Table) -> np.ndarray:
 def local_dedup(batch: pa.Table, *, in_key_order: bool = False) -> pa.Table:
     """One row per triple key: the (warc_ts, src_url)-smallest, ties to the
     earliest row.  Survivors leave in input order, or with
-    ``in_key_order`` in ``KEY_ORDER`` with nulls last: only the sort
-    plan's last pass needs that order, and the sort doubles the kernel's
-    time (in process on a 28,888-row block, 21 ms vs 11 ms).  Strings
+    ``in_key_order`` in ``KEY_ORDER`` with nulls last: only the last
+    pass needs that order, and the sort doubles the kernel's time (in
+    process on a 28,888-row block, 21 ms vs 11 ms).  Strings
     compare by code point, as the order words do, so a partition's order
     agrees with the exchange's."""
     kept = (pl.from_arrow(batch).with_row_index()
@@ -135,38 +127,26 @@ def local_dedup(batch: pa.Table, *, in_key_order: bool = False) -> pa.Table:
     return batch.take(pa.array(idx.to_numpy(), pa.int64()))
 
 
-def canonicalize_stage(ops, *, size_hint_bytes: int | None = None):
-    """ops Dataset -> deduped ops Dataset (set semantics over triples).
-
-    ``size_hint_bytes`` (the source read's estimate) picks the plan
-    (``shuffle.exchange_mode``).  The sort plan exchanges on the order
-    words, and its reduce partitions, read in exchange order, are in
-    ``KEY_ORDER``; the hash plan exchanges on ``__bucket``, order
-    unspecified."""
-    hash_plan = exchange_mode(size_hint_bytes) == "hash"
-    key = (BUCKET_COL,) if hash_plan else ORDER_COLS
+def canonicalize_stage(ops, *, size_hint_bytes=None):
+    """ops Dataset -> deduped ops Dataset (set semantics over triples),
+    exchanged on the order words: its reduce partitions, read in exchange
+    order, are in ``KEY_ORDER``.  ``size_hint_bytes`` is ignored; perfbench
+    still passes it."""
 
     # No Ray batch_size: the combiner fuses with extract, and a batch_size
     # here would become the fused task's input-bundle minimum in pages
     # (see extract._SLICE_PAGES).  The pre-dedup window is one fused
     # task's output.
     def combine(batch: pa.Table) -> pa.Table:
-        """Combiner: local dedup, then the exchange key columns."""
+        """Combiner: local dedup, then the order words."""
         batch = local_dedup(batch)
-        if hash_plan:
-            buckets = _hash_key(batch, KEY_COLS) % np.uint64(NUM_BUCKETS)
-            cols = [buckets.astype(np.int32)]
-        else:
-            cols = order_words(batch).T
-        for name, col in zip(key, cols):
+        for name, col in zip(ORDER_COLS, order_words(batch).T):
             batch = batch.append_column(name, pa.array(col))
         return batch
 
     def per_partition(part: pa.Table) -> pa.Table:
-        return local_dedup(part.drop_columns(list(key)),
-                           in_key_order=not hash_plan)
+        return local_dedup(part.drop_columns(list(ORDER_COLS)),
+                           in_key_order=True)
 
-    # exchange_map reads the same hint, so it runs the plan chosen here
     return exchange_map(ops.map_batches(combine, batch_format="pyarrow"),
-                        per_partition, key=key,
-                        size_hint_bytes=size_hint_bytes)
+                        per_partition, key=ORDER_COLS)

@@ -10,11 +10,12 @@ two scale-shaped join families:
   ``ray.put``; each probe call reads it back zero-copy.  No shuffle, no
   actor pool; the fact side streams.  This is the alias-table pattern of
   SURVEY.md §2.4 generalized.
-* ``hash_semi_join`` / ``hash_anti_join`` — big-big existence joins on
-  Ray Data's native hash-shuffle join, with the right side first reduced to
-  DISTINCT keys by a per-batch combiner so only unique keys pay exchange
-  cost.  (The snapshot diff is not a join: stages/diff.py runs the bucket
-  exchange of stages/shuffle.py.)
+* ``equi_join`` — big-big inner, left-semi and left-anti joins on the
+  engine's one exchange (stages/shuffle.bucket_groupby): both sides
+  side-tagged on one shared schema, one exchange on the key, one Arrow
+  ``Table.join`` per partition.  A semi or anti join's right side ships
+  only its per-block distinct keys.  (The snapshot diff is not a join:
+  stages/diff.py runs ``shuffle.bucket_aggregate`` on the same exchange.)
 """
 
 from __future__ import annotations
@@ -25,19 +26,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-# Reduce width of every native hash-shuffle join.  Small for test-scale
-# tables (a 32-way exchange of 100k rows is per-partition overhead, measured
-# 4x slower in the bench); at cluster scale it should follow data volume /
-# target partition bytes (several x cluster cores).
-JOIN_PARTITIONS = 8
+from .shuffle import bucket_groupby
+
 # Probe batch rows of every broadcast join.
 BROADCAST_BATCH = 65536
+# equi_join's side tag, diff.tag_side's convention: int8, 1 left, 2 right
+_SIDE = "__side"
+_JOIN_TYPES = ("inner", "left semi", "left anti")
 
 
 def _materialize_small(dim, columns: Sequence[str]) -> pa.Table:
     """Driver-side materialize of a SMALL dataset (dims: region/nation/...).
     Deliberate: broadcast joins only make sense when one side fits in one
-    object; big-big joins go through hash_semi/anti or Dataset.join."""
+    object; big-big joins go through equi_join."""
     if isinstance(dim, pa.Table):
         return dim.select(list(columns))
     refs = dim.select_columns(list(columns)).to_arrow_refs()
@@ -77,24 +78,71 @@ def broadcast_join(facts, dim, *, on: str, right_on: str | None = None,
     return facts.map_batches(probe, batch_format="pyarrow", batch_size=BROADCAST_BATCH)
 
 
-def distinct_keys(ds, key: str):
-    """Reduce a dataset to its unique key values: per-batch combiner (local
-    ``pyarrow`` group_by) so only unique keys cross the wire, then the global
-    distinct happens inside the downstream hash join / groupby."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict({key: batch[key]}).group_by(key).aggregate([])
-
-    return ds.map_batches(local, batch_format="pyarrow")
+def _arrow_schema(ds) -> pa.Schema:
+    s = ds.schema()
+    return pa.schema(zip(s.names, s.types))
 
 
-def hash_semi_join(left, right, *, on: str):
-    """Rows of ``left`` whose key appears in ``right`` (one hash exchange)."""
-    return left.join(distinct_keys(right, on), join_type="left_semi",
-                     num_partitions=JOIN_PARTITIONS, on=(on,))
+def equi_join(left, right, *, on: str, right_on: str | None = None,
+              join_type: str):
+    """``left`` joined with ``right`` on ``left.on = right.right_on``
+    (``right_on`` defaults to ``on``), ``join_type`` one of Arrow's
+    ``"inner"``, ``"left semi"`` and ``"left anti"``, with SQL's null rule:
+    a null key matches nothing, so a left-anti join keeps the left rows
+    whose key is null (``NOT EXISTS``).  Output columns are ``left``'s,
+    then for an inner join ``right``'s other columns; the key is under
+    ``on`` alone.
 
+    One exchange: each side is projected onto one shared schema at tag
+    time (the key under ``on``, cast to ``left``'s key type, each side's
+    other columns, nulls in the other side's) with an int8 ``__side``, 1
+    left and 2 right; a semi or anti join's right side is only its
+    distinct keys per block.  ``bucket_groupby`` on the key co-locates the
+    union, and each partition runs one ``Table.join`` of its two sides.
+    The shared schema keeps a partition that holds one side only in the
+    same columns as every other, which a union of differing schemas does
+    not.  Non-key column names that clash between the sides raise
+    ``ValueError``.  The schemas are read at build time: free on a read,
+    one block's execution on a mapped Dataset (``Dataset.schema``)."""
+    if join_type not in _JOIN_TYPES:
+        raise ValueError(f"join_type must be one of {_JOIN_TYPES}, "
+                         f"not {join_type!r}")
+    right_on = right_on or on
+    lschema = _arrow_schema(left)
+    lcols = lschema.names
+    rfields = ([f for f in _arrow_schema(right) if f.name != right_on]
+               if join_type == "inner" else [])
+    rrest = [f.name for f in rfields]
+    names = [*lcols, *rrest, _SIDE]
+    if len(set(names)) < len(names):
+        clash = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"equi_join: column names on both sides: {clash}")
+    fields = [*lschema, *rfields]
+    shared = pa.schema([*fields, pa.field(_SIDE, pa.int8())])
 
-def hash_anti_join(left, right, *, on: str):
-    """Rows of ``left`` whose key does NOT appear in ``right``."""
-    return left.join(distinct_keys(right, on), join_type="left_anti",
-                     num_partitions=JOIN_PARTITIONS, on=(on,))
+    def tagger(side: int, cols: dict):
+        """One side's tag map: ``cols`` maps each of its shared columns to
+        the input column that fills it."""
+        def tag(batch: pa.Table) -> pa.Table:
+            if side == 2 and join_type != "inner":
+                batch = batch.group_by(right_on, use_threads=False).aggregate([])
+            n = len(batch)
+            return pa.Table.from_arrays(
+                [batch[cols[f.name]].cast(f.type) if f.name in cols
+                 else pa.nulls(n, f.type) for f in fields]
+                + [pa.repeat(pa.scalar(side, pa.int8()), n)],
+                schema=shared)
+        return tag
+
+    def join(part: pa.Table) -> pa.Table:
+        side = part[_SIDE]
+        lhs = part.filter(pc.equal(side, 1)).select(lcols)
+        rhs = part.filter(pc.equal(side, 2)).select([on, *rrest])
+        return lhs.join(rhs, keys=on, join_type=join_type, use_threads=False)
+
+    ltag = left.map_batches(tagger(1, {c: c for c in lcols}),
+                            batch_format="pyarrow")
+    rtag = right.map_batches(
+        tagger(2, {on: right_on, **{c: c for c in rrest}}),
+        batch_format="pyarrow")
+    return bucket_groupby(ltag.union(rtag), [on], join)

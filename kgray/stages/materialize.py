@@ -103,8 +103,8 @@ def materialize_stage(
 ):
     """Write, manifest.  Returns the manifest dict.
 
-    ``ds`` must already be in ``sort_key`` order, as canonicalize's sort
-    plan (``kg_triples(..., ordered=True)``) guarantees: its blocks are
+    ``ds`` must already be in ``sort_key`` order, as canonicalize's
+    exchange (``kg_triples(...)``) guarantees: its blocks are
     written in order, one file name after another, and ``sort_key`` is
     only recorded in the manifest.
 

@@ -1,5 +1,5 @@
 """The engine's exchange and the hash-bucket grouping built on it: every
-grouped aggregate and pair query of the engine runs here.
+grouped aggregate, pair query and big-big join of the engine runs here.
 
 Ray Data's ``groupby(cols).aggregate(...)`` sorts fast but then works PER
 ROW in Python: in Ray 2.49.2 ``table_block._aggregate`` walks every row
@@ -34,29 +34,24 @@ row blocks, one exchange on (group, block pair), one scorer call per
 block pair.  Every pair query runs on it: n-gram Jaccard and embedding
 near-dup split a hot group into blocks; MinHash LSH and SimHash pass
 ``nblocks=None``, so each band bucket is one scorer call.
+``joins.equi_join``, the inner, left-semi and left-anti join, is one
+``bucket_groupby`` over both sides, side-tagged.
 
-One plan, one exception.  Every exchange runs the sort plan, a range
-sort on the caller's numeric key (``__bucket`` for the bucket callers,
-canonicalize's four uint64 order words, a prefix of its written order),
-except a ``canonicalize_stage`` given a size hint, the only caller that
-passes one to ``exchange_map``: it takes Ray's hash-shuffle plan on
-``__bucket`` at ``_HASH_MIN_BYTES`` (512 MiB) or more of source input on
-a cluster of ``_HASH_MIN_CPUS`` (4) or more CPUs, and the sort plan
-otherwise.  One exchange alone range-sorts on a string column, a plain
-``Dataset.sort`` outside ``exchange_map``: ``views.kg_changelog`` sorts
-its output on ``(warc_ts_us, command)``, ``command`` a string, and pays
-what that costs: Ray 2.49.2's range partition converts a block's key
-columns to numpy once per bound, which costs rows x input blocks on
-strings (stages/canonicalize.py).
-Hash won only at corpus scale (``bench.py --scaling``, one exchange per
-side, 160k pages at 32 CPUs: 382 s vs 528 s); at small inputs its
-aggregator-pool spawn loses (sf0.1 headline 77.7 s vs 55.0 s) and at 2
-CPUs it hangs (BASELINE.md "Exchange selection").
+One plan.  Every exchange is a range sort on the caller's numeric key
+(``__bucket`` for the bucket callers, canonicalize's four uint64 order
+words, a prefix of its written order); Ray's hash shuffle is not used.
+It won only at corpus scale on 32 CPUs, and at 2 CPUs it hung
+(BASELINE.md "Rejected levers").  One sort alone, outside
+``exchange_map``, range-sorts on a string column: ``views.kg_changelog``
+sorts its output on ``(warc_ts_us, command)``, ``command`` a string,
+and pays what that costs: Ray 2.49.2's range partition converts a
+block's key columns to numpy once per bound, which costs rows x input
+blocks on strings (stages/canonicalize.py).
 
-One scheduling rule, for every caller: the sort plan turns off Ray Data's
+One scheduling rule, for every caller: the exchange turns off Ray Data's
 per-operator reservation, which gives every map operator at least one CPU
 and at 2 CPUs ran the Sort's producer (the fused page operator, the diff's
-TTL parse) one task at a time; the hash plan keeps it (``exchange_map``).
+TTL parse) one task at a time (``exchange_map``).
 
 ``NUM_BUCKETS`` must stay WELL ABOVE both the core count and any plausible
 sort-partition count:
@@ -101,32 +96,9 @@ import polars as _pl  # noqa: E402
 BUCKET_COL = "__bucket"
 # bucket_aggregate's int64 ones column, the input of every count
 _ONE = "__one"
-# bucket count of every bucket exchange (canonicalize's hash plan and
-# bucket_groupby alike); see the module docstring for why it must dominate
-# partition counts
+# bucket count of every bucket exchange; see the module docstring for why
+# it must dominate partition counts
 NUM_BUCKETS = 4096
-
-# "hash" routes the co-location through Ray's HASH_SHUFFLE
-# repartition-by-key (map tasks partition by hash(key) and push to
-# aggregator actors that concat each partition — no sort barrier, no
-# range-boundary sampling, streaming fan-in); "sort" is the sort(key)
-# exchange.  Hash removes the width-dependent sort-reduce fan-in (VERDICT
-# r3 #1) but pays a fixed ~3-5 s aggregator-pool spawn per exchange, so it
-# needs at least this much estimated input to amortize:
-_HASH_MIN_BYTES = 512 * 1024 * 1024
-# ... and at least this many cluster CPUs: the aggregator reservation
-# competes with the exchange's own map tasks for CPU slots, and at 2 CPUs
-# it left them none (the 120-page flagship with hash forced made no
-# progress in 390 s; BASELINE.md "Exchange selection").  That hang was
-# measured while the linker still ran as an actor pool and has not been
-# re-checked since.
-_HASH_MIN_CPUS = 4
-# Scheduler CPU reservation budget for ONE exchange's aggregator-actor
-# pool as a fraction of cluster CPUs.  Round-3's HASH_SHUFFLE probe stalled
-# because the default reservation — min(1, (CPU/2)/partitions) per
-# partition — put 16 of 32 cpus on aggregators, which the map tasks then
-# could not use; see _tune_hash_shuffle for the deadlock arithmetic.
-_AGG_CPU_FRACTION = 16
 
 
 # splitmix64 finalizer constants
@@ -175,68 +147,14 @@ def default_exchange_partitions() -> int:
     return min(1024, max(64, 2 * _cluster_cpus()))
 
 
-def exchange_mode(size_hint_bytes: int | None = None) -> str:
-    """Physical exchange selection: "hash" at or above ``_HASH_MIN_BYTES``
-    of estimated input on a cluster of at least ``_HASH_MIN_CPUS`` CPUs,
-    "sort" otherwise (including when there is no estimate).  The CPU count
-    is read only once the size test passes, so a missing or small hint
-    never touches Ray.
-
-    ``size_hint_bytes`` is the caller's estimate of the exchange input
-    (``Dataset.size_bytes()`` on the SOURCE read — free parquet-metadata
-    arithmetic there; on a mapped dataset it would execute the pipeline,
-    so callers hint from the read, not from the tagged stream)."""
-    if (size_hint_bytes is not None and size_hint_bytes >= _HASH_MIN_BYTES
-            and _cluster_cpus() >= _HASH_MIN_CPUS):
-        return "hash"
+def exchange_mode(_hint=None) -> str:
+    """Stub that perfbench still calls: every exchange is the sort plan."""
     return "sort"
 
 
-def source_size_hint(ds) -> int | None:
-    """Best-effort input-size estimate for exchange_mode.
-
-    Only answers when the estimate is FREE: a bare read (parquet metadata
-    arithmetic) or an already-materialized dataset.  On a lazy transformed
-    dataset ``size_bytes()`` would execute the pipeline, so this returns
-    None there (exchange_mode then picks the sort exchange — the conservative
-    small-input default)."""
-    try:
-        from ray.data._internal.logical.operators.read_operator import Read
-
-        dag = ds._logical_plan.dag
-        if not (isinstance(dag, Read) or ds._plan.has_computed_output()):
-            return None
-        return ds.size_bytes()
-    except Exception:  # pragma: no cover - ray internals moved
-        return None
-
-
-def _tune_hash_shuffle(ctx, num_partitions: int, cpus: int) -> None:
-    """Bound the aggregator pool's scheduler footprint on ``ctx`` (the
-    DATASET's own context copy — the process-global DataContext is never
-    touched, so unrelated pipelines keep the default sort strategy).
-
-    The reservation must stay SMALL: aggregator actors only concat arriving
-    partition blocks (bandwidth-bound, mostly idle), but their num_cpus is
-    reserved for the life of the shuffle op, and every CPU it holds is a
-    slot the map tasks (num_cpus=1 each) cannot take.  If the reservations
-    of a pipeline's live exchanges ever sum to the node's CPUs, no map
-    task can schedule and the pipeline deadlocks — measured at num_cpus=4
-    with the previous max(1.0, cpus/8) budget, at a time when two linker
-    pool actors held the other two CPUs (no actor pool is left)."""
-    from ray.data.context import ShuffleStrategy
-
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    budget = max(0.2, cpus / _AGG_CPU_FRACTION)
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = (
-        budget / num_partitions)
-    # one aggregator per core (each is a single concat thread): the fan-in
-    # width IS the aggregator count — 8 actors measured 815 s on the 160k
-    # t32 run (8-wide concat wall) where the sort exchange's full-width
-    # reduce ran 270-650 s.  The RESERVATION stays tiny (budget/partitions
-    # x partitions-per-actor), so task pools keep their CPUs; it's the
-    # actor COUNT that buys parallel fan-in.
-    ctx.max_hash_shuffle_aggregators = max(2, min(64, cpus))
+def source_size_hint(ds) -> None:
+    """Stub that perfbench still calls: no exchange reads a size hint."""
+    return None
 
 
 def exchange_map(
@@ -244,32 +162,17 @@ def exchange_map(
     per_partition: Callable[[pa.Table], pa.Table],
     *,
     key: Sequence[str] = (BUCKET_COL,),
-    size_hint_bytes: int | None = None,
 ):
     """Co-locate equal ``key`` values and run ``per_partition`` exactly
     once over each co-located partition (an Arrow table, ``key`` columns
-    still attached).  The plan is ``exchange_mode(size_hint_bytes)``; only
-    canonicalize passes a hint, so every other exchange is the sort
-    plan.
-
-    sort (the default): ``sort(key)``, partitions in ascending ``key``
-    order.  Ray's sort places every key value wholly inside one merged
-    reduce block (rows equal to a boundary fall on one consistent side;
+    still attached), in ascending ``key`` order: ``sort(key)``.  Ray's
+    sort places every key value wholly inside one merged reduce block
+    (rows equal to a boundary fall on one consistent side;
     merge_sorted_blocks returns a single block in the pinned ray 2.49.2),
     so ``map_batches(batch_size=None)`` calls ``per_partition`` once per
-    reduce partition.
-
-    hash (>= 512 MiB hinted and >= 4 CPUs):
-    ``repartition(default_exchange_partitions(), keys=key)`` under Ray's
-    HASH_SHUFFLE — map tasks hash-route rows to aggregator actors and each
-    finalized partition is emitted as ONE block.  Exactly-once per key
-    holds by hash routing (same key value -> same partition).  There is no
-    range-boundary sampling to collapse partitions and no sort barrier —
-    fan-in streams as map tasks finish; partition order is unspecified.
-
-    Both plans' exactly-once property is pinned by a regression test that
-    forces a tiny ``target_max_block_size`` with partitions many blocks
-    large (tests/test_shuffle_exchange.py).
+    reduce partition.  That exactly-once property is pinned by a
+    regression test that forces a tiny ``target_max_block_size`` with
+    partitions many blocks large (tests/test_shuffle_exchange.py).
 
     An empty reduce partition never reaches ``per_partition``.  Ray 2.49.2's
     ``BlocksToBatches`` turns a task's all-empty input into one block built
@@ -280,22 +183,14 @@ def exchange_map(
     Data's "different schema than the previous one ... new schema: ."
     warning reports.
 
-    The sort plan turns Ray Data's per-operator reservation off on
+    The exchange turns Ray Data's per-operator reservation off on
     ``tagged.context`` (never the process-global DataContext): the Sort's
     materializing barrier already bounds its producer's object-store use,
     so the reservation only splits CPUs.  The map chain from the last read
     or union through the Sort and every Dataset after it share that one
     context object, and the executor reads the executing Dataset's context
     for the whole topology, so the rule reaches every operator of the plan,
-    including both branches of a union.  The hash plan keeps the
-    reservation: its map tasks stream into the aggregators with no barrier
-    between them."""
-    if exchange_mode(size_hint_bytes) == "hash":
-        num_partitions = default_exchange_partitions()
-        _tune_hash_shuffle(tagged.context, num_partitions, _cluster_cpus())
-        return tagged.repartition(
-            num_partitions, keys=list(key)
-        ).map_batches(per_partition, batch_format="pyarrow", batch_size=None)
+    including both branches of a union."""
     tagged.context.op_resource_reservation_enabled = False
     return tagged.sort(list(key)).map_batches(
         per_partition, batch_format="pyarrow", batch_size=None

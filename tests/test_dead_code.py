@@ -13,6 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALLOWED = {
     "make_extract_fn": "shim that frozen perfbench still calls",
     "_auto_concurrency": "shim that frozen perfbench still calls",
+    "exchange_mode": "stub that frozen perfbench still calls",
+    "source_size_hint": "stub that frozen perfbench still calls",
     "oracle_triples": "the reference P/R oracle (tests, perfbench)",
     "precision_recall": "the reference P/R oracle (tests, perfbench)",
     "write_conformance_file": "the S5 conformance sink, a public API",
@@ -91,3 +93,33 @@ def test_no_ray_grouped_aggregate():
                           if f"{m}.".startswith("ray.data.aggregate.")]
     assert not found, "Ray grouped aggregate in kgray/: " + ", ".join(found)
     assert seen == set(GROUPBY_ALLOWED), "allowlisted but gone"
+
+
+def test_no_ray_hash_shuffle():
+    """Every exchange of ``kgray/`` is ``shuffle.exchange_map``'s sort: no
+    module calls Ray's ``Dataset.join`` (a ``.join(`` with
+    ``num_partitions=``, which Arrow's ``Table.join`` does not take) or
+    ``.repartition(`` with ``keys=``, names ``ShuffleStrategy``, or imports
+    ``ray.data._internal``."""
+    found = []
+    for path in sorted((ROOT / "kgray").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func,
+                                                         ast.Attribute):
+                kws = {k.arg for k in node.keywords}
+                if ((node.func.attr == "join" and "num_partitions" in kws)
+                        or (node.func.attr == "repartition" and "keys" in kws)):
+                    found.append(f"{rel}:{node.lineno} .{node.func.attr}(")
+            elif (isinstance(node, ast.Name) and node.id == "ShuffleStrategy"
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "ShuffleStrategy"):
+                found.append(f"{rel}:{node.lineno} ShuffleStrategy")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = ([a.name for a in node.names]
+                        if isinstance(node, ast.Import) else
+                        [f"{node.module}.{a.name}" for a in node.names])
+                found += [f"{rel}:{node.lineno} import {m}" for m in mods
+                          if m.startswith("ray.data._internal")
+                          or m.endswith(".ShuffleStrategy")]
+    assert not found, "Ray hash shuffle in kgray/: " + ", ".join(found)

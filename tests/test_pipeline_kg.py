@@ -129,9 +129,9 @@ def test_manifest_stage_ledger(ray_session, small_corpus, tmp_path):
 
 def test_lazy_and_write_paths_run_one_plan(ray_session, small_corpus,
                                            tmp_path):
-    """A lazy ``kg_triples(...)`` below the hash threshold runs the
-    write's plan: its output carries neither exchange key, and its blocks,
-    read in exchange order, are the written rows in the written order."""
+    """A lazy ``kg_triples(...)`` runs the write's plan: its output
+    carries no exchange key column, and its blocks, read in exchange
+    order, are the written rows in the written order."""
     from kgray.stages.canonicalize import ORDER_COLS
     from kgray.stages.shuffle import BUCKET_COL
 

@@ -2,18 +2,9 @@
 reach the per-partition fn EXACTLY ONCE, even when a single key's rows are
 far larger than ``target_max_block_size``.
 
-Both physical plans are pinned, each selected through ``exchange_mode``
-by the size hint canonicalize passes (the only exchange that chooses):
-
-* hash (size hint >= ``_HASH_MIN_BYTES`` on >= 4 CPUs): repartition-by-key
-  finalization must emit one block per partition — if a future Ray splits
-  finalized partitions to honor the block-size target, a bucket would
-  straddle two fn calls and canonicalize dedup would silently emit
-  duplicate triples.
-* sort (smaller or no size hint, and every other caller): relies on
-  merge_sorted_blocks returning a single merged block per reduce partition
-  in the pinned ray 2.49.2, on an int bucket key and on canonicalize's
-  four uint64 order words alike.
+The one plan, the sort exchange, relies on merge_sorted_blocks returning
+a single merged block per reduce partition in the pinned ray 2.49.2, on
+an int bucket key and on canonicalize's four uint64 order words alike.
 
 The tests force a pathological ``target_max_block_size`` (64 KiB) with
 multi-block-sized keys, so any partition-splitting behavior change in Ray
@@ -23,7 +14,7 @@ Canonicalize's sort plan range-sorts on the order words of three string
 columns and writes its partitions in that order, so its exactly-once and
 order contracts are pinned here too, with non-ASCII keys, NUL bytes and
 shared 32-byte prefixes; so is the scheduling rule ``exchange_map`` sets
-for each plan.
+for every caller.
 """
 
 from __future__ import annotations
@@ -35,27 +26,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
-
-
-def _size_hint(mode: str) -> int | None:
-    """The size hint that makes ``exchange_mode`` select ``mode``."""
-    from kgray.stages.shuffle import _HASH_MIN_BYTES
-
-    return _HASH_MIN_BYTES if mode == "hash" else None
-
-
-def test_exchange_mode_selects_by_size_hint(monkeypatch):
-    from kgray.stages import shuffle
-    from kgray.stages.shuffle import _HASH_MIN_BYTES, exchange_mode
-
-    assert exchange_mode(None) == "sort"
-    assert exchange_mode(_HASH_MIN_BYTES - 1) == "sort"
-    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
-    # the hash exchange hangs at 2 CPUs: width guard
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 2)
-    assert exchange_mode(_HASH_MIN_BYTES) == "sort"
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
-    assert exchange_mode(_HASH_MIN_BYTES) == "hash"
 
 
 def _run_exchange(ray, key: str) -> list[dict]:
@@ -96,15 +66,13 @@ def _run_exchange(ray, key: str) -> list[dict]:
     # per-dataset context copy: pathological block-size target, this test only
     ds.context.target_max_block_size = 64 * 1024
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return exchange_map(tagged, per_partition, key=cols,
-                        size_hint_bytes=_size_hint(key)).take_all()
+    return exchange_map(tagged, per_partition, key=cols).take_all()
 
 
-@pytest.mark.parametrize("key", ["hash", "sort", "words"])
+@pytest.mark.parametrize("key", ["sort", "words"])
 def test_bucket_reaches_fn_exactly_once(ray_session, key):
-    """``hash``/``sort``: the int ``__bucket`` key through either plan;
-    ``words``: a four-column uint64 key through the sort plan, the shape
-    of canonicalize's order words."""
+    """``sort``: the int ``__bucket`` key; ``words``: a four-column uint64
+    key, the shape of canonicalize's order words."""
     out = _run_exchange(ray_session, key)
     seen: collections.Counter = collections.Counter()
     total_rows = 0
@@ -118,36 +86,8 @@ def test_bucket_reaches_fn_exactly_once(ray_session, key):
     assert not dups, f"keys split across fn calls: {dups}"
 
 
-@pytest.mark.parametrize("mode", ["hash", "sort"])
-def test_canonicalize_rows_mode_independent(ray_session, mode):
-    """The one exchange that still chooses its plan: canonicalize yields
-    the same row set through either exchange, equal to the single-batch
-    dedup of the same table; the hash plan exchanges on ``__bucket`` by
-    repartition, the sort plan on the order words by a range sort, and
-    neither leaves its key columns in the output."""
-    from kgray.fixtures import gen_pages_table, raw_ops_table
-    from kgray.stages.canonicalize import canonicalize_stage, local_dedup
-
-    raw = raw_ops_table(gen_pages_table(60))
-
-    def rows(records: list[dict]) -> collections.Counter:
-        return collections.Counter(
-            tuple(r[c] for c in raw.column_names) for r in records)
-
-    expected = rows(local_dedup(raw).to_pylist())
-    assert sum(expected.values()) < len(raw)
-    out = canonicalize_stage(ray_session.data.from_arrow(raw),
-                             size_hint_bytes=_size_hint(mode))
-    plan = out._logical_plan.dag.dag_str
-    assert ("Repartition" in plan) == (mode == "hash")
-    assert ("Sort" in plan) == (mode == "sort")
-    records = out.take_all()
-    assert rows(records) == expected
-    assert set(records[0]) == set(raw.column_names)
-
-
 def test_canonicalize_rows_exactly_once(ray_session):
-    """Canonicalize's sort plan yields exactly the single-batch dedup of
+    """Canonicalize yields exactly the single-batch dedup of
     its input, row for row in key order: on a small table, and on a
     6x-duplicated one spread over 40 blocks under a 64 KiB block-size
     target, where every key's copies arrive in many blocks and the reduce
@@ -278,13 +218,11 @@ def _reservation_case(ray, case: str, small_corpus):
     from kgray.schema import SNAPSHOT
     from kgray.stages.canonicalize import canonicalize_stage
     from kgray.stages.diff import diff_snapshots
+    from kgray.stages.joins import equi_join
     from kgray.stages.shuffle import bucket_groupby
 
     if case == "kg_triples":
         return kg_triples(read_pages(small_corpus))
-    if case == "canonicalize-ordered":
-        # a write's path: a hash-sized source, which ordered=True withholds
-        return kg_triples(read_pages(small_corpus), ordered=True)
     if case == "diff_snapshots":
         snap = pa.Table.from_pylist([dict.fromkeys(SNAPSHOT.names, "x")],
                                     schema=SNAPSHOT)
@@ -293,37 +231,28 @@ def _reservation_case(ray, case: str, small_corpus):
     if case == "bucket_groupby":
         return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
                               ["k"], lambda t: t)
-    raw = ray.data.from_arrow(raw_ops_table(gen_pages_table(4)))
+    if case == "equi_join":
+        return equi_join(ray.data.from_arrow(pa.table({"k": [1, 2]})),
+                         ray.data.from_arrow(pa.table({"k": [2, 3]})),
+                         on="k", join_type="inner")
     return canonicalize_stage(
-        raw, size_hint_bytes=_size_hint(case.removeprefix("canonicalize-")))
+        ray.data.from_arrow(raw_ops_table(gen_pages_table(4))))
 
 
-@pytest.mark.parametrize("case, enabled", [
-    ("kg_triples", False),
-    ("canonicalize-sort", False),
-    ("canonicalize-ordered", False),
-    ("diff_snapshots", False),
-    ("bucket_groupby", False),
-    ("canonicalize-hash", True),
+@pytest.mark.parametrize("case", [
+    "kg_triples", "canonicalize", "diff_snapshots", "bucket_groupby",
+    "equi_join",
 ])
 def test_sort_plan_lifts_the_per_operator_reservation(
-        ray_session, small_corpus, monkeypatch, case, enabled):
+        ray_session, small_corpus, case):
     """``exchange_map`` turns Ray Data's per-operator CPU reservation off
-    on the Dataset's own context under the sort plan, for every caller (at
-    2 CPUs it held the producer of a sort to one task at a time); the hash
-    plan keeps it, and the process-global context is never touched.
-    ``canonicalize-ordered`` is ``kg_triples(..., ordered=True)`` over a
-    source whose size hint would select the hash plan: it never does."""
+    on the Dataset's own context, for every caller (at 2 CPUs it held the
+    producer of a sort to one task at a time); the process-global context
+    is never touched."""
     from ray.data import DataContext
 
-    from kgray.stages import shuffle
-
-    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 4)
-    if case == "canonicalize-ordered":
-        monkeypatch.setattr(shuffle, "source_size_hint",
-                            lambda ds: shuffle._HASH_MIN_BYTES)
     ds = _reservation_case(ray_session, case, small_corpus)
-    assert ds.context.op_resource_reservation_enabled is enabled
+    assert ds.context.op_resource_reservation_enabled is False
     assert DataContext.get_current().op_resource_reservation_enabled is True
 
 
