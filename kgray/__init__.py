@@ -23,11 +23,10 @@ per-operator stats of a write.
 Every ``map_batches`` stage is a stateless task map, never an actor
 pool.  Shared state rides in ``ray.put`` broadcasts (the
 reference's module globals at ``get_updates.py:95-102`` are designed out,
-per SURVEY.md §2.3/ST4).  There are three module globals, all one-entry
+per SURVEY.md §2.3/ST4).  There are two module globals, both one-entry
 caches: ``stages/link.py``'s per-process linker, keyed by the alias
-broadcast, ``stages/metrics.py``'s per-driver counter actor, keyed by
-the Ray job, and ``pipelines/textproc.py``'s per-process Jaccard block
-plan (``_PLAN_CACHE``), keyed by the broadcast source counts.
+broadcast, and ``stages/metrics.py``'s per-driver counter actor, keyed
+by the Ray job (``tests/test_dead_code.py`` allows no other).
 """
 
 # NOTE: importing the library mutates NO process-global state (ADVICE r3

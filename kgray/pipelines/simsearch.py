@@ -15,16 +15,14 @@
                     Approximate — recall + probed-fraction asserted in
                     tests, not SQL.
 * ``neardup_cosine`` — EXACT embedding near-dup pairs (sim ≥ τ) as one
-                    ``shuffle.block_pairs`` self-join: every vector goes
-                    to its block and once to each partner block, one
-                    exchange co-locates each of the B(B+1)/2 block pairs,
-                    and each pair is one cosine matmul.  No driver
-                    materialization, no full-matrix broadcast, nothing
-                    written.  Peak task memory is the block pairs that
-                    share one reduce partition: one or two of the 36 at
-                    the board scales (sf0.001: 3 of 33 partitions hold
-                    two; sf0.1: 36 partitions, one each), so two to four
-                    blocks.
+                    ``shuffle.block_pairs`` self-join over the corpus as
+                    one group: above ``shuffle.MAX_BLOCK_ROWS`` vectors
+                    every vector goes to its block and once to each
+                    partner block, one exchange co-locates each of the
+                    B(B+1)/2 block pairs, and each pair is one cosine
+                    matmul.  No driver materialization, no full-matrix
+                    broadcast, nothing written.  The board scales (500
+                    and 2,000 vectors) are one block, one matmul.
                     (The O(n²) compute is inherent to the exact all-pairs
                     contract; the scale lever is block parallelism.  For
                     approximate near-dup at lower thresholds, bucket by the
@@ -35,13 +33,11 @@
 from __future__ import annotations
 
 import glob as _glob
-import math
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -50,12 +46,6 @@ from ..stages.shuffle import block_pairs, bucket_aggregate
 N_QUERIES = 5
 TOP_K = 10
 NEARDUP_SIM = 0.4
-# block count derives from corpus size: a block pair holds about
-# 2 x NEARDUP_TARGET_BLOCK_ROWS rows regardless of corpus scale (a fixed
-# block COUNT would grow per-task memory linearly with the corpus —
-# VERDICT r2 "what's wrong" #4).  The floor keeps test-scale parallelism.
-NEARDUP_TARGET_BLOCK_ROWS = 100_000
-NEARDUP_MIN_BLOCKS = 8
 # 32 cells / 4 probed: per-query scoring touches ~11% of rows and the
 # 5-query union of probed partitions stays under half the corpus, at ~0.6
 # recall on the synthetic embeddings (measured; see tests)
@@ -312,16 +302,12 @@ def _score_block_pair(a: pa.Table, b: pa.Table | None):
 
 def neardup_cosine(sf_dir: str):
     """All pairs with cosine ≥ NEARDUP_SIM, exactly: ``block_pairs`` over
-    the corpus split into ``blocks`` row blocks (one group), scored by
-    ``_score_block_pair``.  Nothing is materialized on the driver and no
-    full matrix is broadcast (the previous driver-side ``to_pandas``
-    baseline was the acknowledged scale-killer; VERDICT r1 "what's wrong"
-    #2)."""
-    n_rows = pq.read_metadata(os.path.join(sf_dir, "embeddings.parquet")).num_rows
-    blocks = max(NEARDUP_MIN_BLOCKS,
-                 math.ceil(n_rows / NEARDUP_TARGET_BLOCK_ROWS))
+    the corpus as one group, which it splits into row blocks by its own
+    limit, scored by ``_score_block_pair``.  Nothing is materialized on the
+    driver and no full matrix is broadcast (the previous driver-side
+    ``to_pandas`` baseline was the acknowledged scale-killer; VERDICT r1
+    "what's wrong" #2)."""
     return block_pairs(_read(sf_dir), group=(), id_col="vec_id",
-                       nblocks=lambda b: np.full(len(b), blocks),
                        score=_score_block_pair, schema=_NEARDUP_PAIRS)
 
 

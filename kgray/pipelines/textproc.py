@@ -252,7 +252,7 @@ def lang_id(sf_dir: str):
 # ``source``) bound the O(b²) pair work per group; at 100 TB the bucket key
 # is an LSH band (minhash_lsh below) instead of a metadata column — the
 # physical shape (block_pairs on the group → pairwise verify inside it) is
-# the same; only this query splits a hot group into row blocks.
+# the same, and block_pairs splits a hot group of either into row blocks.
 # ---------------------------------------------------------------------------
 
 # above this row count a bucket switches from the dense all-pairs incidence
@@ -282,7 +282,7 @@ def _jaccard_pairs_for_group(ids: np.ndarray, toks: list[np.ndarray],
     sizes, sizes_b = (np.array([len(t) for t in ts], dtype=np.int64)
                       for ts in (toks, toks_b))
     if triangle and len(ids) <= _JACCARD_DENSE_MAX:
-        inter, _ = _incidence_inter(toks)
+        inter = _incidence_inter(toks)
         xi, yi = np.triu_indices(len(ids), 1)
         iv = inter[xi, yi].astype(np.int64)
     else:
@@ -323,54 +323,6 @@ def _jaccard_pairs_for_group(ids: np.ndarray, toks: list[np.ndarray],
     return np.minimum(ia, ib), np.maximum(ia, ib), iv[ok], uni[ok]
 
 
-# a source group larger than this is split into row blocks of
-# _JACCARD_BLOCK_ROWS and scored as independent block pairs — one hot
-# source value is otherwise ONE task, a CPU straggler at skewed scale
-# (VERDICT r3 "what's wrong" #2).  Module-level so tests can force the
-# split on a small corpus; ngram_jaccard_pairs reads them on the driver,
-# so a test's values reach the workers.
-_JACCARD_GROUP_SPLIT = 20_000
-_JACCARD_BLOCK_ROWS = 8_192
-
-
-def _jaccard_block_plan(counts: dict, limits: tuple[int, int] | None = None
-                        ) -> dict:
-    """source -> number of row blocks its group is split into, under
-    ``limits`` = (group split, block rows), the module's by default."""
-    split, rows = limits or (_JACCARD_GROUP_SPLIT, _JACCARD_BLOCK_ROWS)
-    return {s: max(1, -(-int(c) // rows)) if int(c) > split else 1
-            for s, c in counts.items()}
-
-
-# per-process memo: (plan refs, limits) -> resolved {source: nblocks} dict,
-# so a worker fetches the tiny counts table once, not once per batch
-_PLAN_CACHE: dict[tuple, dict] = {}
-
-
-def _resolve_block_plan(plan_refs: tuple, limits: tuple[int, int]) -> dict:
-    """Resolve the broadcast per-source counts blocks into the block plan.
-
-    ``plan_refs`` are the ObjectRefs of the per-source count blocks —
-    the plan rides through the object store (fetched zero-copy on the node
-    that already holds the block; pulled once per worker otherwise), never
-    inside a task closure."""
-    key = (tuple(r.hex() for r in plan_refs), limits)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        import ray
-
-        counts: dict = {}
-        for t in ray.get(list(plan_refs)):
-            if len(t) == 0:  # empty aggregate blocks carry no schema
-                continue
-            # one row per source: the merge ran once per key
-            counts.update(zip(t["source"].to_pylist(), t["n"].to_pylist()))
-        plan = _jaccard_block_plan(counts, limits)
-        _PLAN_CACHE.clear()
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
 _JACCARD_PAIRS = pa.schema([(c, pa.int64()) for c in
                             ("doc_a", "doc_b", "inter_cnt", "union_cnt")])
 
@@ -395,22 +347,11 @@ def ngram_jaccard_pairs(sf_dir: str):
     is half-to-even, DuckDB ROUND is half-away — exact dyadic ratios would
     hash-mismatch.
 
-    Skew parallelism: a tiny per-source count first sizes each group,
-    and an oversized group is split into row blocks that
-    ``shuffle.block_pairs`` scores as independent block pairs.  The
-    shipped payload is the compact token-hash set, not text, so
-    replication cost is bounded by blocks-per-row = O(group/8k)."""
+    Skew parallelism: ``shuffle.block_pairs`` splits a hot source group
+    into row blocks scored as independent block pairs.  The shipped
+    payload is the compact token-hash set, not text, so replication cost
+    is bounded by blocks-per-row = O(group/4k)."""
     docs = _docs(sf_dir, ["doc_id", "text", "source"])
-    # Per-source group sizes for the skew-split plan.  The counts NEVER
-    # touch the driver (VERDICT r4 #6: the old take_all() materialized one
-    # row per distinct source driver-side and shipped the dict in the tag
-    # closure to every task): the tiny aggregate stays in the object store
-    # as block refs, and each worker process resolves it ONCE into the
-    # nblocks dict (memoized in _resolve_block_plan).
-    plan_refs = tuple(bucket_aggregate(
-        _docs(sf_dir, ["source"]), keys=["source"], aggs={"n": (None, "count")}
-    ).materialize().to_arrow_refs())
-    limits = (_JACCARD_GROUP_SPLIT, _JACCARD_BLOCK_ROWS)
 
     def hashed(b: pa.Table) -> pa.Table:
         toks = _batch_token_hashes(b["text"])
@@ -420,18 +361,14 @@ def ngram_jaccard_pairs(sf_dir: str):
             "toks": pa.array([t.tobytes() for t in toks], pa.binary()),
         })
 
-    def nblocks(b: pa.Table) -> np.ndarray:
-        plan = _resolve_block_plan(plan_refs, limits)
-        return np.array([plan[s] for s in b["source"].to_pylist()], np.int64)
-
     return block_pairs(docs.map_batches(hashed, batch_format="pyarrow"),
-                       group=("source",), id_col="doc_id", nblocks=nblocks,
+                       group=("source",), id_col="doc_id",
                        score=_score_jaccard, schema=_JACCARD_PAIRS)
 
 
 # ---------------------------------------------------------------------------
 # MinHash + LSH near-dup: shingle → minhash (vectorized) → band →
-# block_pairs, each band bucket one block → true-Jaccard verify of each
+# block_pairs on (band, bucket) → true-Jaccard verify of each
 # (band, bucket), each pair emitted by its first agreeing band only.
 # ---------------------------------------------------------------------------
 
@@ -445,25 +382,33 @@ def _minhash_sig_from(h_u64: np.ndarray) -> np.ndarray:
     return vals.min(axis=1)
 
 
-def _incidence_inter(toks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(m, m) pairwise intersection counts from sorted hash arrays: local
-    vocab via np.unique, incidence rows via searchsorted, ONE float32
-    matmul (BLAS) — no Python per-token work.  Counts ≤ 2^24 are exact in
-    float32."""
-    m = len(toks)
-    allh = np.concatenate([t for t in toks if len(t)]) if any(len(t) for t in toks) else np.empty(0, np.uint64)
-    vocab = np.unique(allh)
-    inc = np.zeros((m, max(1, len(vocab))), dtype=np.float32)
-    for r, h in enumerate(toks):
-        if len(h):
-            inc[r, np.searchsorted(vocab, h)] = 1.0
-    inter = (inc @ inc.T).astype(np.int32)
-    sizes = np.array([len(t) for t in toks], dtype=np.int64)
-    return inter, sizes
+def _incidence_inter(toks: list[np.ndarray],
+                     toks_b: list[np.ndarray] | None = None) -> np.ndarray:
+    """(m, m) pairwise intersection counts from sorted hash arrays, or
+    (m, m_b) against ``toks_b``: local vocab via np.unique, incidence rows
+    via searchsorted, ONE float32 matmul (BLAS) — no Python per-token work.
+    Counts ≤ 2^24 are exact in float32."""
+    nonempty = [t for t in toks + (toks_b or []) if len(t)]
+    vocab = np.unique(np.concatenate(nonempty)) if nonempty else np.empty(0, np.uint64)
+
+    def incidence(ts: list[np.ndarray]) -> np.ndarray:
+        inc = np.zeros((len(ts), max(1, len(vocab))), dtype=np.float32)
+        for r, h in enumerate(ts):
+            if len(h):
+                inc[r, np.searchsorted(vocab, h)] = 1.0
+        return inc
+
+    inc = incidence(toks)
+    inc_b = inc if toks_b is None else incidence(toks_b)
+    return (inc @ inc_b.T).astype(np.int32)
 
 
-def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band):
-    """True-Jaccard verify of one LSH band-bucket, FILTER-FIRST.
+def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band,
+                            ids_b=None, toks_b=None, pre_b=None):
+    """True-Jaccard verify of one LSH band-bucket, FILTER-FIRST: every
+    pair inside one block, or — given ``ids_b``/``toks_b``/``pre_b`` —
+    every (a, b) pair across two disjoint row blocks of the bucket, where
+    no triangle mask applies.
 
     ``pre_mat`` holds signature rows 0..(band+1)*rows_per_band — the prefix
     needed to decide, per pair, whether THIS band's rows agree (guards
@@ -478,24 +423,27 @@ def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band):
     incidence matmul; later bands compute the few survivors per pair with
     np.intersect1d over the sorted hash arrays.
     """
-    m = len(ids)
-    ncol = (band + 1) * rows_per_band
+    triangle = ids_b is None
+    if triangle:
+        ids_b, toks_b, pre_b = ids, toks, pre_mat
+    m, m_b = len(ids), len(ids_b)
 
     def band_agree(xi: np.ndarray, yi: np.ndarray, k: int) -> np.ndarray:
-        agree = pre_mat[xi, k * rows_per_band] == pre_mat[yi, k * rows_per_band]
+        agree = pre_mat[xi, k * rows_per_band] == pre_b[yi, k * rows_per_band]
         for c in range(k * rows_per_band + 1, (k + 1) * rows_per_band):
-            agree &= pre_mat[xi, c] == pre_mat[yi, c]
+            agree &= pre_mat[xi, c] == pre_b[yi, c]
         return agree
 
     xi_parts, yi_parts, jac_parts = [], [], []
     inter_full = sizes = None
     for i0 in range(0, m, 1024):
         i1 = min(i0 + 1024, m)
-        # upper-triangle pair candidates for this row chunk
-        ci, cj = np.nonzero(
-            np.arange(m, dtype=np.int32)[None, :]
-            > np.arange(i0, i1, dtype=np.int32)[:, None]
-        )
+        # pair candidates for this row chunk: the upper triangle of one block
+        cand = np.ones((i1 - i0, m_b), dtype=bool)
+        if triangle:
+            cand &= (np.arange(m_b, dtype=np.int32)[None, :]
+                     > np.arange(i0, i1, dtype=np.int32)[:, None])
+        ci, cj = np.nonzero(cand)
         xi = (ci + i0).astype(np.int64)
         yi = cj.astype(np.int64)
         keep = band_agree(xi, yi, band)  # bucket-collision guard
@@ -505,23 +453,24 @@ def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band):
         if not len(xi):
             continue
         if sizes is None:
-            sizes = np.array([len(t) for t in toks], dtype=np.int64)
+            sizes, sizes_b = (np.array([len(t) for t in ts], dtype=np.int64)
+                              for ts in (toks, toks_b))
         # survivors are ~all pairs in band 0 but rare later: batch vs
         # per-pair.  The absolute trigger matters: a giant cluster whose
         # pairs survive in a LATER band (~11% of m²) must also take the
         # matmul — 300k np.intersect1d calls in one task was the measured
         # 20 s bench straggler.
         if inter_full is None and len(xi) > 4096:
-            inter_full, sizes = _incidence_inter(toks)
+            inter_full = _incidence_inter(toks, None if triangle else toks_b)
         if inter_full is not None:
             inter = inter_full[xi, yi].astype(np.int64)
         else:
             inter = np.fromiter(
-                (len(np.intersect1d(toks[a], toks[b], assume_unique=True))
+                (len(np.intersect1d(toks[a], toks_b[b], assume_unique=True))
                  for a, b in zip(xi, yi)),
                 dtype=np.int64, count=len(xi),
             )
-        uni = sizes[xi] + sizes[yi] - inter
+        uni = sizes[xi] + sizes_b[yi] - inter
         ok = inter > 0
         # same comparison form as the exhaustive pass and the SQL oracle
         # (inter/uni >= t), so boundary ratios classify identically
@@ -537,36 +486,39 @@ def _verify_one_band_bucket(ids, toks, pre_mat, band, rows_per_band):
     xi = np.concatenate(xi_parts)
     yi = np.concatenate(yi_parts)
     jac_p = np.concatenate(jac_parts)
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    a = np.minimum(ids_arr[xi], ids_arr[yi])
-    b = np.maximum(ids_arr[xi], ids_arr[yi])
-    return a, b, np.round(jac_p, 4)
+    ia = np.asarray(ids, dtype=np.int64)[xi]
+    ib = np.asarray(ids_b, dtype=np.int64)[yi]
+    return np.minimum(ia, ib), np.maximum(ia, ib), np.round(jac_p, 4)
 
 
 _MINHASH_PAIRS = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                             ("jac", pa.float64())])
 
 
-def _score_band_bucket(a: pa.Table, b: None):
-    """``block_pairs`` scorer of one (band, bucket): its signature prefix
-    through ``band``, viewed from the fixed-width ``sig`` column, verified."""
+def _score_band_bucket(a: pa.Table, b: pa.Table | None):
+    """``block_pairs`` scorer of one (band, bucket) block, or of a cross
+    block pair of one: each side's signature prefix through ``band``,
+    viewed from the fixed-width ``sig`` column, verified."""
     rows_per_band = MINHASH_PERMS // LSH_BANDS
     band = a["band"][0].as_py()
-    sig = a["sig"].combine_chunks()
-    m = len(a)
-    mat = np.frombuffer(sig.buffers()[1], dtype=np.int64)[
-        sig.offset * MINHASH_PERMS:(sig.offset + m) * MINHASH_PERMS
-    ].reshape(m, MINHASH_PERMS)
-    return _verify_one_band_bucket(*_ids_toks(a),
-                                   mat[:, :(band + 1) * rows_per_band],
-                                   band, rows_per_band)
+
+    def side(t: pa.Table):
+        sig, m = t["sig"].combine_chunks(), len(t)
+        mat = np.frombuffer(sig.buffers()[1], dtype=np.int64)[
+            sig.offset * MINHASH_PERMS:(sig.offset + m) * MINHASH_PERMS
+        ].reshape(m, MINHASH_PERMS)
+        return (*_ids_toks(t), mat[:, :(band + 1) * rows_per_band])
+
+    ids, toks, pre = side(a)
+    return _verify_one_band_bucket(ids, toks, pre, band, rows_per_band,
+                                   *(() if b is None else side(b)))
 
 
 def minhash_lsh_pairs(sf_dir: str):
     """Near-dup pairs via MinHash banding, verified with true Jaccard.
 
-    ``shuffle.block_pairs`` on ``(band, bucket)`` with ``nblocks=None``:
-    each band bucket, however hot, is one ``_score_band_bucket`` call.
+    ``shuffle.block_pairs`` on ``(band, bucket)``, scored by
+    ``_score_band_bucket`` (a hot band bucket split into block pairs).
     The band is part of the group, so a 64-bit key collision across bands
     never conflates buckets; within a band the exact signature comparison
     of ``_verify_one_band_bucket`` guards it.  The exchange carries (bucket,
@@ -618,7 +570,7 @@ def minhash_lsh_pairs(sf_dir: str):
 
     return block_pairs(docs.map_batches(to_buckets, batch_format="pyarrow"),
                        group=("band", "bucket"), id_col="doc_id",
-                       nblocks=None, score=_score_band_bucket,
+                       score=_score_band_bucket,
                        schema=_MINHASH_PAIRS)
 
 
@@ -662,24 +614,33 @@ _SIMHASH_PAIRS = pa.schema([(c, pa.int64()) for c in
                             ("doc_a", "doc_b", "hamming")])
 
 
-def _score_simhash_bucket(a: pa.Table, b: None):
-    """``block_pairs`` scorer of one 16-bit band bucket: every pair within
-    ``SIMHASH_MAX_HAMMING`` bits whose signatures agree in no earlier
-    band (the first agreeing band emits it, exactly once)."""
+def _score_simhash_bucket(a: pa.Table, b: pa.Table | None):
+    """``block_pairs`` scorer of one 16-bit band bucket block, or of a
+    cross block pair of one: every pair within ``SIMHASH_MAX_HAMMING``
+    bits whose signatures agree in no earlier band (the first agreeing
+    band emits it, exactly once)."""
     band = a["band"][0].as_py()
-    s = a["sig"].to_numpy().astype(np.uint64)
-    ids = a["doc_id"].to_numpy().astype(np.int64)
-    xi, yi = np.triu_indices(len(s), 1)
-    x = s[xi] ^ s[yi]
+    def side(t: pa.Table):
+        return (t["sig"].to_numpy().astype(np.uint64),
+                t["doc_id"].to_numpy().astype(np.int64))
+
+    sa, ids_a = side(a)
+    if b is None:
+        sb, ids_b = sa, ids_a
+        xi, yi = np.triu_indices(len(sa), 1)
+    else:
+        sb, ids_b = side(b)
+        xi, yi = np.divmod(np.arange(len(sa) * len(sb)), len(sb))
+    x = sa[xi] ^ sb[yi]
     # popcount via uint8 view + table-free bit trick
     dist = np.unpackbits(x.view(np.uint8).reshape(len(x), 8),
                          axis=1).sum(axis=1)
     keep = dist <= SIMHASH_MAX_HAMMING
     for k in range(band):
-        chunk_x = (s[xi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
-        chunk_y = (s[yi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+        chunk_x = (sa[xi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+        chunk_y = (sb[yi] >> np.uint64(16 * k)) & np.uint64(0xFFFF)
         keep &= chunk_x != chunk_y
-    ia, ib = ids[xi[keep]], ids[yi[keep]]
+    ia, ib = ids_a[xi[keep]], ids_b[yi[keep]]
     return np.minimum(ia, ib), np.maximum(ia, ib), dist[keep]
 
 
@@ -688,8 +649,8 @@ def simhash_pairs(sf_dir: str):
     bucket keys (a pair within Hamming distance k<=3 of each other agrees
     in at least one band by pigeonhole; larger k detected probabilistically),
     then verify candidates by exact Hamming distance inside each bucket:
-    ``shuffle.block_pairs`` on ``bucket`` with ``nblocks=None``, the plan
-    of minhash_lsh, scored by ``_score_simhash_bucket``.
+    ``shuffle.block_pairs`` on ``bucket``, the plan of minhash_lsh,
+    scored by ``_score_simhash_bucket``.
     Deterministic signatures, probabilistic candidate generation: the
     oracle is kgray.expected's exhaustive table."""
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -716,7 +677,7 @@ def simhash_pairs(sf_dir: str):
         )
 
     return block_pairs(docs.map_batches(to_buckets, batch_format="pyarrow"),
-                       group=("bucket",), id_col="doc_id", nblocks=None,
+                       group=("bucket",), id_col="doc_id",
                        score=_score_simhash_bucket, schema=_SIMHASH_PAIRS)
 
 

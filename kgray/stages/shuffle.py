@@ -29,11 +29,12 @@ per partition as the merge.  Every rollup runs on it: the snapshot diff
 Jaccard per-source sizes, ``label_stats``, and the relational suite's
 distinct, window, tumbling-window, Q1, join, union and salted (two
 phases) aggregates.
-``block_pairs`` is the all-pairs self-join on it: each group split into
-row blocks, one exchange on (group, block pair), one scorer call per
-block pair.  Every pair query runs on it: n-gram Jaccard and embedding
-near-dup split a hot group into blocks; MinHash LSH and SimHash pass
-``nblocks=None``, so each band bucket is one scorer call.
+``block_pairs`` is the all-pairs self-join on it: a group of more than
+``MAX_BLOCK_ROWS`` rows split into row blocks, one exchange on (group,
+block pair), one scorer call per block pair.  Every pair query runs on
+it (n-gram Jaccard, embedding near-dup, MinHash LSH and SimHash), under
+the one row limit that ``block_pairs`` applies from its own count of the
+input; no caller sizes its groups.
 ``joins.equi_join``, the inner, left-semi and left-anti join, is one
 ``bucket_groupby`` over both sides, side-tagged.
 
@@ -80,6 +81,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # polars must run single-threaded here: its default rayon pool is one
 # thread per core PER PROCESS, and hash_rows inside 32 concurrent Ray map
@@ -272,12 +274,34 @@ def bucket_aggregate(*inputs, keys: Sequence[str],
     return bucket_groupby(ds.union(*rest) if rest else ds, keys, merge)
 
 
-# block_pairs' exchange columns: a row's block pair and its own block
-_PI, _PJ, _BLK = "__pi", "__pj", "__blk"
+# block_pairs' exchange columns: a row's block pair and its own block;
+# and a hot group's block count
+_PI, _PJ, _BLK, _NB = "__pi", "__pj", "__blk", "__nb"
+# block_pairs' row limit: a group of more rows is split into
+# ceil(rows / MAX_BLOCK_ROWS) blocks, so a block pair holds about twice
+# this many rows whatever the key distribution (a neardup_cosine block
+# pair's float64 similarity matrix stays within 128 MiB)
+MAX_BLOCK_ROWS = 4096
+
+
+def _hot_groups(ds, group: list[str], limit: int) -> list:
+    """Block refs of a table of the groups of ``ds`` holding more than
+    ``limit`` rows, each with its block count ``_NB``: a count of
+    ``ds.select_columns(group)`` on ``bucket_aggregate``, run now (one
+    plan), the hot rows kept in the object store."""
+    def hot(counts: pa.Table) -> pa.Table:
+        counts = counts.filter(pc.greater(counts["n"], limit))
+        nb = -(-counts["n"].to_numpy() // limit)
+        return counts.select(group).append_column(_NB, pa.array(nb))
+
+    counted = bucket_aggregate(ds.select_columns(group), keys=group,
+                               aggs={"n": (None, "count")})
+    return [ref for bundle in counted.map_batches(
+                hot, batch_format="pyarrow").iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
 
 
 def block_pairs(ds, *, group: Sequence[str], id_col: str,
-                nblocks: Callable[[pa.Table], np.ndarray] | None,
                 score: Callable[[pa.Table, pa.Table | None],
                                 Sequence[np.ndarray]],
                 schema: pa.Schema):
@@ -285,25 +309,34 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     split into block pairs so that no task holds a whole group (FP-Hadoop,
     VLDB 2015).
 
-    ``nblocks(batch)`` gives each row's block count, equal across a group.
-    A row belongs to block ``splitmix64(id) % nblocks`` and is sent once to
-    every partner block ``o``, keyed ``(pi, pj) = (min, max)`` of its
-    block and ``o``.  One ``bucket_groupby(spread=True)`` exchange
-    co-locates each ``(group, pi, pj)``, and a walk of each partition calls
-    ``score(a, b)`` once per block pair: ``a`` the rows of block ``pi``,
-    ``b`` those of block ``pj`` (``ds``'s own columns), where every (a, b)
-    row pair is to be scored; on the diagonal it calls ``score(a, None)``,
-    where every unordered pair of ``a`` is.  A pair of rows of one group is
-    thus scored exactly once, a pair across groups never.  A diagonal
-    block of one row has no pair and is not scored (at sf0.1, 1,305 of
-    minhash_lsh's 2,481 band buckets are one row, and 1,819 of
-    simhash_pairs' 3,068).  With ``nblocks`` 1 for every row, each row
-    enters the exchange once, as block 0.  ``nblocks=None`` keeps every
-    group one block: a non-empty ``group`` alone keys the exchange and no
-    block column enters it.  Each
-    column the exchange carries costs its sort map and reduce: three int32
-    columns of zeros added about 0.4 s to simhash_pairs' 2.4 s at sf0.1
-    (2 Ray CPUs, 4-vCPU host).
+    A group of ``n > MAX_BLOCK_ROWS`` rows is split into
+    ``ceil(n / MAX_BLOCK_ROWS)`` blocks.  ``block_pairs`` counts the groups
+    itself, when it is called: the rows per group of
+    ``ds.select_columns(group)`` on ``bucket_aggregate`` (one plan; only the
+    groups above the limit are kept, as object-store blocks that the tag
+    map reads), or ``ds.count()`` when ``group`` is empty (one group; a
+    parquet read counts from its footers and runs nothing).  A lazy count
+    would need a second exchange of every row or a join, and either costs
+    more than the pre-pass (0.25-0.44 s at sf0.1, 2 Ray CPUs).  A null group
+    key is never split.
+
+    With no group above the limit and a non-empty ``group``, ``group``
+    alone keys the exchange and no block column enters it: each column the
+    exchange carries costs its sort map and reduce (three int32 columns of
+    zeros added about 0.4 s to simhash_pairs' 2.4 s at sf0.1, 2 Ray CPUs,
+    4-vCPU host).  Otherwise a row of a group of ``nb`` blocks belongs to
+    block ``splitmix64(id) % nb`` and is sent once to every partner block
+    ``o``, keyed ``(pi, pj) = (min, max)`` of its block and ``o``; a row of
+    any other group enters once, as block 0.  One
+    ``bucket_groupby(spread=True)`` exchange co-locates each
+    ``(group, pi, pj)``, and a walk of each partition calls ``score(a, b)``
+    once per block pair: ``a`` the rows of block ``pi``, ``b`` those of
+    block ``pj`` (``ds``'s own columns), where every (a, b) row pair is to
+    be scored; on the diagonal it calls ``score(a, None)``, where every
+    unordered pair of ``a`` is.  A pair of rows of one group is thus scored
+    exactly once, a pair across groups never.  A diagonal block of one row
+    has no pair and is not scored (at sf0.1, 1,305 of minhash_lsh's 2,481
+    band buckets are one row, and 1,819 of simhash_pairs' 3,068).
 
     ``score`` returns its pairs as one numpy array per ``schema`` field;
     the walk builds one table per partition from them.  ``schema`` is a
@@ -313,14 +346,33 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     Peak task memory is the block-pair groups that share one reduce
     partition.  The sort's range boundaries are sampled bucket values, so
     there are at most as many partitions as groups, and some partitions
-    take two (neardup_cosine's 36 block pairs at sf0.001: 33 partitions,
-    3 of them holding two pairs).  ``nblocks=None`` leaves a hot group
-    whole: minhash_lsh's largest band bucket at sf0.1 holds 2,654 rows,
-    one scorer call."""
-    keys = [*group] if nblocks is None else [*group, _PI, _PJ]
+    take two.  No group at the board scales is above the limit:
+    minhash_lsh's largest band bucket at sf0.1 holds 2,654 rows, one
+    scorer call, and neardup_cosine's 2,000 vectors are one block."""
+    group, limit = list(group), MAX_BLOCK_ROWS
+    if group:
+        hot = _hot_groups(ds, group, limit)
+
+        def block_counts(batch: pa.Table) -> np.ndarray:
+            import ray
+
+            rows = (batch.select(group)
+                    .append_column("__row", pa.array(np.arange(len(batch))))
+                    .join(pa.concat_tables(ray.get(hot)), group,
+                          join_type="inner", use_threads=False))
+            nb = np.ones(len(batch), np.int64)
+            nb[rows["__row"].to_numpy()] = rows[_NB].to_numpy()
+            return nb
+    else:
+        n = max(1, -(-ds.count() // limit))
+
+        def block_counts(batch: pa.Table) -> np.ndarray:
+            return np.full(len(batch), n, np.int64)
+    tagged = not group or bool(hot)
+    keys = [*group, _PI, _PJ] if tagged else group
 
     def tag(batch: pa.Table) -> pa.Table:
-        nb = np.asarray(nblocks(batch), dtype=np.int64)
+        nb = block_counts(batch)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         blk = (_splitmix_u64(ids) % nb.astype(np.uint64)).astype(np.int64)
         rep = np.repeat(np.arange(len(batch)), nb)
@@ -337,7 +389,7 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
             _pl.struct(keys).rle_id()).to_series().to_numpy().astype(np.int64)
         starts = np.flatnonzero(np.diff(run, prepend=-1))
         ends = np.append(starts[1:], len(part))
-        if nblocks is None:  # every group is its own diagonal block pair
+        if not tagged:  # every group is its own diagonal block pair
             rows, pi = part, None
         else:
             pi, pj, own = (part[c].to_numpy() for c in (_PI, _PJ, _BLK))
@@ -359,6 +411,6 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
             [pa.array(np.concatenate(col)) for col in zip(*out)],
             names=schema.names).cast(schema)
 
-    if nblocks is not None:
+    if tagged:
         ds = ds.map_batches(tag, batch_format="pyarrow")
     return bucket_groupby(ds, keys, walk, spread=True)

@@ -123,3 +123,68 @@ def test_no_ray_hash_shuffle():
                           if m.startswith("ray.data._internal")
                           or m.endswith(".ShuffleStrategy")]
     assert not found, "Ray hash shuffle in kgray/: " + ", ".join(found)
+
+
+# (module, name) -> why its module-level cache stays
+CACHE_ALLOWED = {
+    ("kgray/stages/link.py", "_LINKER"):
+        "the per-process linker, one entry keyed by the alias broadcast: "
+        "each map task would otherwise rebuild the alias index and matcher",
+    ("kgray/stages/metrics.py", "_ACCUMULATOR"):
+        "the driver's counter actor, one entry keyed by the Ray job: one "
+        "actor per job, not one per run",
+}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "clear", "remove", "discard"}
+
+
+def _empty_container(node: ast.expr | None) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def test_no_module_level_cache():
+    """No module of ``kgray/`` keeps state across calls in a module global
+    outside the allowlist: a top-level annotated empty container
+    (``NAME: dict[...] = {}``), a top-level ``= {}``/``[]``/``set()`` that
+    a function mutates (a mutating method call or an item assignment or
+    deletion), or a function's ``global`` statement.  Shared state rides in
+    the object store instead."""
+    found, seen = [], set()
+    for path in sorted((ROOT / "kgray").rglob("*.py")):
+        rel = str(path.relative_to(ROOT))
+        tree = ast.parse(path.read_text())
+        empty, annotated = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.AnnAssign) and _empty_container(node.value):
+                annotated.add(node.target.id)
+            elif isinstance(node, ast.Assign) and _empty_container(node.value):
+                empty |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+        mutated = set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    found += [f"{rel}:{node.lineno} global {n}"
+                              for n in node.names]
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.attr in _MUTATORS):
+                    mutated.add(node.func.value.id)
+                elif (isinstance(node, ast.Subscript)
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and isinstance(node.value, ast.Name)):
+                    mutated.add(node.value.id)
+        for name in sorted(annotated | (empty & mutated)):
+            if (rel, name) in CACHE_ALLOWED:
+                seen.add((rel, name))
+            else:
+                found.append(f"{rel} {name}")
+    assert not found, "module-level cache in kgray/: " + ", ".join(found)
+    assert seen == set(CACHE_ALLOWED), "allowlisted but gone"

@@ -159,3 +159,36 @@ def test_all_pairs_and_kg_diff_build_lazily(ray_session, monkeypatch):
     monkeypatch.undo()
     assert all(isinstance(ds, rd.Dataset) for ds in built)
     assert all(ds.count() > 0 for ds in built)
+
+
+@pytest.mark.parametrize("name,plans", [
+    ("ngram_jaccard", 1), ("minhash_lsh", 1), ("simhash_pairs", 1),
+    ("neardup_cosine", 0),
+])
+def test_pair_queries_run_only_their_count_when_built(ray_session,
+                                                      monkeypatch, name,
+                                                      plans):
+    """Building a pair query executes ``block_pairs``' group count and
+    nothing else: one plan for a grouped query (its rows per group), none
+    for ``neardup_cosine``, whose one group's size comes from the parquet
+    footers.  A plan runs through ``ExecutionPlan.execute`` or
+    ``execute_to_iterator``; both are counted."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from kgray.pipelines import simsearch, textproc
+
+    build = {"ngram_jaccard": textproc.ngram_jaccard_pairs,
+             "minhash_lsh": textproc.minhash_lsh_pairs,
+             "simhash_pairs": textproc.simhash_pairs,
+             "neardup_cosine": simsearch.neardup_cosine}[name]
+    runs = []
+    for attr in ("execute", "execute_to_iterator"):
+        real = getattr(ExecutionPlan, attr)
+
+        def counted(self, *args, _real=real, _attr=attr, **kwargs):
+            runs.append(_attr)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, attr, counted)
+    build(SF_DIR)
+    assert len(runs) == plans, runs

@@ -257,15 +257,16 @@ def test_sort_plan_lifts_the_per_operator_reservation(
 
 
 def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):
-    """Five groups of 1, 7, 40, 1 and 3 rows split into 1, 3, 5, 1 and 4
-    blocks: the scorer sees every unordered pair of rows of one group
-    exactly once, and no pair across groups; the split groups are scored
-    in part by cross block pairs.  No diagonal call gets fewer than two
-    rows (group e's three rows fall in three blocks, so its pairs are all
-    cross pairs and each of its diagonal blocks holds one row).  Under a
-    plan of one block per row, every input row enters the exchange exactly
-    once, as block 0; under ``nblocks=None`` it enters once with no block
-    column.  Both give the same pairs, all from diagonal calls."""
+    """Five groups of 1, 7, 40, 1 and 3 rows under a row limit of 2 split
+    into 1, 4, 20, 1 and 2 blocks: the scorer sees every unordered pair of
+    rows of one group exactly once, and no pair across groups; the split
+    groups are scored in part by cross block pairs.  No diagonal call gets
+    fewer than two rows (one of group e's two blocks holds one row, and
+    groups b and c have empty blocks).  Under a limit no group exceeds,
+    every input row enters the exchange exactly once and carries only
+    ``ds``'s columns; under a limit only group c exceeds, c's rows enter
+    once per block of c and every other row once, as block 0.  All three
+    limits give the same pairs."""
     import itertools
 
     import ray.data as rd
@@ -274,7 +275,6 @@ def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):
     from kgray.stages.shuffle import block_pairs
 
     sizes = {"a": 1, "b": 7, "c": 40, "d": 1, "e": 3}
-    blocks = {"a": 1, "b": 3, "c": 5, "d": 1, "e": 4}
     group = [g for g, n in sizes.items() for _ in range(n)]
     ds = rd.from_arrow(pa.table({
         "g": group, "id": pa.array(range(len(group)), pa.int64()),
@@ -294,11 +294,9 @@ def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):
         return (np.minimum(x, y), np.maximum(x, y),
                 np.full(len(x), b is not None))
 
-    def nblocks(b: pa.Table) -> np.ndarray:
-        return np.array([blocks[g] for g in b["g"].to_pylist()])
-
-    out = block_pairs(ds, group=("g",), id_col="id", nblocks=nblocks,
-                      score=score, schema=schema).take_all()
+    monkeypatch.setattr(shuffle, "MAX_BLOCK_ROWS", 2)
+    out = block_pairs(ds, group=("g",), id_col="id", score=score,
+                      schema=schema).take_all()
     seen = collections.Counter((r["x"], r["y"]) for r in out)
     want = {(x, y) for x, y in itertools.combinations(range(len(group)), 2)
             if group[x] == group[y]}
@@ -314,15 +312,19 @@ def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):
 
     real = shuffle.bucket_groupby
     monkeypatch.setattr(shuffle, "bucket_groupby", spy)
-    for plan in (lambda b: np.ones(len(b), np.int64), None):
-        one = block_pairs(ds, group=("g",), id_col="id", nblocks=plan,
-                          score=score, schema=schema).take_all()
-        rows = entered.pop().take_all()
-        assert sorted(r["id"] for r in rows) == list(range(len(group)))
-        if plan is None:
-            assert set(rows[0]) == {"g", "id"}
+    for limit, hot_blocks in ((40, 1), (39, 2)):
+        monkeypatch.setattr(shuffle, "MAX_BLOCK_ROWS", limit)
+        one = block_pairs(ds, group=("g",), id_col="id", score=score,
+                          schema=schema).take_all()
+        rows = entered.pop().take_all()  # the exchange, after the count
+        copies = collections.Counter(r["id"] for r in rows)
+        assert copies == {i: hot_blocks if g == "c" else 1
+                          for i, g in enumerate(group)}
+        if hot_blocks == 1:
+            assert all(set(r) == {"g", "id"} for r in rows)
         else:
-            assert ({(r["__pi"], r["__pj"], r["__blk"]) for r in rows}
-                    == {(0, 0, 0)})
+            assert ({(r["__pi"], r["__pj"], r["__blk"]) for r in rows
+                     if r["g"] != "c"} == {(0, 0, 0)})
         assert sorted((r["x"], r["y"]) for r in one) == sorted(want)
-        assert not any(r["cross"] for r in one)
+        assert ({group[r["x"]] for r in one if r["cross"]}
+                == set("c" * (hot_blocks > 1)))

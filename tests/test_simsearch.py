@@ -74,27 +74,32 @@ def test_ivf_reads_minority_of_corpus(ray_session):
     assert s["per_query_frac_mean"] < 0.3, s
 
 
-@pytest.mark.parametrize("min_blocks", [1, 3, 8])
+@pytest.mark.parametrize("blocks", [1, 3, 8])
 def test_neardup_block_pairs_match_singleblock(ray_session, monkeypatch,
-                                               min_blocks):
+                                               walk_in_process, blocks):
     """Exactness: the block-pair self-join must emit exactly the
     brute-force O(n²) pair set at any block count — a wrong cross-block
     orientation guard would silently DROP pairs without producing
-    duplicates, so shape checks alone are not enough.  The block count is
-    read on the driver, so the patched floor reaches the workers."""
+    duplicates, so shape checks alone are not enough.  ``block_pairs``'
+    row limit is chosen to split the corpus into ``blocks`` blocks; it is
+    read on the driver, so the patched limit reaches the workers.  The
+    scorer runs once per block pair."""
     import numpy as np
     import pyarrow.parquet as pq
 
     from kgray.pipelines import simsearch as S
+    from kgray.stages import shuffle
 
-    monkeypatch.setattr(S, "NEARDUP_MIN_BLOCKS", min_blocks)
+    t = pq.read_table(SF_DIR + "/embeddings.parquet",
+                      columns=["vec_id", "embedding"])
+    limit = -(-len(t) // blocks)
+    assert -(-len(t) // limit) == blocks
+    monkeypatch.setattr(shuffle, "MAX_BLOCK_ROWS", limit)
     df = S.neardup_cosine(SF_DIR).to_pandas().sort_values(
         ["vec_a", "vec_b"], ignore_index=True)
     assert (df["vec_a"] < df["vec_b"]).all()
     assert not df.duplicated(["vec_a", "vec_b"]).any()
 
-    t = pq.read_table(SF_DIR + "/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
     ids = np.asarray(t["vec_id"].to_pylist())
     m = S._normalize(np.array(t["embedding"].to_pylist(), dtype=np.float64))
     sims = m @ m.T
@@ -103,6 +108,11 @@ def test_neardup_block_pairs_match_singleblock(ray_session, monkeypatch,
                 for a, b in zip(ri, ci) if ids[a] != ids[b]}
     got = set(zip(df["vec_a"], df["vec_b"]))
     assert got == expected
+
+    out, calls = walk_in_process(lambda: S.neardup_cosine(SF_DIR), S,
+                                 "_score_block_pair")
+    assert set(zip(out["vec_a"].to_pylist(), out["vec_b"].to_pylist())) == got
+    assert len(calls) == blocks * (blocks + 1) // 2
 
 
 def test_brute_topk_shape(ray_session):
