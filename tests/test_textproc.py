@@ -283,6 +283,67 @@ def test_lsh_hot_bucket_splits_into_block_tasks(
         lambda a: tuple(a[c][0].as_py() for c in group))
 
 
+def test_simhash_scorer_exact_and_bounded_at_row_limit():
+    """``_score_simhash_bucket`` emits exactly the pairs within
+    ``SIMHASH_MAX_HAMMING`` bits that agree in no earlier band, on a
+    diagonal block and on a cross block pair larger than its row chunk,
+    and a cross pair of two blocks at ``block_pairs``' row limit stays
+    within 128 MiB of Python-traced memory (a whole-pair enumeration
+    needed about 1.5 GB there)."""
+    import tracemalloc
+
+    import numpy as np
+    import pyarrow as pa
+
+    from kgray.pipelines.textproc import (SIMHASH_MAX_HAMMING,
+                                          _score_simhash_bucket)
+    from kgray.stages.shuffle import MAX_BLOCK_ROWS
+
+    rng = np.random.default_rng(5)
+    centers = rng.integers(0, 2**63, 6, dtype=np.int64).astype(np.uint64)
+
+    def block(n, first_id, band=2, near=True):
+        s = (centers[rng.integers(0, 6, n)] if near else
+             rng.integers(0, 2**63, n, dtype=np.int64).astype(np.uint64))
+        for _ in range(3):  # up to three random bit flips per row
+            flip = rng.random(n) < 0.5
+            bit = rng.integers(0, 64, flip.sum()).astype(np.uint64)
+            s[flip] ^= np.uint64(1) << bit
+        return pa.table({"band": pa.array([band] * n, pa.int32()),
+                         "sig": pa.array(s.view(np.int64)),
+                         "doc_id": pa.array(np.arange(n) + first_id)})
+
+    def brute(a, b):
+        b_ = a if b is None else b
+        sa, sb = (t["sig"].to_numpy().view(np.uint64) for t in (a, b_))
+        x = sa[:, None] ^ sb[None, :]
+        dist = sum((x >> np.uint64(k)) & np.uint64(1) for k in range(64))
+        ok = dist <= SIMHASH_MAX_HAMMING
+        for k in range(a["band"][0].as_py()):
+            ok &= ((x >> np.uint64(16 * k)) & np.uint64(0xFFFF)) != 0
+        if b is None:
+            ok &= np.triu(np.ones_like(ok), 1)
+        xi, yi = np.nonzero(ok)
+        ia, ib = a["doc_id"].to_numpy()[xi], b_["doc_id"].to_numpy()[yi]
+        return sorted(zip(np.minimum(ia, ib).tolist(),
+                          np.maximum(ia, ib).tolist(), dist[xi, yi].tolist()))
+
+    a, b = block(1500, 0), block(1100, 10_000)
+    for pair in ((a, None), (a, b)):
+        got = sorted(zip(*(c.tolist() for c in _score_simhash_bucket(*pair))))
+        assert got and got == brute(*pair)
+
+    a, b = (block(MAX_BLOCK_ROWS, i * MAX_BLOCK_ROWS, near=False)
+            for i in range(2))
+    tracemalloc.start()
+    try:
+        _score_simhash_bucket(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak
+
+
 def test_ws_class_equals_python_backslash_s():
     """WS_CHARS must be exactly Python re's \\s set (str mode): the Arrow
     RE2 tokenizer, the Python tokenizer, and the DuckDB oracle all split on
