@@ -423,7 +423,7 @@ def sessionize(sf_dir: str):
             }
         )
 
-    return bucket_groupby(ev, ["user_id"], per_bucket)
+    return bucket_groupby(ev, keys=["user_id"], fn=per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +501,7 @@ def asof_join_events(sf_dir: str):
         )
 
     return bucket_groupby(ev.map_batches(tag, batch_format="pyarrow"),
-                          ["user_id"], per_bucket)
+                          keys=["user_id"], fn=per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -565,4 +565,4 @@ def range_join_events(sf_dir: str):
         )
 
     return bucket_groupby(ev.map_batches(tag, batch_format="pyarrow"),
-                          ["user_id"], per_bucket)
+                          keys=["user_id"], fn=per_bucket)

@@ -91,7 +91,7 @@ def kg_blocks(ops):
             }
         )
 
-    return bucket_groupby(cmds, ["src_url"], render)
+    return bucket_groupby(cmds, keys=["src_url"], fn=render)
 
 
 def kg_changelog(ops):

@@ -8,8 +8,10 @@ per-group Python (``set_diff``, which ``relational.diff_ops`` shares):
 
     old tagged side=1, new tagged side=2 (``tag_side``)
       -> shuffle.bucket_aggregate(both sides, keys, min/max of side): a
-         per-block Arrow group_by combiner on each side, their union, the
-         bucket exchange, the same group_by per partition as the merge
+         per-block Arrow group_by combiner and the bucket tag on each
+         side (fused into that side's TTL parse), their union, the bucket
+         exchange (one range of whole buckets per cluster CPU, no sample
+         pass), the same group_by per partition as the merge
       -> vectorized projection: min==max==2 -> INSERT (new only),
          min==max==1 -> DELETE (old only), min<max -> unchanged (dropped)
 

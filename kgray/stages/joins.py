@@ -97,8 +97,10 @@ def equi_join(left, right, *, on: str, right_on: str | None = None,
     time (the key under ``on``, cast to ``left``'s key type, each side's
     other columns, nulls in the other side's) with an int8 ``__side``, 1
     left and 2 right; a semi or anti join's right side is only its
-    distinct keys per block.  ``bucket_groupby`` on the key co-locates the
-    union, and each partition runs one ``Table.join`` of its two sides.
+    distinct keys per block.  ``bucket_groupby`` on the key takes both
+    tagged sides (each side's bucket hash fuses into its tag map) and
+    co-locates them, and each partition runs one ``Table.join`` of its two
+    sides.
     The shared schema keeps a partition that holds one side only in the
     same columns as every other, which a union of differing schemas does
     not.  Non-key column names that clash between the sides raise
@@ -145,4 +147,4 @@ def equi_join(left, right, *, on: str, right_on: str | None = None,
     rtag = right.map_batches(
         tagger(2, {on: right_on, **{c: c for c in rrest}}),
         batch_format="pyarrow")
-    return bucket_groupby(ltag.union(rtag), [on], join)
+    return bucket_groupby(ltag, rtag, keys=[on], fn=join)

@@ -14,9 +14,9 @@ scale), and the first costs per row even on a handful of groups
 
 ``bucket_groupby`` keeps the exchange but bounds the Python surface:
 
-    rows -> add __bucket = hash(key cols) % NUM_BUCKETS        (vectorized)
-         -> sort(__bucket)                                      (ONE shuffle)
-         -> map_batches(fn) once per key-complete partition     (few calls)
+    each input -> add __bucket = hash(key cols) % NUM_BUCKETS  (vectorized)
+    union      -> sort(__bucket), one range per CPU            (ONE shuffle)
+               -> map_batches(fn) once per key-complete partition
 
 ``fn`` sees every row of a partition (a union of whole buckets) as one
 Arrow table and does its grouped work with Arrow-native kernels
@@ -49,29 +49,29 @@ and pays what that costs: Ray 2.49.2's range partition converts a
 block's key columns to numpy once per bound, which costs rows x input
 blocks on strings (stages/canonicalize.py).
 
+One width rule, for every bucket exchange: ``__bucket`` is a uniform
+hash over ``[0, NUM_BUCKETS)``, so its range boundaries are known before
+any row exists.  The sort gets ``NUM_BUCKETS * i // w`` for ``i`` in
+``1 .. w-1`` with ``w`` the cluster's CPU count (``exchange_map``): one
+reduce wave of exactly ``w`` partitions of whole buckets, whatever the
+input block count, and no sample pass (Ray 2.49.2 runs one sample task
+per input block, then a blocking fetch, when it has no boundaries).
+Sampled boundaries once collapsed multi-bucket row ranges into a handful
+of reduce partitions (multi-GB, 15-minute reduce tasks at 58 M rows /
+256 buckets / 384 partitions); fixed ranges cannot.  Canonicalize's
+order words are data-dependent and keep Ray's sampled boundaries.
+
 One scheduling rule, for every caller: the exchange turns off Ray Data's
 per-operator reservation, which gives every map operator at least one CPU
 and at 2 CPUs ran the Sort's producer (the fused page operator, the diff's
 TTL parse) one task at a time (``exchange_map``).
 
-``NUM_BUCKETS`` must stay WELL ABOVE both the core count and any plausible
-sort-partition count:
-
-* buckets ≲ cores quantizes the per-bucket pass into few scheduling waves
-  (64 uniform buckets on 32 cores = 2 waves; the ~24 s straggler tail only
-  bites at full width);
-* buckets ≲ sort partitions is far worse: Ray's sort samples range
-  boundaries from the bucket column, and with fewer distinct values than
-  partitions the duplicate boundaries collapse entire multi-bucket row
-  ranges into a handful of reduce partitions (measured: multi-GB, 15-minute
-  reduce tasks at 58 M rows / 256 buckets / 384 partitions, while 14 M
-  rows / 256 buckets / 122 partitions was fine).
-
-4096 clears both for any single-node width and for the
-several-hundred-partition exchanges of cluster-scale runs; per-group fn
-call overhead is sub-ms, so over-bucketing is cheap.  The hash is uniform,
-so only aggregate-key skew (not row skew) matters — and key skew was
-already collapsed by the caller's local combiner.
+``NUM_BUCKETS`` must stay WELL ABOVE the core count, or the ranges
+quantize: at 4096 buckets and 32 CPUs each partition is 128 whole
+buckets.  Per-group fn call overhead is sub-ms, so over-bucketing is
+cheap.  The hash is uniform, so only aggregate-key skew (not row skew)
+matters — and key skew was already collapsed by the caller's local
+combiner.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ BUCKET_COL = "__bucket"
 # bucket_aggregate's int64 ones column, the input of every count
 _ONE = "__one"
 # bucket count of every bucket exchange; see the module docstring for why
-# it must dominate partition counts
+# it must dominate the CPU count
 NUM_BUCKETS = 4096
 
 
@@ -132,21 +132,21 @@ def _hash_key(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
 
 
 def _cluster_cpus() -> int:
-    try:
-        import ray
+    """The live cluster's CPU count, the width of every bucket exchange.
+    It is read while a plan is built, and Ray is up by then: every Dataset
+    constructor (``rd.from_arrow``, ``rd.read_parquet``, ...) starts it in
+    a bare process."""
+    import ray
 
-        if ray.is_initialized():
-            return int(ray.cluster_resources().get("CPU", 32))
-    except Exception:  # pragma: no cover - ray import/cluster race
-        pass
-    return 32
+    return int(ray.cluster_resources()["CPU"])
 
 
-def default_exchange_partitions() -> int:
-    """Reduce width of an exchange: ~2 partitions per cluster core, floored
-    at 64 (enough waves to absorb per-partition variance) and capped at 1024
-    (keeps O(maps x partitions) shuffle-object metadata bounded)."""
-    return min(1024, max(64, 2 * _cluster_cpus()))
+def _bucket_bounds(width: int) -> list[int]:
+    """``sort`` boundaries that cut ``[0, NUM_BUCKETS)`` into ``width``
+    ranges of whole buckets.  At width 1 the one bound ``NUM_BUCKETS``
+    keeps every bucket below it, so all rows share one partition and the
+    one above it stays empty; no bounds at all would make Ray sample."""
+    return [NUM_BUCKETS * i // width for i in range(1, width)] or [NUM_BUCKETS]
 
 
 def exchange_mode(_hint=None) -> str:
@@ -176,6 +176,11 @@ def exchange_map(
     regression test that forces a tiny ``target_max_block_size`` with
     partitions many blocks large (tests/test_shuffle_exchange.py).
 
+    The ``__bucket`` key gets ``_bucket_bounds`` of the cluster's CPU
+    count (the module docstring's width rule); any other key
+    (canonicalize's order words) keeps Ray's sampled boundaries, one
+    reduce partition per input block.
+
     An empty reduce partition never reaches ``per_partition``.  Ray 2.49.2's
     ``BlocksToBatches`` turns a task's all-empty input into one block built
     by an empty builder, a block with no schema
@@ -194,56 +199,49 @@ def exchange_map(
     for the whole topology, so the rule reaches every operator of the plan,
     including both branches of a union."""
     tagged.context.op_resource_reservation_enabled = False
-    return tagged.sort(list(key)).map_batches(
+    key = list(key)
+    bounds = (_bucket_bounds(_cluster_cpus()) if key == [BUCKET_COL]
+              else None)
+    return tagged.sort(key, boundaries=bounds).map_batches(
         per_partition, batch_format="pyarrow", batch_size=None
     )
 
 
-def bucket_groupby(
-    ds,
-    key_cols: Sequence[str],
-    fn: Callable[[pa.Table], pa.Table],
-    *,
-    spread: bool = False,
-):
-    """Hash-partition ``ds`` by ``key_cols`` into ``NUM_BUCKETS`` buckets
-    and apply vectorized ``fn`` to each partition of whole buckets (Arrow
-    table, ``__bucket`` already dropped) through the sort exchange.
+def bucket_groupby(*inputs, keys: Sequence[str],
+                   fn: Callable[[pa.Table], pa.Table]):
+    """Hash-partition the union of the Datasets ``inputs`` by ``keys``
+    into ``NUM_BUCKETS`` buckets and apply vectorized ``fn`` to each
+    partition of whole buckets (Arrow table, ``__bucket`` already dropped)
+    through the sort exchange.  Each input gets its own tag map, ahead of
+    the union, so the hash fuses into that input's map chain.
 
     Every ``fn`` here does its own per-key grouping internally (a hash
     bucket always contains many keys), so ``fn`` runs ONCE per partition;
     ``groupby().map_groups`` would provide the same partitions but then
     pays a slice + batch-format conversion + Python call + output block PER
     GROUP, which at 4096 buckets doubled the small-corpus bench
-    (minhash_lsh 13.4 s -> 26.5 s) for machinery no consumer needed.
-
-    ``spread=True`` asks for a wide reduce because ``fn`` is CPU-heavy per
-    bucket (pairwise verification): the tagged stream is repartitioned to
-    ``default_exchange_partitions()`` blocks ahead of the sort, whose reduce
-    width follows its input block count."""
-    key_cols = list(key_cols)
+    (minhash_lsh 13.4 s -> 26.5 s) for machinery no consumer needed."""
+    keys = list(keys)
 
     def tag(batch: pa.Table) -> pa.Table:
-        h = _hash_key(batch, key_cols) % np.uint64(NUM_BUCKETS)
+        h = _hash_key(batch, keys) % np.uint64(NUM_BUCKETS)
         return batch.append_column(BUCKET_COL, pa.array(h.astype(np.int32)))
 
     def per_partition(part: pa.Table) -> pa.Table:
         return fn(part.drop_columns([BUCKET_COL]))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    if spread:
-        tagged = tagged.repartition(default_exchange_partitions())
-    return exchange_map(tagged, per_partition)
+    ds, *rest = [d.map_batches(tag, batch_format="pyarrow") for d in inputs]
+    return exchange_map(ds.union(*rest) if rest else ds, per_partition)
 
 
 def bucket_aggregate(*inputs, keys: Sequence[str],
                      aggs: Mapping[str, tuple[str | None, str]]):
     """Two-phase grouped aggregate, the engine's one GROUP BY: Arrow
     ``group_by(keys)`` once per block of each Dataset in ``inputs`` (the
-    combiner, so it fuses into each input's own map operator), then the
-    combined streams' union goes through ``bucket_groupby`` on ``keys``,
-    which merges the partial columns with the same functions once per
-    partition.
+    combiner), then ``bucket_groupby`` on ``keys`` over the combined
+    inputs, which merges the partial columns with the same functions once
+    per partition.  The combiner and the bucket tag fuse into each input's
+    own map operator; the union feeds the exchange's Sort.
 
     ``aggs`` maps each output column to ``(column, fn)``: ``fn`` is min,
     max or sum of ``column``, or count with ``column`` None, SQL's
@@ -270,8 +268,9 @@ def bucket_aggregate(*inputs, keys: Sequence[str],
                 .aggregate([(n, fn) for n, (_, fn) in zip(names, spec)])
                 .rename_columns(keys + names))
 
-    ds, *rest = [d.map_batches(combine, batch_format="pyarrow") for d in inputs]
-    return bucket_groupby(ds.union(*rest) if rest else ds, keys, merge)
+    return bucket_groupby(
+        *(d.map_batches(combine, batch_format="pyarrow") for d in inputs),
+        keys=keys, fn=merge)
 
 
 # block_pairs' exchange columns: a row's block pair and its own block;
@@ -327,8 +326,8 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     4-vCPU host).  Otherwise a row of a group of ``nb`` blocks belongs to
     block ``splitmix64(id) % nb`` and is sent once to every partner block
     ``o``, keyed ``(pi, pj) = (min, max)`` of its block and ``o``; a row of
-    any other group enters once, as block 0.  One
-    ``bucket_groupby(spread=True)`` exchange co-locates each
+    any other group enters once, as block 0.  One ``bucket_groupby``
+    exchange co-locates each
     ``(group, pi, pj)``, and a walk of each partition calls ``score(a, b)``
     once per block pair: ``a`` the rows of block ``pi``, ``b`` those of
     block ``pj`` (``ds``'s own columns), where every (a, b) row pair is to
@@ -343,10 +342,10 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
     non-empty partition's output when it scores nothing (an empty one
     never reaches the walk, see ``exchange_map``).
 
-    Peak task memory is the block-pair groups that share one reduce
-    partition.  The sort's range boundaries are sampled bucket values, so
-    there are at most as many partitions as groups, and some partitions
-    take two.  No group at the board scales is above the limit:
+    Peak task memory is one reduce partition, a range of whole buckets
+    holding about ``1 / CPUs`` of the exchange's rows, and the pairs its
+    walk emits; a scorer call holds at most two blocks.  No group at the
+    board scales is above the limit:
     minhash_lsh's largest band bucket at sf0.1 holds 2,654 rows, one
     scorer call, and neardup_cosine's 2,000 vectors are one block."""
     group, limit = list(group), MAX_BLOCK_ROWS
@@ -413,4 +412,4 @@ def block_pairs(ds, *, group: Sequence[str], id_col: str,
 
     if tagged:
         ds = ds.map_batches(tag, batch_format="pyarrow")
-    return bucket_groupby(ds, keys, walk, spread=True)
+    return bucket_groupby(ds, keys=keys, fn=walk)

@@ -58,9 +58,9 @@ def walk_in_process(monkeypatch):
             calls.append((a, b))
             return real_score(a, b)
 
-        def spy(ds, key_cols, fn, **kwargs):
+        def spy(ds, *, keys, fn):
             entered.append((ds, fn))
-            return real_groupby(ds, key_cols, fn, **kwargs)
+            return real_groupby(ds, keys=keys, fn=fn)
 
         with monkeypatch.context() as m:
             m.setattr(module, scorer, counted)

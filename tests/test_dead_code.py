@@ -99,7 +99,9 @@ def test_no_ray_hash_shuffle():
     """Every exchange of ``kgray/`` is ``shuffle.exchange_map``'s sort: no
     module calls Ray's ``Dataset.join`` (a ``.join(`` with
     ``num_partitions=``, which Arrow's ``Table.join`` does not take) or
-    ``.repartition(`` with ``keys=``, names ``ShuffleStrategy``, or imports
+    ``.repartition(`` (hashed with ``keys=``, or a plain all-to-all ahead
+    of the sort: a bucket exchange takes its width from its range
+    boundaries), names ``ShuffleStrategy``, or imports
     ``ray.data._internal``."""
     found = []
     for path in sorted((ROOT / "kgray").rglob("*.py")):
@@ -109,7 +111,7 @@ def test_no_ray_hash_shuffle():
                                                          ast.Attribute):
                 kws = {k.arg for k in node.keywords}
                 if ((node.func.attr == "join" and "num_partitions" in kws)
-                        or (node.func.attr == "repartition" and "keys" in kws)):
+                        or node.func.attr == "repartition"):
                     found.append(f"{rel}:{node.lineno} .{node.func.attr}(")
             elif (isinstance(node, ast.Name) and node.id == "ShuffleStrategy"
                   or isinstance(node, ast.Attribute)

@@ -49,13 +49,14 @@ def test_equi_join_matches_duckdb(ray_session, monkeypatch, tmp_path):
     sides (the inner join's rows per key are the product of the two
     counts) and keys found on one side only; the right key has its own
     name and a narrower type.  Each side is 20 blocks under a 64 KiB
-    block-size target, and only 40 keys reach the right side, so some
-    reduce partitions hold one side only: a spy on the exchange records
-    the sides each partition holds."""
+    block-size target, the exchange is 64 ranges wide (a monkeypatched
+    CPU count), and only 40 keys reach the right side, so some reduce
+    partitions hold one side only: a spy on the exchange records the
+    sides each partition holds."""
     import duckdb
     import ray.data as rd
 
-    from kgray.stages import joins
+    from kgray.stages import joins, shuffle
 
     rng = np.random.default_rng(5)
     n_left, n_right = 20_000, 4_000
@@ -89,14 +90,15 @@ def test_equi_join_matches_duckdb(ray_session, monkeypatch, tmp_path):
     calls.mkdir()
     real = joins.bucket_groupby
 
-    def spy(ds, keys, fn, **kw):
+    def spy(*inputs, keys, fn):
         def recorded(part: pa.Table) -> pa.Table:
             sides = sorted(set(part["__side"].to_pylist()))
             (calls / uuid.uuid4().hex).write_text(",".join(map(str, sides)))
             return fn(part)
-        return real(ds, keys, recorded, **kw)
+        return real(*inputs, keys=keys, fn=recorded)
 
     monkeypatch.setattr(joins, "bucket_groupby", spy)
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: 64)
     cases = {
         "inner": "SELECT l.*, r.b, r.pad_r FROM l JOIN r ON l.k = r.rk",
         "left semi": "SELECT * FROM l WHERE EXISTS "

@@ -29,7 +29,7 @@ import pytest
 
 
 def _run_exchange(ray, key: str) -> list[dict]:
-    from kgray.stages.shuffle import BUCKET_COL, exchange_map
+    from kgray.stages.shuffle import BUCKET_COL, NUM_BUCKETS, exchange_map
 
     n, num_keys = 40_000, 8
     cols = [f"w{i}" for i in range(4)] if key == "words" else [BUCKET_COL]
@@ -43,7 +43,10 @@ def _run_exchange(ray, key: str) -> list[dict]:
 
     def tag(b: pa.Table) -> pa.Table:
         k = np.asarray(b["k"]) % num_keys
-        b = b.append_column(BUCKET_COL, pa.array(k.astype(np.int32)))
+        # bucket values spread over [0, NUM_BUCKETS), so that the known
+        # ranges of the bucket exchange put them in more than one partition
+        spread = k * (NUM_BUCKETS // num_keys) + 3
+        b = b.append_column(BUCKET_COL, pa.array(spread.astype(np.int32)))
         # four uint64 words, the leading ones shared between keys and the
         # last at the top of the range, as canonicalize's order words are
         words = [np.full(len(k), 2**63, np.uint64), (k % 2).astype(np.uint64),
@@ -82,8 +85,52 @@ def test_bucket_reaches_fn_exactly_once(ray_session, key):
             seen[b] += 1
     assert total_rows == 40_000
     assert len(seen) == 8
+    assert len(out) > 1
     dups = {b: c for b, c in seen.items() if c > 1}
     assert not dups, f"keys split across fn calls: {dups}"
+
+
+@pytest.mark.parametrize("blocks", [8, 40])
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_bucket_exchange_emits_one_partition_per_cpu(
+        ray_session, monkeypatch, blocks, width):
+    """A bucket exchange is cut on known ranges of ``__bucket``, as many
+    as the cluster has CPUs: whatever its input block count (8, or 40
+    under a 64 KiB block-size target), ``bucket_groupby`` yields exactly
+    that many output blocks holding rows, one ``fn`` call each, and every
+    key in one call.  ``None`` is the live width (``ray_session``'s
+    CPUs, read from the cluster); 1 and 3 are monkeypatched CPU counts,
+    one range and a count that does not divide ``NUM_BUCKETS``."""
+    from kgray.stages import shuffle
+    from kgray.stages.shuffle import bucket_groupby
+
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    assert shuffle._cluster_cpus() == cpus
+    want = width or cpus
+    if width:
+        monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: width)
+    n = 40_000
+    t = pa.table({"k": np.arange(n) % 1000,
+                  "pad": pa.array([f"pad-{i % 997}" * 8 for i in range(n)])})
+    ds = ray_session.data.from_arrow(
+        [t.slice(i * n // blocks, n // blocks) for i in range(blocks)])
+    assert ds.num_blocks() == blocks
+    # per-dataset context copy: pathological block-size target, this test only
+    ds.context.target_max_block_size = 64 * 1024
+
+    def keys(part: pa.Table) -> pa.Table:
+        return pa.table({"keys": [pc.unique(part["k"]).to_pylist()],
+                         "rows": [len(part)]})
+
+    out = bucket_groupby(ds, keys=["k"], fn=keys).materialize()
+    sizes = [m.num_rows for b in out.iter_internal_ref_bundles()
+             for _, m in b.blocks]
+    assert sum(s > 0 for s in sizes) == want, sizes
+    calls = out.take_all()
+    assert len(calls) == want
+    assert sum(c["rows"] for c in calls) == n
+    seen = collections.Counter(k for c in calls for k in c["keys"])
+    assert len(seen) == 1000 and max(seen.values()) == 1
 
 
 def test_canonicalize_rows_exactly_once(ray_session):
@@ -230,7 +277,7 @@ def _reservation_case(ray, case: str, small_corpus):
                               ray.data.from_arrow(snap))
     if case == "bucket_groupby":
         return bucket_groupby(ray.data.from_arrow(pa.table({"k": [1, 2]})),
-                              ["k"], lambda t: t)
+                              keys=["k"], fn=lambda t: t)
     if case == "equi_join":
         return equi_join(ray.data.from_arrow(pa.table({"k": [1, 2]})),
                          ray.data.from_arrow(pa.table({"k": [2, 3]})),
@@ -254,6 +301,50 @@ def test_sort_plan_lifts_the_per_operator_reservation(
     ds = _reservation_case(ray_session, case, small_corpus)
     assert ds.context.op_resource_reservation_enabled is False
     assert DataContext.get_current().op_resource_reservation_enabled is True
+
+
+def _executed_operators(ds) -> list[str]:
+    """The operator names of ``ds``'s executed plan, in Ray's stats order
+    (a union's branches before the ``UnionOperator``)."""
+    import re
+
+    return re.findall(r"^Operator \d+ (.+?):", ds.materialize().stats(), re.M)
+
+
+@pytest.mark.parametrize("case", ["diff_snapshots", "equi_join"])
+def test_bucket_tag_fuses_ahead_of_the_union(ray_session, small_corpus, case):
+    """Each input of a two-sided bucket exchange hashes ``__bucket`` in its
+    own map chain: the executed plan runs the Sort straight after the
+    ``UnionOperator``, with no ``MapBatches(tag)`` behind it."""
+    names = _executed_operators(
+        _reservation_case(ray_session, case, small_corpus))
+    union = next(i for i, n in enumerate(names)
+                 if n.startswith("UnionOperator("))
+    assert names[union + 1] == "Sort", names
+    assert not any("MapBatches(tag)" in n for n in names[union + 1:]), names
+
+
+def test_block_pairs_plan_has_no_repartition(ray_session, monkeypatch):
+    """``block_pairs``' exchange takes its width from its range boundaries:
+    no ``Repartition`` runs ahead of the Sort, with or without a split
+    group."""
+    from kgray.stages import shuffle
+    from kgray.stages.shuffle import block_pairs
+
+    t = pa.table({"g": [i % 3 for i in range(30)],
+                  "id": pa.array(range(30), pa.int64())})
+    ds = ray_session.data.from_arrow([t.slice(i, 10) for i in (0, 10, 20)])
+    schema = pa.schema([("x", pa.int64())])
+
+    def score(a: pa.Table, b: pa.Table | None):
+        return (a["id"].to_numpy()[:1],)
+
+    for limit in (shuffle.MAX_BLOCK_ROWS, 4):
+        monkeypatch.setattr(shuffle, "MAX_BLOCK_ROWS", limit)
+        names = _executed_operators(block_pairs(
+            ds, group=["g"], id_col="id", score=score, schema=schema))
+        assert "Sort" in names, names
+        assert not any("Repartition" in n for n in names), names
 
 
 def test_block_pairs_scores_every_in_group_pair_once(ray_session, monkeypatch):

@@ -46,12 +46,13 @@ def test_lsh_pairs_match_uncached_expected_tables(ray_session, monkeypatch,
                                                   lsh_expected, width):
     """Both LSH queries equal their expected tables whether the exchange
     puts every band bucket into one reduce partition or spreads them over
-    256."""
+    256 (the width every bucket exchange takes from the cluster's CPU
+    count)."""
     from kgray.oracle_check import compare, to_pandas
     from kgray.pipelines import textproc
     from kgray.stages import shuffle
 
-    monkeypatch.setattr(shuffle, "default_exchange_partitions", lambda: width)
+    monkeypatch.setattr(shuffle, "_cluster_cpus", lambda: width)
     for name, want in lsh_expected.items():
         assert len(want) > 0
         got = to_pandas(getattr(textproc, name)(SF_DIR))
