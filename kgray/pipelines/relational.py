@@ -393,13 +393,6 @@ def sessionize(sf_dir: str):
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         n = len(uid)
-        if n == 0:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "session_id": pa.array([], pa.int64()),
-                 "session_start_us": pa.array([], pa.int64()),
-                 "session_end_us": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64())})
         new_user = np.empty(n, dtype=bool)
         new_user[0] = True
         np.not_equal(uid[1:], uid[:-1], out=new_user[1:])
@@ -467,11 +460,6 @@ def asof_join_events(sf_dir: str):
         ts = t["ts_us"].to_numpy(zero_copy_only=False)
         side = t["side"].to_numpy(zero_copy_only=False)
         n = len(uid)
-        if n == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "ts_us": pa.array([], pa.int64()),
-                             "event_type": pa.array([], pa.string()),
-                             "state_ts_us": pa.array([], pa.int64())})
         new_user = np.empty(n, dtype=bool)
         new_user[0] = True
         np.not_equal(uid[1:], uid[:-1], out=new_user[1:])
@@ -541,9 +529,8 @@ def range_join_events(sf_dir: str):
         # per-SEGMENT iteration over vectorized user boundaries (the
         # sessionize bounds pass) — not per ROW (VERDICT r4 #5); inner work
         # stays two searchsorted calls per user
-        bounds = (np.concatenate(
+        bounds = np.concatenate(
             ([0], np.flatnonzero(np.diff(uid) != 0) + 1, [n]))
-            if n else np.array([0]))
         for start, end in zip(bounds[:-1], bounds[1:]):
             seg_ts = ts[start:end]
             wins = seg_ts[is_win[start:end]]
@@ -555,12 +542,11 @@ def range_join_events(sf_dir: str):
             out_u.append(np.full(len(lefts), uid[start], dtype=np.int64))
             out_t.append(lefts)
             out_n.append(cover.astype(np.int64))
-        cat = lambda p: np.concatenate(p) if p else np.empty(0, np.int64)
         return pa.table(
             {
-                "user_id": pa.array(cat(out_u), pa.int64()),
-                "ts_us": pa.array(cat(out_t), pa.int64()),
-                "n_windows": pa.array(cat(out_n), pa.int64()),
+                "user_id": pa.array(np.concatenate(out_u), pa.int64()),
+                "ts_us": pa.array(np.concatenate(out_t), pa.int64()),
+                "n_windows": pa.array(np.concatenate(out_n), pa.int64()),
             }
         )
 

@@ -97,8 +97,8 @@ def test_bucket_exchange_emits_one_partition_per_cpu(
     """A bucket exchange is cut on known ranges of ``__bucket``, as many
     as the cluster has CPUs: whatever its input block count (8, or 40
     under a 64 KiB block-size target), ``bucket_groupby`` yields exactly
-    that many output blocks holding rows, one ``fn`` call each, and every
-    key in one call.  ``None`` is the live width (``ray_session``'s
+    that many output blocks holding rows, one ``fn`` call each, every
+    call on at least one row, and every key in one call.  ``None`` is the live width (``ray_session``'s
     CPUs, read from the cluster); 1 and 3 are monkeypatched CPU counts,
     one range and a count that does not divide ``NUM_BUCKETS``."""
     from kgray.stages import shuffle
@@ -129,6 +129,8 @@ def test_bucket_exchange_emits_one_partition_per_cpu(
     calls = out.take_all()
     assert len(calls) == want
     assert sum(c["rows"] for c in calls) == n
+    # no fn call sees an empty partition (an empty range gets none)
+    assert min(c["rows"] for c in calls) > 0
     seen = collections.Counter(k for c in calls for k in c["keys"])
     assert len(seen) == 1000 and max(seen.values()) == 1
 

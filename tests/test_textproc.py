@@ -136,40 +136,131 @@ def test_fingerprint_vectorized_matches_scalar_loop():
             assert _fp_window_min(hashes, window) == best, (n, best)
 
 
-def test_jaccard_chunked_path_matches_dense(monkeypatch):
-    """The bounded chunked path (oversized buckets) must emit exactly the
-    dense incidence-matmul result."""
+def _verify_blocks():
+    """Two blocks of ``_score_jaccard``/``_score_band_bucket`` rows (300
+    and 200): a near-duplicate cluster around one token set (Jaccard 0.8
+    to 1 within it), a few empty sets, and random sets, each row with its MinHash signature and band
+    2, the band that masks the pairs agreeing in band 0 or 1."""
     import numpy as np
+    import pyarrow as pa
 
     import kgray.pipelines.textproc as T
 
     rng = np.random.RandomState(11)
-    ids = np.arange(300, dtype=np.int64)
-    toks = []
     base = np.unique(rng.randint(0, 5000, size=40).astype(np.uint64))
-    for i in range(300):
-        if i % 3 == 0:  # near-dup cluster around `base`
-            t = base.copy()
-            if i % 9 == 0 and len(t) > 2:
-                t = t[:-1]
-        else:
-            t = np.unique(rng.randint(0, 10**6, size=rng.randint(5, 60)).astype(np.uint64))
-        toks.append(np.sort(t))
-    dense = T._jaccard_pairs_for_group(ids, toks)
-    monkeypatch.setattr(T, "_JACCARD_DENSE_MAX", 10)
-    monkeypatch.setattr(T, "_JACCARD_CHUNK_ROWS", 64)
-    chunked = T._jaccard_pairs_for_group(ids, toks)
-    for d, c in zip(dense, chunked):
-        assert (np.sort(d) == np.sort(c)).all()
-    # same (a,b) pair set
-    dset = set(zip(dense[0].tolist(), dense[1].tolist()))
-    cset = set(zip(chunked[0].tolist(), chunked[1].tolist()))
-    assert dset == cset and len(dset) > 50
+
+    def block(n, first_id):
+        toks = []
+        for i in range(n):
+            if i % 3 == 0:  # the cluster: base less 0-4 random tokens
+                t = np.delete(base, rng.choice(len(base), i % 5, False))
+            elif i % 50 == 1:
+                t = np.empty(0, np.uint64)
+            else:
+                t = np.unique(rng.randint(0, 10**6, size=rng.randint(5, 60))
+                              .astype(np.uint64))
+            toks.append(np.sort(t))
+        sig = np.stack([T._minhash_sig_from(t) for t in toks])
+        return pa.table({
+            "doc_id": pa.array(np.arange(n) + first_id, pa.int64()),
+            "band": pa.array([2] * n, pa.int32()),
+            "sig": pa.Array.from_buffers(
+                pa.binary(T.MINHASH_PERMS * 8), n,
+                [None, pa.py_buffer(sig.astype("<i8").tobytes())]),
+            "toks": pa.array([t.tobytes() for t in toks], pa.binary()),
+        })
+
+    return block(300, 0), block(200, 1000)
+
+
+def _brute_pairs(a, b, band=None):
+    """Every qualifying (doc_a, doc_b, inter, union) of a block (``b``
+    None) or a cross block pair by Python sets, restricted with ``band``
+    to the pairs whose MinHash signatures agree in ``band`` and in no
+    earlier band."""
+    import numpy as np
+
+    import kgray.pipelines.textproc as T
+
+    def rows(t):
+        r = T.MINHASH_PERMS // T.LSH_BANDS
+        sig = np.frombuffer(t["sig"].combine_chunks().buffers()[1], np.int64)
+        sig = sig.reshape(len(t), T.MINHASH_PERMS)
+        return [(i, set(np.frombuffer(x, np.uint64).tolist()),
+                 [tuple(s[k * r:(k + 1) * r]) for k in range(T.LSH_BANDS)])
+                for i, x, s in zip(t["doc_id"].to_pylist(),
+                                   t["toks"].to_pylist(), sig)]
+
+    ra = rows(a)
+    pairs = ([(x, y) for i, x in enumerate(ra) for y in ra[i + 1:]]
+             if b is None else [(x, y) for x in ra for y in rows(b)])
+    out = []
+    for (i, s, c), (j, s2, c2) in pairs:
+        if band is not None and (c[band] != c2[band] or any(
+                c[k] == c2[k] for k in range(band))):
+            continue
+        inter, uni = len(s & s2), len(s | s2)
+        if inter and inter / uni >= T.JACCARD_THRESHOLD:
+            out.append((min(i, j), max(i, j), inter, uni))
+    return sorted(out)
+
+
+def _scored(score, a, b):
+    return sorted(zip(*(c.tolist() for c in score(a, b))))
+
+
+def test_jaccard_verify_paths_match_brute_force(monkeypatch):
+    """``_jaccard_verify`` counts intersections by one incidence matmul
+    (every chunk above 0 survivors) or per pair (no chunk above 10**9),
+    64 rows of a block at a time; either way the n-gram scorer (no mask)
+    and the MinHash scorer (the first-agreeing-band mask) give exactly the
+    Python-set pairs, on a diagonal block and on a cross block pair."""
+    import kgray.pipelines.textproc as T
+
+    monkeypatch.setattr(T, "_VERIFY_ROWS", 64)
+    a, b = _verify_blocks()
+    for matmul_pairs in (0, 10**9):
+        monkeypatch.setattr(T, "_MATMUL_PAIRS", matmul_pairs)
+        for x, y in ((a, None), (a, b)):
+            want = _brute_pairs(x, y)
+            assert len(want) > 50
+            assert _scored(T._score_jaccard, x, y) == want
+            want = _brute_pairs(x, y, band=2)
+            got = _scored(T._score_band_bucket, x, y)
+            assert want and [g[:2] for g in got] == [w[:2] for w in want]
+            assert [g[2] for g in got] == [round(w[2] / w[3], 4)
+                                           for w in want]
+
+
+def test_jaccard_verify_builds_no_incidence_above_byte_cap(monkeypatch):
+    """With the byte cap below a block's incidence matrices, chunks the
+    survivor count sends to the matmul count per pair instead: the pairs
+    are unchanged and no incidence matrix is built."""
+    import kgray.pipelines.textproc as T
+
+    monkeypatch.setattr(T, "_VERIFY_ROWS", 64)
+    monkeypatch.setattr(T, "_MATMUL_PAIRS", 0)
+    a, b = _verify_blocks()
+    want = [_scored(T._score_jaccard, x, y) for x, y in ((a, None), (a, b))]
+    built, real = [], T._incidence
+
+    def spy(toks, sizes, vocab):
+        built.append(len(toks) * len(vocab) * 4)
+        return real(toks, sizes, vocab)
+
+    monkeypatch.setattr(T, "_incidence", spy)
+    _scored(T._score_jaccard, a, None)
+    assert built  # under the default cap the matmul path builds them
+    monkeypatch.setattr(T, "_INCIDENCE_BYTES", built[0] - 1)
+    built.clear()
+    got = [_scored(T._score_jaccard, x, y) for x, y in ((a, None), (a, b))]
+    assert got == want and not built
 
 
 def test_jaccard_skewed_bucket_bounded(ray_session):
-    """One source holding ~85% of docs (m over the dense cap) must complete
-    through the chunked path within bounded memory/time."""
+    """One source holding ~85% of docs (5,100 rows, above ``block_pairs``'
+    row limit) completes as block pairs, each verified 1,024 rows at a
+    time, and finds the planted duplicate pairs."""
     import os
     import tempfile
 
