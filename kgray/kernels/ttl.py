@@ -7,6 +7,13 @@ subset of Turtle those dumps actually use, from scratch, as one columnar
 parse over a whole batch of documents (``parse_ttl_docs``);
 ``parse_ttl`` is its one-document call.
 
+Heads.  A dump-flavor document opens with a run of ``@prefix``
+declarations, and the documents of a batch share a handful of distinct
+runs.  ``_HEAD`` matches each document's leading run (possibly empty) in
+a spelling that ``_TOKEN`` can only read as ``@prefix``, ``name:``,
+``<iri>``, ``.`` quadruples; each distinct head is tokenized once, and
+only the text after it goes through the token pass below.
+
 Tokens.  One regex pass per batch (polars ``str.extract_all``) splits every
 document into tokens; at each position the first alternative that matches
 wins:
@@ -23,7 +30,12 @@ wins:
 
 A token is read whole, so a ``#`` inside a literal or IRI is not a comment
 and a negative year in a literal (``"-0347-01-01T00:00:00Z"``) is just
-text: no sentinel rewrite is needed.
+text: no sentinel rewrite is needed.  Tokens stay byte ranges of the
+token pass's one buffer; a ``\\S+`` token is told from a valid one by
+a few bytes (a literal's closing quote, a blank node's ``_:`` and next
+byte, an IRI's ``>``), and a prefixed name by ``_NAME`` once per
+distinct name; only literals holding a ``\\`` (or a non-ASCII byte after
+the closing quote) are split by a regex.
 
 Grammar.  A segment starts at the start of a document or right after
 ``.``, ``;`` or ``,``.  A term's role is its offset inside its segment
@@ -49,8 +61,14 @@ Output rows use the engine's triples convention (kernels/rdf.py): full
 ``<iri>`` terms compacted against the ``@prefix`` declarations before them
 (longest namespace first), then against the known namespaces, and kept as
 ``<...>`` otherwise; prefixed names kept as written; ``rdf:type`` stored
-expanded (the serializer renders it as ``a``).  Only literals holding a
-``\\`` and full ``<iri>`` terms reach Python, one call each.
+expanded (the serializer renders it as ``a``).  Values are built only for
+the terms a triple reads: each is a byte range of the token buffer (a
+literal's body, lang or datatype, a name, an uncompacted ``<iri>``) or
+one of a few built strings (``rdf:type``, compacted IRIs, unescaped
+bodies), and each output column is one ``take`` over them.  Compaction
+matches the IRI bodies against the batch's distinct declared namespaces
+with array operations; Python runs once per distinct namespace and per
+literal holding a ``\\``.
 """
 
 from __future__ import annotations
@@ -63,7 +81,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import str_list
-from .rdf import PREFIX_TO_URI, compact_uri
+from .rdf import PREFIX_TO_URI, PREFIXES
 
 # single-threaded polars inside Ray workers (see stages/shuffle.py); the
 # env var binds only before the process's first polars import
@@ -79,15 +97,32 @@ _LITERAL = (r'"(?:[^"\\]|\\.)*"'
             r'(?:\^\^(?:<[^>]*>|[A-Za-z][\w.-]*:[\w.-]+)|@[A-Za-z][A-Za-z0-9-]*)?')
 _BLANK = r"_:[A-Za-z0-9_.-]+"
 _PNAME = r"[A-Za-z][\w.-]*:(?:[\w-]+(?:\.[\w-]+)*)?"
-# one token pattern, alternatives in priority order (module docstring)
+# one token pattern, alternatives in priority order (module docstring),
+# where a name's \w reads wider: as any character that is neither ASCII nor
+# whitespace (Unicode \w costs the regex engine a third more time).  A
+# valid document tokenizes the same either way; a name or literal that
+# takes in a non-ASCII character is checked against the exact pattern, and
+# one that fails it is the broken token an error names (with Unicode \w
+# the name would end before the character, and the error name the rest)
 _TOKEN = "|".join((_LITERAL, r"<[^>]*>", r"#[^\n]*", r"@prefix\b", _BLANK,
-                   _PNAME, r"\ba\b", r"[;,.\[\]()]", r"\S+"))
+                   _PNAME, r"\ba\b", r"[;,.\[\]()]", r"\S+")
+                  ).replace(r"\w", r"A-Za-z0-9_[^\x00-\x7F\s]")
 # a literal token's body, datatype and lang; no match: a \S+ token
 _LITERAL_PARTS = (r'^"(?P<body>(?:[^"\\]|\\.)*)"'
                   r'(?:\^\^(?P<datatype><[^>]*>|[A-Za-z][\w.-]*:[\w.-]+)'
                   r'|@(?P<lang>[A-Za-z][A-Za-z0-9-]*))?$')
-# a whole blank node or prefixed name; no match: a \S+ token
-_NAME = f"^(?:{_BLANK}|{_PNAME})$"
+# a document's head: whitespace only where _TOKEN skips it, and a name
+# _PNAME reads up to its ':', so each declaration is four whole tokens
+_HEAD = (r"^(?:[ \t\r\n]*@prefix[ \t\r\n]+[A-Za-z][A-Za-z0-9_.-]*:"
+         r"[ \t\r\n]*<[^>]*>[ \t\r\n]*\.)*")
+# a head's names and IRIs, alternately (its declarations in order)
+_HEAD_TERMS = r"[A-Za-z][A-Za-z0-9_.-]*:|<[^>]*>"
+# a whole prefixed name; no match: a \S+ token
+_NAME = f"^{_PNAME}$"
+_AT_PREFIX = np.frombuffer(b"@prefix", np.uint8)
+# the byte after a blank node's '_:'
+_BLANK_BYTE = np.zeros(256, bool)
+_BLANK_BYTE[list(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")] = True
 
 # token kinds, read from the token's first byte and then checked
 LIT, IRI, PREFIX, PNAME, BLANK, A, DOT, SEMI, COMMA, COMMENT, BAD, GROUP = range(12)
@@ -102,6 +137,8 @@ for _c in range(ord("A"), ord("Z") + 1):
 _FIRST[ord(".")], _FIRST[ord(";")], _FIRST[ord(",")] = DOT, SEMI, COMMA
 for _c in "[]()":
     _FIRST[ord(_c)] = GROUP
+_PUNCT = np.zeros(12, bool)
+_PUNCT[[DOT, SEMI, COMMA]] = True
 
 # role shift of the segment a punctuation token opens
 _SHIFT = np.zeros(12, np.int8)
@@ -122,9 +159,28 @@ _KIND_WHY = {BAD: "unexpected input", GROUP: "unsupported Turtle construct",
              PREFIX: "@prefix inside a statement"}
 # the grammar rules a token can break (0: none)
 _END, _CLOSE, _DECL_CLOSE, _TERM = 1, 2, 3, 4
+# a token's place: its segment's shift (0-2) or _DECL_PLACE for a
+# declaration, plus its offset in the segment, capped where the slot no
+# longer changes; its slot and, by kind, the rule it breaks
+_DECL_PLACE = 8
+_SLOT_BY = np.array([SUBJ, PRED, OBJ] + [EXTRA] * 5 + [DECL, DECL_NAME, DECL_IRI]
+                    + [EXTRA] * 3, np.int8)
+_RULE_BY = np.where(_ALLOWED[_SLOT_BY], 0, _TERM).astype(np.int8)
+# a segment closes after 3 - shift terms, a declaration after 3 at '.';
+# a punctuation token further on follows a term that breaks _TERM first
+_RULE_BY[:3, [DOT, SEMI, COMMA]] = _CLOSE
+_RULE_BY[3:_DECL_PLACE, [DOT, SEMI, COMMA]] = 0
+_RULE_BY[_DECL_PLACE + 1:_DECL_PLACE + 3, [DOT, SEMI, COMMA]] = _DECL_CLOSE
+_RULE_BY[_DECL_PLACE + 3:, [SEMI, COMMA]] = _DECL_CLOSE
+_RULE_BY[_DECL_PLACE + 3:, DOT] = 0
 _RULE_WHY = {_END: "document does not end on '.'",
              _CLOSE: "statement closed before its object",
              _DECL_CLOSE: "@prefix not '.'-terminated"}
+
+# the known namespaces' names as compacted IRIs spell them, in table order
+_KNOWN = pa.array([f"{p}:" for p in PREFIXES.values()], pa.large_string())
+_KNOWN_BYTES = np.array([len(ns.encode()) for ns in PREFIXES], np.int64)
+_OBJ_TYPE = pa.array(["iri", "literal"], pa.string())
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # one escape: \uXXXX, \UXXXXXXXX, or a backslash and any one character
@@ -151,47 +207,199 @@ def _who(entity, row: int) -> str:
     return "" if entity is None else f"entity {entity[row].as_py()!r}: "
 
 
-def _compact_term(iri: str, prefixes: dict[str, str]) -> str:
-    """<iri> body -> prefixed name when a namespace is known, else <iri>.
-
-    Doc-declared prefixes are tried LONGEST-namespace-first (matching
-    compact_uri's longest-prefix rule and the reference's table order):
-    declaration-order first-startswith-wins would compact
-    <.../prop/statement/P31> to 'p:statement/P31' whenever '@prefix p:'
-    precedes '@prefix ps:', giving the same predicate two spellings and
-    breaking dedup/diff keys."""
-    for ns in sorted(prefixes, key=len, reverse=True):
-        if iri.startswith(ns):
-            return f"{prefixes[ns]}:{iri[len(ns):]}"
-    c = compact_uri(iri)
-    return c if c != iri else f"<{iri}>"
+def _pieces(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> pa.Array:
+    """The byte ranges ``[start[i], end[i])`` of ``buf`` (in order and
+    disjoint) as entry ``2 * i`` of one string array over ``buf``; the odd
+    entries are the gaps between them.  No byte is copied."""
+    n = 2 * len(start)
+    off = np.zeros(n or 1, np.int64)
+    off[0:n:2], off[1:n:2] = start, end
+    return pa.LargeStringArray.from_buffers(max(n - 1, 0), pa.py_buffer(off),
+                                            pa.py_buffer(buf))
 
 
-def _tokens(ttl) -> tuple[pa.Array, np.ndarray]:
-    """Every token of every document, comments included, in document
-    order, and the index of its document."""
-    listed = (pl.from_arrow(ttl).cast(pl.String).fill_null("")
-              .str.extract_all(_TOKEN).to_arrow())
-    return listed.flatten(), np.repeat(np.arange(len(listed)),
-                                       listed.value_lengths().to_numpy())
+def _substrings(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> pa.Array:
+    """The byte ranges ``[start[i], end[i])`` of ``buf`` as one compact
+    string array."""
+    return _pieces(buf, start, end).take(np.arange(0, 2 * len(start), 2))
 
 
-def _kinds(toks: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Each token's kind, and its last byte.  The first byte proposes a
-    kind and the token must then be whole: a ``\\S+`` token shares its
-    first byte with some valid kind, and reads BAD."""
+def _split_heads(ttl) -> tuple[pa.Array, np.ndarray, pl.Series]:
+    """Each document's head (``_HEAD``'s match, possibly empty) and the
+    text after it: the distinct heads, each document's index into them,
+    and the rests."""
+    docs = pl.from_arrow(ttl).cast(pl.String).fill_null("")
+    head = docs.str.extract(_HEAD, 0)
+    enc = pc.dictionary_encode(head.to_arrow())
+    return (enc.dictionary, enc.indices.to_numpy(zero_copy_only=False),
+            docs.str.strip_prefix(head))
+
+
+def _tokens(text: pl.Series) -> tuple[np.ndarray, ...]:
+    """Every token of every document in ``text``, comments included, in
+    document order: the token pass's bytes, each token's ``[start, end)``
+    in them, and the index of its document."""
+    listed = text.str.extract_all(_TOKEN).to_arrow()
+    toks = listed.flatten()
+    row = np.repeat(np.arange(len(listed)), listed.value_lengths().to_numpy())
+    if not len(toks):
+        return np.zeros(0, np.uint8), row, row, row
     _, offsets, data = toks.buffers()
-    offs = np.frombuffer(offsets, np.int64)[toks.offset:toks.offset + len(toks) + 1]
-    data = np.frombuffer(data, np.uint8)
-    first, last = data[offs[:-1]], data[offs[1:] - 1]  # tokens are never empty
+    off = np.frombuffer(offsets, np.int64)[toks.offset:toks.offset + len(toks) + 1]
+    return np.frombuffer(data, np.uint8), off[:-1], off[1:], row
+
+
+def _holds(marks: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether ``[start, end)`` holds any of the sorted byte indices
+    ``marks``."""
+    return np.searchsorted(marks, start) < np.searchsorted(marks, end)
+
+
+def _kinds(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Each token's kind, read from its first byte and then checked: a
+    ``\\S+`` token shares its first byte with some valid kind, and reads
+    BAD.  Prefixed names are checked whole, once per distinct name."""
+    first = data[start]  # tokens are never empty
     kind = _FIRST[first]
-    kind[(kind == IRI) & (last != ord(">"))] = BAD
-    kind[(kind == PREFIX) & ~np.asarray(pc.equal(toks, "@prefix"))] = BAD
-    kind[(kind == PNAME) & (np.diff(offs) == 1) & (first == ord("a"))] = A
-    names = np.flatnonzero((kind == PNAME) | (kind == BLANK))
-    whole = pl.from_arrow(toks.take(names)).str.contains(_NAME).to_numpy()
-    kind[names[~whole]] = BAD
-    return kind, last
+    size = end - start
+    kind[(kind == IRI) & (data[end - 1] != ord(">"))] = BAD
+    at = np.flatnonzero(kind == PREFIX)
+    word = data[np.minimum(start[at, None] + np.arange(7), len(data) - 1)]
+    kind[at[(size[at] != 7) | (word != _AT_PREFIX).any(axis=1)]] = BAD
+    kind[(kind == PNAME) & (size == 1) & (first == ord("a"))] = A
+    blanks = np.flatnonzero(kind == BLANK)
+    after = data[np.minimum(start[blanks, None] + [1, 2], len(data) - 1)]
+    kind[blanks[(size[blanks] < 3) | (after[:, 0] != ord(":"))
+                | ~_BLANK_BYTE[after[:, 1]]]] = BAD
+    names = np.flatnonzero(kind == PNAME)
+    distinct = pc.dictionary_encode(_substrings(data, start[names], end[names]))
+    whole = pl.from_arrow(distinct.dictionary).str.contains(_NAME).to_numpy()
+    kind[names[~whole[distinct.indices.to_numpy()]]] = BAD
+    return kind
+
+
+def _literals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Each literal token's closing quote (a byte index into ``data``; -1
+    when the token is not a whole literal), and the literals whose body
+    holds a ``\\``: their indices and their still escaped bodies.
+
+    Without a ``\\`` the closing quote is the token's second ``"``.  A
+    token holding one, or a non-ASCII byte after that quote, goes through
+    ``_LITERAL_PARTS``, and its quote sits before the lang or datatype the
+    regex read."""
+    quotes = np.append(np.flatnonzero(data == ord('"')), len(data))
+    q = quotes[np.searchsorted(quotes, start + 1)]
+    q[q >= end] = -1
+    odd = np.flatnonzero(_holds(np.flatnonzero(data == ord("\\")), start, end)
+                         | ((q >= 0) & _holds(np.flatnonzero(data >= 0x80), q, end)))
+    parts = (pl.from_arrow(_substrings(data, start[odd], end[odd]))
+             .str.extract_groups(_LITERAL_PARTS).struct.unnest())
+    lang, dt = (parts[c].str.len_bytes().fill_null(-1).to_numpy().astype(np.int64)
+                for c in ("lang", "datatype"))
+    tail = np.where(lang >= 0, lang + 1, np.where(dt >= 0, dt + 2, 0))
+    q[odd] = np.where(parts["body"].is_null().to_numpy(), -1, end[odd] - 1 - tail)
+    escaped = parts["body"].str.contains("\\", literal=True).fill_null(False).to_numpy()
+    return q, odd[escaped], parts["body"].filter(escaped).to_arrow()
+
+
+def _slots(kind: np.ndarray, row: np.ndarray, last: np.ndarray):
+    """Each token's slot, and the grammar rule it breaks (0: none), both
+    read from ``_SLOT_BY`` and ``_RULE_BY`` by its place in its segment."""
+    n = len(kind)
+    doc_start = np.ones(n, bool)
+    doc_start[1:] = row[1:] != row[:-1]
+    seg_start = doc_start.copy()
+    seg_start[1:] |= _PUNCT[kind[:-1]]
+    heads = np.flatnonzero(seg_start)
+    seg = np.cumsum(seg_start) - 1
+    offset = np.arange(n) - heads[seg]
+    shift = np.where(doc_start[heads], 0, _SHIFT[kind[heads - 1]])
+    place = (np.where((kind[heads] == PREFIX) & (shift == 0), _DECL_PLACE, shift)[seg]
+             + np.minimum(offset, _DECL_PLACE - 3))
+    slot = _SLOT_BY[place]
+    rule = _RULE_BY[place, kind]
+    rule[(slot == DECL_NAME) & (last != ord(":"))] = _TERM
+    doc_end = np.ones(n, bool)
+    doc_end[:-1] = doc_start[1:]
+    rule[doc_end & (rule == 0) & (kind != DOT)] = _END
+    return slot, rule
+
+
+def _declarations(heads: pa.Array, data: np.ndarray, start: np.ndarray,
+                  end: np.ndarray, row: np.ndarray, slot: np.ndarray) -> dict:
+    """The batch's @prefix declarations: those of each distinct head
+    (``head``: its index) and those after a document's head (``doc`` and
+    token ``pos``), each with its namespace (an index into the distinct
+    namespaces ``ns``) and its name (an index into ``names``, which then
+    holds the known namespaces' names in table order)."""
+    listed = pl.from_arrow(heads).str.extract_all(_HEAD_TERMS).to_arrow()
+    terms = listed.flatten()
+    head = np.repeat(np.arange(len(listed)), listed.value_lengths().to_numpy())[1::2]
+    at = np.flatnonzero(slot == DECL_IRI)
+    ns = pc.dictionary_encode(pa.concat_arrays([
+        pc.utf8_slice_codeunits(terms.take(np.arange(1, len(terms), 2)), 1, -1),
+        _substrings(data, start[at] + 1, end[at] - 1)]))
+    ns_of = ns.indices.to_numpy()
+    return {"ns": ns.dictionary, "head": head, "head_ns": ns_of[:len(head)],
+            "doc": row[at], "pos": at, "doc_ns": ns_of[len(head):],
+            "names": pa.concat_arrays([
+                terms.take(np.arange(0, len(terms), 2)),
+                _substrings(data, start[at - 1], end[at - 1]), _KNOWN])}
+
+
+def _compact(bodies: pa.Array, doc: np.ndarray, pos: np.ndarray,
+             head_of: np.ndarray, decls: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The compaction of each full IRI (its ``bodies``, at token ``pos``
+    of document ``doc``): an index into ``decls["names"]`` (-1: kept as
+    ``<iri>``) and the byte length of the namespace it drops.
+
+    The longest namespace declared before the IRI in its document wins,
+    under the name its latest such declaration gave it (a head's
+    declarations come before all of its document's tokens); an IRI under
+    none takes the first known namespace (``rdf.PREFIXES``, table order,
+    as ``rdf.compact_uri``)."""
+    ns = decls["ns"]
+    nj = len(ns)
+    ns_bytes = pc.binary_length(ns).to_numpy().astype(np.int64)
+    name = np.full(len(bodies), -1)
+    drop = np.zeros(len(bodies), np.int64)
+    if nj and len(bodies):
+        hits = np.column_stack([pc.starts_with(bodies, pattern=s).to_numpy(
+            zero_copy_only=False) for s in ns.to_pylist()])
+        ii, jj = np.nonzero(hits)
+        # the latest name the IRI's head gives each namespace (a trailing
+        # -1 key and name: no declaration)
+        nh = len(decls["head"])
+        hkey, last = np.unique((decls["head"] * nj + decls["head_ns"])[::-1],
+                               return_index=True)
+        hkey, hname = np.append(hkey, -1), np.append(nh - 1 - last, -1)
+        qkey = head_of[doc[ii]] * nj + jj
+        at = np.searchsorted(hkey[:-1], qkey)
+        got = np.where(hkey[at] == qkey, hname[at], -1)
+        # overridden by the latest declaration before the IRI in its own
+        # document (declaration -1: the trailing -1 namespace, no match)
+        span = int(max(pos.max(), decls["pos"].max(initial=0))) + 1
+        rkey = decls["doc_ns"] * span + decls["pos"]
+        order = np.append(np.argsort(rkey), -1)
+        d = order[np.searchsorted(rkey[order[:-1]], jj * span + pos[ii]) - 1]
+        mine = ((np.append(decls["doc_ns"], -1)[d] == jj)
+                & (np.append(decls["doc"], -1)[d] == doc[ii]))
+        got = np.where(mine, nh + d, got)
+        ii, jj, got = ii[got >= 0], jj[got >= 0], got[got >= 0]
+        best = np.lexsort((-ns_bytes[jj], ii))
+        ii, jj, got = ii[best], jj[best], got[best]
+        first = np.ones(len(ii), bool)
+        first[1:] = ii[1:] != ii[:-1]
+        name[ii[first]] = got[first]
+        drop[ii[first]] = ns_bytes[jj[first]]
+    rest = np.flatnonzero(name < 0)
+    known = bodies.take(rest)
+    base = len(decls["names"]) - len(_KNOWN)
+    for t, uri in enumerate(PREFIXES):
+        hit = rest[pc.starts_with(known, pattern=uri).to_numpy(zero_copy_only=False)]
+        hit = hit[name[hit] < 0]
+        name[hit], drop[hit] = base + t, _KNOWN_BYTES[t]
+    return name, drop
 
 
 def parse_ttl_docs(ttl, entity=None) -> pa.Table:
@@ -204,87 +412,91 @@ def parse_ttl_docs(ttl, entity=None) -> pa.Table:
     (the flat-columns convention of schema.OPS).  A malformed document
     raises ``TTLParseError`` naming ``entity[row]`` when ``entity`` is
     given."""
-    toks, row = _tokens(ttl)
-    kind, last = _kinds(toks)
+    heads, head_of, rest = _split_heads(ttl)
+    data, start, end, row = _tokens(rest)
+    kind = _kinds(data, start, end)
     if (kind == COMMENT).any():
         keep = kind != COMMENT
-        toks, row = toks.filter(pa.array(keep)), row[keep]
-        kind, last = kind[keep], last[keep]
+        start, end, row, kind = start[keep], end[keep], row[keep], kind[keep]
     lits = np.flatnonzero(kind == LIT)
-    parts = (pl.from_arrow(toks.take(lits)).str.extract_groups(_LITERAL_PARTS)
-             .struct.unnest())
-    kind[lits[parts["body"].is_null().to_numpy()]] = BAD
-
-    # -- roles: segments, offsets and slots by scans over the token column
-    n = len(kind)
-    idx = np.arange(n)
-    punct = (kind == DOT) | (kind == SEMI) | (kind == COMMA)
-    doc_start = np.ones(n, bool)
-    doc_start[1:] = row[1:] != row[:-1]
-    seg_start = doc_start.copy()
-    seg_start[1:] |= punct[:-1]
-    heads = np.flatnonzero(seg_start)
-    seg = np.cumsum(seg_start) - 1
-    offset = idx - heads[seg]
-    shift = np.where(doc_start[heads], 0, _SHIFT[kind[heads - 1]])[seg]
-    decl = ((kind[heads] == PREFIX) & (shift[heads] == 0))[seg]
-    slot = np.where(decl, DECL + offset, offset + shift)
-    slot = np.minimum(np.where(~decl & (slot > OBJ), EXTRA, slot), EXTRA)
-
-    # -- grammar: every rule one mask; the first broken token raises
-    rule = np.zeros(n, np.int8)
-    doc_end = np.ones(n, bool)
-    doc_end[:-1] = doc_start[1:]
-    rule[doc_end & (kind != DOT)] = _END
-    # a segment closes after 3 - shift terms, a declaration after 3 at '.'
-    rule[punct & ~decl & (offset + shift != 3)] = _CLOSE
-    rule[punct & decl & ((offset != 3) | (kind != DOT))] = _DECL_CLOSE
-    rule[~punct & ~_ALLOWED[slot, kind]] = _TERM
-    rule[(slot == DECL_NAME) & (last != ord(":"))] = _TERM
+    q, escaped, bodies = _literals(data, start[lits], end[lits])
+    kind[lits[q < 0]] = BAD
+    slot, rule = _slots(kind, row, data[end - 1])
     broken = np.flatnonzero(rule)
     if len(broken):
         i = int(broken[0])
         why = (_RULE_WHY.get(rule[i]) or _KIND_WHY.get(kind[i])
                or _SLOT_WHY[slot[i]])
-        raise TTLParseError(f"{_who(entity, int(row[i]))}{why}: {toks[i].as_py()[:60]!r}")
+        text = bytes(data[start[i]:end[i]]).decode()
+        raise TTLParseError(f"{_who(entity, int(row[i]))}{why}: {text[:60]!r}")
 
-    # -- values: only literals with a '\' and full <iri> terms reach Python
-    objs = np.flatnonzero(slot == OBJ)
-    body = parts["body"]
-    escaped = np.flatnonzero(body.str.contains("\\", literal=True).to_numpy())
-    body = body.to_arrow()
-    if len(escaped):
-        body = pc.replace_with_mask(body, _mask(len(body), escaped), pa.array(
-            _unescape_all(str_list(body.take(escaped)), row[lits[escaped]], entity),
-            body.type))
-    vals = pc.replace_with_mask(toks, _mask(n, lits), body)
-    vals = pc.if_else(kind == A, "rdf:type", vals)
-    # every literal is an object: its lang and datatype go to its object row
-    at = _mask(len(objs), np.searchsorted(objs, lits))
-    lang, dt = (pc.replace_with_mask(pa.nulls(len(objs), body.type), at,
-                                     parts[c].to_arrow())
-                for c in ("lang", "datatype"))
-    iris = np.flatnonzero((kind == IRI) & (slot <= OBJ))
-    dt_iris = np.flatnonzero(pc.fill_null(pc.starts_with(dt, "<"), False))
-    if len(iris) or len(dt_iris):
-        full = _compact_iris(toks, row, slot, np.concatenate([iris, objs[dt_iris]]),
-                             pa.concat_arrays([toks.take(iris), dt.take(dt_iris)]))
-        vals = pc.replace_with_mask(vals, _mask(n, iris), full[:len(iris)])
-        dt = pc.replace_with_mask(dt, _mask(len(objs), dt_iris), full[len(iris):])
+    # -- values: the terms' byte ranges; every literal is an object term
+    terms = np.flatnonzero(slot <= OBJ)
+    tkind, tslot = kind[terms], slot[terms]
+    vstart, vend = start[terms], end[terms].copy()
+    xstart, xend = vend.copy(), vend.copy()
+    lit = np.flatnonzero(tkind == LIT)
+    vstart[lit] += 1
+    vend[lit] = q
+    sep = data[np.minimum(q + 1, len(data) - 1)]
+    lang = lit[(q + 1 < xend[lit]) & (sep == ord("@"))]
+    typed = lit[(q + 1 < xend[lit]) & (sep == ord("^"))]
+    xstart[lang] = vend[lang] + 2
+    xstart[typed] = vend[typed] + 3
+    # full IRIs: the IRI terms and the <datatype>s of literals
+    iri = tkind == IRI
+    iri[typed[data[xstart[typed]] == ord("<")]] = True
+    cand = np.flatnonzero(iri)
+    cstart = np.where(tkind[cand] == IRI, vstart[cand], xstart[cand]) + 1
+    cend = end[terms[cand]] - 1
+    decls = _declarations(heads, data, start, end, row, slot)
+    name, drop = _compact(_substrings(data, cstart, cend), row[terms[cand]],
+                          terms[cand], head_of, decls)
+    done = np.flatnonzero(name >= 0)
+    extra = pa.concat_arrays([
+        pa.array(["rdf:type"], pa.large_string()),
+        pc.binary_join_element_wise(
+            decls["names"].take(name[done]),
+            _substrings(data, cstart[done] + drop[done], cend[done]),
+            pa.scalar("", pa.large_string())),
+        pa.array(_unescape_all(str_list(bodies), row[lits[escaped]], entity),
+                 pa.large_string())])
 
-    # -- triples: one per object; subject and predicate carry forward
+    # -- triples: one per object; every column one take over the values
+    nt = len(terms)
+    value = 1 + 2 * np.arange(nt)  # range 0 is the empty string
+    suffix = value + 1
+    base = 1 + 2 * nt
+    value[tkind == A] = base
+    built = cand[done]
+    own = tkind[built] == IRI
+    value[built[own]] = base + 1 + np.flatnonzero(own)
+    suffix[built[~own]] = base + 1 + np.flatnonzero(~own)
+    value[lit[escaped]] = base + 1 + len(done) + np.arange(len(escaped))
+    _, eoff, edata = extra.buffers()
+    eoff = len(data) + np.frombuffer(eoff, np.int64)[:len(extra) + 1]
+    vals = _pieces(np.concatenate([data, np.frombuffer(edata, np.uint8)]),
+                   np.concatenate([[0], np.column_stack([vstart, xstart]).ravel(), eoff[:-1]]),
+                   np.concatenate([[0], np.column_stack([vend, xend]).ravel(), eoff[1:]]))
+    objs = np.flatnonzero(tslot == OBJ)
+    idx = np.arange(nt)
+
+    def col(r: np.ndarray) -> pa.Array:
+        return vals.take(2 * r).cast(pa.string())
+
     def carried(s: int) -> np.ndarray:
-        return np.maximum.accumulate(np.where(slot == s, idx, 0))[objs]
+        return value[np.maximum.accumulate(np.where(tslot == s, idx, 0))[objs]]
 
+    lang_at, typed_at = np.zeros(nt, np.int64), np.zeros(nt, np.int64)
+    lang_at[lang], typed_at[typed] = suffix[lang], suffix[typed]
     return pa.table({
-        "row": row[objs],
-        "subj": vals.take(carried(SUBJ)).cast(pa.string()),
-        "pred": vals.take(carried(PRED)).cast(pa.string()),
-        "obj": vals.take(objs).cast(pa.string()),
-        "obj_type": pa.array(np.where(kind[objs] == LIT, "literal", "iri"),
-                             pa.string()),
-        "lang": pc.fill_null(lang, "").cast(pa.string()),
-        "datatype": pc.fill_null(dt, "").cast(pa.string()),
+        "row": row[terms[objs]],
+        "subj": col(carried(SUBJ)),
+        "pred": col(carried(PRED)),
+        "obj": col(value[objs]),
+        "obj_type": _OBJ_TYPE.take((tkind[objs] == LIT).astype(np.int8)),
+        "lang": col(lang_at[objs]),
+        "datatype": col(typed_at[objs]),
     })
 
 
@@ -298,26 +510,6 @@ def _unescape_all(bodies: list, rows: np.ndarray, entity) -> list:
         except TTLParseError as err:
             raise TTLParseError(f"{_who(entity, r)}{err}") from None
     return out
-
-
-def _mask(n: int, at: np.ndarray) -> np.ndarray:
-    m = np.zeros(n, bool)
-    m[at] = True
-    return m
-
-
-def _compact_iris(toks: pa.Array, row: np.ndarray, slot: np.ndarray,
-                  at: np.ndarray, iris: pa.Array) -> pa.Array:
-    """The full <iri> terms ``iris``, at token positions ``at``, compacted
-    against the @prefix declarations of their document that come before
-    them."""
-    decl_at = np.flatnonzero(slot == DECL_IRI)
-    decls = list(zip((s[1:-1] for s in str_list(toks.take(decl_at))),
-                     (s[:-1] for s in str_list(toks.take(decl_at - 1)))))
-    lo = np.searchsorted(decl_at, np.searchsorted(row, row[at])).tolist()
-    hi = np.searchsorted(decl_at, at).tolist()
-    return pa.array([_compact_term(iri[1:-1], dict(decls[a:b]))
-                     for a, b, iri in zip(lo, hi, str_list(iris))], iris.type)
 
 
 def parse_ttl(text: str) -> list[tuple[str, str, str, str, str, str]]:

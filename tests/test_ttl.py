@@ -262,3 +262,117 @@ class TestPrefixCompaction:
             ("<http://x.org/a>", "<http://x.org/p>", "v", "literal", "", "<http://x.org/t>"),
             ("x:b", "x:p", "v", "literal", "", "x:t"),
         ]
+
+
+class TestPerDocumentDeclarations:
+    """A batch compacts each full IRI against its own document's
+    declarations: the columnar ``parse_ttl_batch`` equals the row-wise
+    state machine run one document at a time."""
+
+    DOCS = {
+        # declares ex:; the next document does not
+        "Q1": "@prefix ex: <http://example.org/ns/> .\n"
+              "<http://example.org/ns/a> <http://example.org/ns/p> <http://example.org/ns/b> .\n",
+        "Q2": "<http://example.org/ns/a> <http://example.org/ns/p> \"v\" .\n",
+        # one namespace under two names: the later name wins
+        "Q3": "@prefix a1: <http://example.org/two/> .\n"
+              "@prefix a2: <http://example.org/two/> .\n"
+              "<http://example.org/two/x> a <http://example.org/two/T> .\n",
+        # n: redeclared to a second namespace, after statements
+        "Q4": "@prefix n: <http://example.org/first/> .\n"
+              "<http://example.org/first/x> n:p \"v\" .\n"
+              "@prefix n: <http://example.org/second/> .\n"
+              "<http://example.org/first/x> <http://example.org/second/p> "
+              "<http://example.org/first/y> .\n",
+        # a document's own name for a known namespace
+        "Q5": "@prefix foo: <http://www.wikidata.org/entity/> .\n"
+              "<http://www.wikidata.org/entity/Q1> <http://www.wikidata.org/prop/direct/P31> "
+              "<http://www.wikidata.org/entity/Q5> .\n",
+        # nested namespaces: both declared here, only the shorter one next
+        "Q6": "@prefix ps: <http://www.wikidata.org/prop/statement/> .\n"
+              "@prefix p: <http://www.wikidata.org/prop/> .\n"
+              "<http://www.wikidata.org/prop/statement/P31> "
+              "<http://www.wikidata.org/prop/P31> \"v\" .\n",
+        "Q7": "@prefix p: <http://www.wikidata.org/prop/> .\n"
+              "<http://www.wikidata.org/prop/statement/P31> "
+              "<http://www.wikidata.org/prop/P31> \"v\" .\n",
+        # full IRIs in every position, some under no namespace, and
+        # declarations that come only after a comment or a statement
+        "Q8": "# no leading run of declarations\n"
+              "@prefix e: <http://e.org/a/b/> .\n"
+              "@prefix a: <http://e.org/a/> .\n"
+              "@prefix e: <http://e.org/> .\n"
+              "<http://e.org/a/b/x> <http://nowhere.org/p> \"1\"^^<http://e.org/a/t> , "
+              "\"2\"^^<http://nowhere.org/dt> , <http://nowhere.org/o> .\n"
+              "@prefix z: <http://nowhere.org/> .\n",
+        "Q9": "<http://nowhere.org/s> <http://e.org/a/p> <http://nowhere.org/o> .\n"
+              "@prefix z: <http://nowhere.org/> .\n"
+              "<http://nowhere.org/s> <http://e.org/a/p> \"3\"^^<http://nowhere.org/dt> .\n",
+    }
+
+    def _batch(self, docs):
+        import pyarrow as pa
+
+        return pa.table({"entity": list(docs), "ttl": list(docs.values())})
+
+    def test_batch_equals_rowwise(self):
+        from ttl_rowwise import parse_ttl_batch as rowwise
+
+        from kgray.stages.ttl import parse_ttl_batch
+
+        batch = self._batch(self.DOCS)
+        got = parse_ttl_batch(batch)
+        assert got.equals(rowwise(batch))
+        rows = {(r["entity"], r["subj"], r["pred"], r["obj"], r["datatype"])
+                for r in got.to_pylist()}
+        assert ("Q1", "ex:a", "ex:p", "ex:b", "") in rows
+        assert ("Q2", "<http://example.org/ns/a>", "<http://example.org/ns/p>", "v", "") in rows
+        assert ("Q3", "a2:x", "rdf:type", "a2:T", "") in rows
+        assert ("Q4", "n:x", "n:p", "n:y", "") in rows
+        assert ("Q5", "foo:Q1", "wdt:P31", "foo:Q5", "") in rows
+        assert ("Q6", "ps:P31", "p:P31", "v", "") in rows
+        assert ("Q7", "p:statement/P31", "p:P31", "v", "") in rows
+        assert ("Q8", "e:x", "<http://nowhere.org/p>", "1", "a:t") in rows
+        assert ("Q8", "e:x", "<http://nowhere.org/p>", "2", "<http://nowhere.org/dt>") in rows
+        assert ("Q9", "<http://nowhere.org/s>", "<http://e.org/a/p>", "<http://nowhere.org/o>", "") in rows
+        assert ("Q9", "z:s", "<http://e.org/a/p>", "3", "z:dt") in rows
+
+    def test_malformed_declaration_names_its_entity(self):
+        from kgray.kernels.ttl import TTLParseError
+        from kgray.stages.ttl import parse_ttl_batch
+
+        docs = dict(self.DOCS)
+        docs["Q10"] = ("@prefix ok: <http://ok.org/> .\n"
+                       "ok:a ok:p \"v\" .\n@prefix bad:x <http://bad.org/> .\n")
+        with pytest.raises(TTLParseError, match="entity 'Q10': bad @prefix name"):
+            parse_ttl_batch(self._batch(docs))
+
+    def test_declarations_after_every_iri(self):
+        """Declarations that stand after the batch's last full IRI, of
+        namespaces that other documents declared first."""
+        from ttl_rowwise import parse_ttl_batch as rowwise
+
+        from kgray.stages.ttl import parse_ttl_batch
+
+        batch = self._batch({
+            "Q1": "# c\n@prefix e: <http://e.org/a/b/> .\n@prefix p: <http://f.org/> .\n"
+                  "@prefix a: <http://e.org/a/> .\n"
+                  "@prefix f: <http://www.wikidata.org/entity/> .\n"
+                  "@prefix e: <http://e.org/> .\n"
+                  "<http://e.org/a/b/x> <http://www.wikidata.org/prop/statement/é> \"q\\\"x\" .\n"
+                  "<http://e.org/a/b/> <http://www.wikidata.org/prop/b/c> \"1\"^^<http://f.org/> .\n"
+                  "@prefix f: <http://e.org/a/> .\n",
+            "Q2": "# c\n@prefix ab: <http://f.org/> .\n@prefix wd: <http://g.org/é/> .\n"
+                  "@prefix ps: <http://e.org/a/> .\n"
+                  "@prefix y: <http://www.wikidata.org/prop/statement/> .\n"
+                  "@prefix x: <http://e.org/a/b/> .\n",
+            "Q3": "@prefix e: <http://e.org/> .\n@prefix y: <http://e.org/a/b/> .\n"
+                  "@prefix ps: <http://www.wikidata.org/entity/> .\n"
+                  "@prefix y: <http://f.org/> .\n"
+                  "<http://e.org/a/b/b/c> <http://e.org/a/b/Q5> \"1\"^^<http://e.org/a/é> .\n"
+                  "@prefix wd: <http://e.org/> .\n@prefix wd: <http://e.org/> .\n"
+                  "@prefix x: <http://g.org/é/> .\n",
+        })
+        got = parse_ttl_batch(batch)
+        assert got.equals(rowwise(batch))
+        assert got["subj"].to_pylist() == ["e:x", "e:", "y:b/c"]
