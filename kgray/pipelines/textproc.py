@@ -262,13 +262,14 @@ def lang_id(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 # The Jaccard verify's tunables: rows of a block per pair chunk; the
-# survivor count above which a chunk's intersections come from one
-# incidence matmul, not np.intersect1d per pair; and the most bytes of
-# float32 incidence matrices (both sides) the matmul may build, above
-# which the per-pair path runs.  A board group's whole vocabulary is at
-# most 31 tokens, far below the cap.
+# matmul multiply-adds that cost as much as one token of a per-pair
+# np.intersect1d (a 4-vCPU host: ~240 ns per token against ~0.16 ns per
+# multiply-add, over the sf0.1 MinHash and n-gram board chunks); and the
+# most bytes of float32 incidence matrices (both sides) the matmul may
+# build, above which the per-pair path runs.  A board group's whole
+# vocabulary is at most 31 tokens, far below the cap.
 _VERIFY_ROWS = 1024
-_MATMUL_PAIRS = 256
+_PAIR_TOKEN_MACS = 1500
 _INCIDENCE_BYTES = 64 << 20
 
 
@@ -294,18 +295,21 @@ def _jaccard_verify(toks: list[np.ndarray],
     Pairs are enumerated ``_VERIFY_ROWS`` rows of ``toks`` at a time.  A
     pair is dropped unless ``min/max >= t`` of its two set sizes (Jaccard
     is at most that, so no qualifying pair is lost) and, given ``keep``,
-    ``keep(xi, yi)`` is True.  A chunk of more than ``_MATMUL_PAIRS``
-    survivors takes its intersections from one float32 matmul of the
-    block's incidence matrices, built once over the block's vocabulary if
-    they fit ``_INCIDENCE_BYTES``; any other chunk counts each pair with
-    ``np.intersect1d``.  Peak memory is a chunk's pair candidates, the
-    incidence matrices within the cap, and one chunk's matmul, whatever
-    the block's vocabulary."""
+    ``keep(xi, yi)`` is True.  A chunk takes its intersections from the
+    path its work prices lower: one float32 matmul of the block's
+    incidence matrices (chunk rows x vocabulary x block rows
+    multiply-adds) or ``np.intersect1d`` per survivor (the survivors' set
+    sizes, at ``_PAIR_TOKEN_MACS`` each).  The incidence matrices are
+    built once over the block's vocabulary, and only if they fit
+    ``_INCIDENCE_BYTES``; above the cap every chunk counts per pair.  Peak
+    memory is a chunk's pair candidates, the incidence matrices within the
+    cap, and one chunk's matmul, whatever the block's vocabulary."""
     diag = toks_b is None
     toks_b = toks if diag else toks_b
     sizes, sizes_b = (np.array([len(t) for t in ts], np.int64)
                       for ts in (toks, toks_b))
-    inc, parts = None, []
+    vocab = inc = None
+    parts = []
     for i0 in range(0, len(toks), _VERIFY_ROWS):
         i1 = min(i0 + _VERIFY_ROWS, len(toks))
         lo = i0 + 1 if diag else 0  # a diagonal pair has yi > xi >= i0
@@ -320,10 +324,13 @@ def _jaccard_verify(toks: list[np.ndarray],
         if keep is not None:
             ok = keep(xi, yi)
             xi, yi = xi[ok], yi[ok]
-        matmul = len(xi) > _MATMUL_PAIRS
-        if matmul and inc is None:
+        if len(xi) and vocab is None:
             both = [*toks, *([] if diag else toks_b)]
             vocab = np.unique(np.concatenate(both))
+        matmul = len(xi) > 0 and (
+            (i1 - i0) * len(vocab) * (len(toks_b) - lo)
+            <= _PAIR_TOKEN_MACS * int((sizes[xi] + sizes_b[yi]).sum()))
+        if matmul and inc is None:
             inc = ()  # above the cap: every chunk takes the per-pair path
             if len(both) * len(vocab) * 4 <= _INCIDENCE_BYTES:
                 inc_a = _incidence(toks, sizes, vocab)

@@ -211,16 +211,16 @@ def _scored(score, a, b):
 
 def test_jaccard_verify_paths_match_brute_force(monkeypatch):
     """``_jaccard_verify`` counts intersections by one incidence matmul
-    (every chunk above 0 survivors) or per pair (no chunk above 10**9),
-    64 rows of a block at a time; either way the n-gram scorer (no mask)
+    (a per-pair token priced at infinite multiply-adds) or per pair (at
+    none), 64 rows of a block at a time; either way the n-gram scorer (no mask)
     and the MinHash scorer (the first-agreeing-band mask) give exactly the
     Python-set pairs, on a diagonal block and on a cross block pair."""
     import kgray.pipelines.textproc as T
 
     monkeypatch.setattr(T, "_VERIFY_ROWS", 64)
     a, b = _verify_blocks()
-    for matmul_pairs in (0, 10**9):
-        monkeypatch.setattr(T, "_MATMUL_PAIRS", matmul_pairs)
+    for pair_token_macs in (float("inf"), 0):
+        monkeypatch.setattr(T, "_PAIR_TOKEN_MACS", pair_token_macs)
         for x, y in ((a, None), (a, b)):
             want = _brute_pairs(x, y)
             assert len(want) > 50
@@ -234,12 +234,12 @@ def test_jaccard_verify_paths_match_brute_force(monkeypatch):
 
 def test_jaccard_verify_builds_no_incidence_above_byte_cap(monkeypatch):
     """With the byte cap below a block's incidence matrices, chunks the
-    survivor count sends to the matmul count per pair instead: the pairs
+    work comparison sends to the matmul count per pair instead: the pairs
     are unchanged and no incidence matrix is built."""
     import kgray.pipelines.textproc as T
 
     monkeypatch.setattr(T, "_VERIFY_ROWS", 64)
-    monkeypatch.setattr(T, "_MATMUL_PAIRS", 0)
+    monkeypatch.setattr(T, "_PAIR_TOKEN_MACS", float("inf"))
     a, b = _verify_blocks()
     want = [_scored(T._score_jaccard, x, y) for x, y in ((a, None), (a, b))]
     built, real = [], T._incidence
@@ -255,6 +255,49 @@ def test_jaccard_verify_builds_no_incidence_above_byte_cap(monkeypatch):
     built.clear()
     got = [_scored(T._score_jaccard, x, y) for x, y in ((a, None), (a, b))]
     assert got == want and not built
+
+
+def test_jaccard_verify_skips_matmul_when_few_pairs_survive(monkeypatch):
+    """A 4,096-row diagonal block of 30-token sets over a 4,000-token
+    vocabulary whose mask keeps a few hundred pairs per chunk: the matmul
+    would cost chunk rows x vocabulary x block rows whatever survives, so
+    the work comparison counts per pair.  The pairs equal the forced
+    per-pair path's, no incidence matrix is built, and the CPU time stays
+    within 1.5x of the forced per-pair path's."""
+    import time
+
+    import numpy as np
+
+    import kgray.pipelines.textproc as T
+
+    rng = np.random.default_rng(7)
+    toks = [np.sort(rng.choice(4000, 30, replace=False)).astype(np.uint64)
+            for _ in range(4096)]
+    for i in range(0, 4096, 8):  # a near-duplicate beside every 8th row
+        toks[i + 1] = np.sort(np.concatenate(
+            [toks[i][:28], np.setdiff1d(rng.choice(4000, 4, replace=False),
+                                        toks[i])[:2].astype(np.uint64)]))
+
+    def keep(xi, yi):
+        planted = (xi % 8 == 0) & (yi == xi + 1)
+        return planted | ((xi * 7919 + yi * 104729) % 10007 == 0)
+
+    def run():
+        best, out = float("inf"), None
+        for _ in range(3):
+            t0 = time.process_time()
+            out = T._jaccard_verify(toks, None, keep)
+            best = min(best, time.process_time() - t0)
+        return best, [c.tolist() for c in out]
+
+    built, real = [], T._incidence
+    monkeypatch.setattr(T, "_incidence",
+                        lambda *a: built.append(1) or real(*a))
+    t_auto, auto = run()
+    monkeypatch.setattr(T, "_PAIR_TOKEN_MACS", 0)
+    t_pair, pair = run()
+    assert len(auto[0]) >= 512 and auto == pair and not built
+    assert t_auto <= 1.5 * t_pair, (t_auto, t_pair)
 
 
 def test_jaccard_skewed_bucket_bounded(ray_session):
